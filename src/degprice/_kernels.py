@@ -1,10 +1,4 @@
-"""Array kernels for distance work: numba-jitted with a numpy fallback.
-
-Set the environment variable ``DEGPRICE_NO_NUMBA`` (any non-empty value)
-before import to force the pure-numpy implementations; the same happens
-automatically when numba is not installed.  Both variants of each kernel
-stay importable (``*_nb`` / ``*_np``) so they can be benchmarked against
-each other.
+"""Array kernels for distance work, in plain numpy.
 
 All distance arrays are int64 and use the ``UNREACHABLE`` sentinel for
 disconnected pairs.  The sentinel is far below the int64 overflow line,
@@ -12,29 +6,12 @@ so ``sentinel + sentinel + 1`` is still safely comparable; kernels clamp
 results back to exactly ``UNREACHABLE`` before returning.
 """
 
-import os
-
 import numpy as np
 
 UNREACHABLE = 10**9
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def apsp_np(adj):
+def apsp(adj):
     """All-pairs hop distances of a dense boolean adjacency matrix.
 
     Runs one synchronized BFS wave from every source at once via boolean
@@ -54,29 +31,7 @@ def apsp_np(adj):
     return dist
 
 
-@njit(cache=True)
-def apsp_nb(adj):  # pragma: no cover - covered via dispatch
-    n = adj.shape[0]
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    queue = np.empty(n, dtype=np.int64)
-    for s in range(n):
-        dist[s, s] = 0
-        queue[0] = s
-        head = 0
-        tail = 1
-        while head < tail:
-            x = queue[head]
-            head += 1
-            dx = dist[s, x]
-            for y in range(n):
-                if adj[x, y] and dist[s, y] == UNREACHABLE:
-                    dist[s, y] = dx + 1
-                    queue[tail] = y
-                    tail += 1
-    return dist
-
-
-def apsp_update_add_np(dist, u, v):
+def apsp_update_add(dist, u, v):
     """Refresh a distance matrix in place after adding the edge {u,v}.
 
     With unit edge lengths the only new shortest paths route through the
@@ -89,78 +44,7 @@ def apsp_update_add_np(dist, u, v):
     np.minimum(dist, UNREACHABLE, out=dist)
 
 
-@njit(cache=True)
-def apsp_update_add_nb(dist, u, v):  # pragma: no cover - covered via dispatch
-    n = dist.shape[0]
-    for a in range(n):
-        dau = dist[a, u] + 1
-        dav = dist[a, v] + 1
-        for b in range(n):
-            best = dist[a, b]
-            cand = dau + dist[v, b]
-            if cand < best:
-                best = cand
-            cand = dav + dist[u, b]
-            if cand < best:
-                best = cand
-            if best > UNREACHABLE:
-                best = UNREACHABLE
-            dist[a, b] = best
-
-
-def addition_row_sums_np(dist, u):
-    """Distance sums of u after buying one extra edge, per candidate.
-
-    Entry v is sum_w min(dist[u,w], 1 + dist[v,w]): u's distance total in
-    the graph with edge {u,v} added.  Rows left disconnected get the
-    sentinel instead of a partial sum.
-    """
-    merged = np.minimum(dist[u], dist + 1)
-    connected = (merged < UNREACHABLE).all(axis=1)
-    sums = merged.sum(axis=1)
-    return np.where(connected, sums, UNREACHABLE)
-
-
-@njit(cache=True)
-def addition_row_sums_nb(dist, u):  # pragma: no cover - covered via dispatch
-    n = dist.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        total = 0
-        for w in range(n):
-            duw = dist[u, w]
-            alt = dist[v, w] + 1
-            m = duw if duw < alt else alt
-            if m >= UNREACHABLE:
-                total = UNREACHABLE
-                break
-            total += m
-        out[v] = total
-    return out
-
-
-def sum_with_sentinel(values):
-    """Sum of a distance row, or UNREACHABLE if any entry is unreachable."""
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size and arr.max() >= UNREACHABLE:
-        return UNREACHABLE
-    return int(arr.sum())
-
-
 def row_sums_with_sentinel(mat):
     """Per-row sums of a distance matrix with sentinel propagation."""
     connected = (mat < UNREACHABLE).all(axis=1)
     return np.where(connected, mat.sum(axis=1), UNREACHABLE)
-
-
-_USE_NUMBA = HAS_NUMBA and not os.environ.get("DEGPRICE_NO_NUMBA")
-BACKEND = "numba" if _USE_NUMBA else "numpy"
-
-if _USE_NUMBA:
-    apsp = apsp_nb
-    apsp_update_add = apsp_update_add_nb
-    addition_row_sums = addition_row_sums_nb
-else:
-    apsp = apsp_np
-    apsp_update_add = apsp_update_add_np
-    addition_row_sums = addition_row_sums_np

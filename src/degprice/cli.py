@@ -10,6 +10,7 @@ import argparse
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 from degprice import constructions
 from degprice import textio
@@ -47,8 +48,14 @@ POLICIES = (BEST_SINGLE_EDGE, FIRST_IMPROVING_SINGLE_MOVE, FULL_BEST_RESPONSE)
 def _add_game_flags(p):
     p.add_argument("--game", choices=("ncg", "aog"), default="ncg")
     p.add_argument("--k", default="global", help="locality radius, integer or 'global'")
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--gamma", type=float, default=-1.0)
+    p.add_argument("--beta", type=_price, default=1)
+    p.add_argument("--gamma", type=_price, default=-1)
+
+
+def _price(text):
+    """A price coefficient kept exact: "0.1" and "1/2" become Fractions."""
+    value = Fraction(text)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _add_out_flags(p, formats=("json", "text")):
@@ -64,10 +71,8 @@ def _config_from(args):
             k = int(args.k)
         except ValueError:
             raise ValueError(f"--k must be an integer or 'global', got {args.k!r}")
-    def num(x):
-        return int(x) if float(x).is_integer() else float(x)
     return GameConfig(
-        variant=args.game, locality_k=k, price_beta=num(args.beta), price_gamma=num(args.gamma)
+        variant=args.game, locality_k=k, price_beta=args.beta, price_gamma=args.gamma
     )
 
 

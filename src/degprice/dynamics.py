@@ -6,9 +6,13 @@ agent is currently stuck.  ``max_steps`` caps activations, not applied
 moves; convergence statistics are reported in activations because that
 is the unit the random process is naturally measured in.
 
-Add-only runs with single-edge policies and integer pricing go through
-an incremental engine that maintains the full distance matrix (array
-kernels); everything else falls back to per-move graph search.
+One engine prices every activation through the pricing core in
+``moves``.  In add-only games it keeps the full distance matrix current
+with unit-edge updates, so an activation costs O(n^2) array work.  In
+the other games each activation prices from a fresh distance table of
+the network without the activated agent.  Prices stay exact, as int or
+Fraction, and a move that leaves its agent disconnected is priced at
+exactly UNREACHABLE.
 """
 
 import math
@@ -17,26 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from degprice._kernels import (
-    UNREACHABLE,
-    addition_row_sums,
-    apsp,
-    apsp_update_add,
-    row_sums_with_sentinel,
-    BACKEND,
-)
-from degprice.costs import agent_cost, social_cost
+from degprice._kernels import UNREACHABLE, apsp, apsp_update_add
+from degprice.costs import social_cost
 from degprice.errors import ScheduleReplayError
 from degprice.graph import diameter
 from degprice.moves import (
+    CANDIDATE_CAP,
     AddEdge,
     MoveRecord,
     _classify_deviation,
+    _Pricing,
     apply_move,
-    best_response_exact,
-    candidate_targets,
-    enumerate_single_moves,
-    evaluate_deviation,
     strategy_after,
 )
 
@@ -180,154 +175,59 @@ def canonical_state_hash(g):
     return hash(g.state_key())
 
 
-class _GenericEngine:
-    """Move search straight on the graph; works for every config."""
+class _Engine:
+    """Finds, prices and applies moves on a private copy of the start graph."""
 
     def __init__(self, g0, cfg):
         self.graph = g0.copy()
         self.cfg = cfg
-
-    def total(self, u):
-        return agent_cost(self.graph, u, self.cfg).total
+        self.dist = apsp(self.graph.adjacency_matrix()) if cfg.add_only else None
 
     def find_move(self, u, policy):
-        g, cfg = self.graph, self.cfg
+        p = _Pricing(self.graph, u, self.cfg, self.dist)
+        now = p.total(p.current)
+        before = p.value(now)
         if policy == FULL_BEST_RESPONSE:
-            before = self.total(u)
-            strategy, cost = best_response_exact(g, u, cfg)
+            strategy, cost = p.best_response(CANDIDATE_CAP)
             if cost < before:
-                return _classify_deviation(g.targets(u), strategy), before, cost
+                return _classify_deviation(p.current, strategy), before, cost
             return None
-        moves = enumerate_single_moves(g, u, cfg)
         if policy == BEST_SINGLE_EDGE:
-            adds = [m for m in moves if isinstance(m.kind, AddEdge)]
-            if not adds:
-                return None
-            best = min(adds, key=lambda m: (m.cost_after, m.kind.target))
-            if best.improving:
-                return best.kind, best.cost_before, best.cost_after
-            return None
-        if policy == FIRST_IMPROVING_SINGLE_MOVE:
-            for m in moves:
-                if m.improving:
-                    return m.kind, m.cost_before, m.cost_after
-            return None
-        raise ValueError(f"unknown move policy {policy!r}")
+            groups = p.move_groups(adds_only=True)
+        elif policy == FIRST_IMPROVING_SINGLE_MOVE:
+            groups = p.move_groups(self.cfg.add_only)
+        else:
+            raise ValueError(f"unknown move policy {policy!r}")
+        for make, targets, totals in groups:
+            improving = np.flatnonzero(totals < now)
+            if improving.size:
+                # argmin takes the smallest target among equally cheap additions
+                i = int(totals.argmin() if policy == BEST_SINGLE_EDGE else improving[0])
+                return make(targets[i]), before, p.value(totals[i])
+        return None
 
     def eval_move(self, u, kind):
-        g, cfg = self.graph, self.cfg
-        before = self.total(u)
+        g = self.graph
         try:
             new_strategy = strategy_after(g, u, kind)
         except ValueError as exc:
             raise ScheduleReplayError(f"agent {u}: {exc}") from exc
-        current = g.targets(u)
-        if cfg.add_only and current - new_strategy:
+        p = _Pricing(g, u, self.cfg, self.dist)
+        if self.cfg.add_only and p.current - new_strategy:
             raise ScheduleReplayError(f"agent {u}: add-only config cannot drop edges")
-        added = new_strategy - current
-        if added:
-            allowed = candidate_targets(g, u, cfg)
-            bad = added - allowed
-            if bad:
-                raise ScheduleReplayError(
-                    f"agent {u}: targets {sorted(bad)} outside the allowed candidates"
-                )
-        after = evaluate_deviation(g, u, new_strategy, cfg)
-        return before, after
+        bad = new_strategy - p.current - set(p.cands)
+        if bad:
+            raise ScheduleReplayError(
+                f"agent {u}: targets {sorted(bad)} outside the allowed candidates"
+            )
+        return p.value(p.total(p.current)), p.value(p.total(new_strategy))
 
     def apply(self, u, kind):
+        before = self.graph.targets(u)
         apply_move(self.graph, u, kind)
-
-
-class _AddOnlyEngine:
-    """Incremental engine for add-only single-edge dynamics.
-
-    Keeps the distance matrix current through unit-edge updates, so one
-    activation is a couple of vectorized passes instead of a BFS per
-    candidate.  Requires integer pricing.
-    """
-
-    def __init__(self, g0, cfg):
-        self.graph = g0.copy()
-        self.cfg = cfg
-        self.n = g0.n
-        self.adj = g0.adjacency_matrix()
-        self.dist = apsp(self.adj)
-        self.sums = row_sums_with_sentinel(self.dist)
-        self.deg = self.adj.sum(axis=1).astype(np.int64)
-        self.beta = int(cfg.price_beta)
-        self.gamma = int(cfg.price_gamma)
-
-    def _edge_spend(self, u):
-        return sum(
-            self.beta * int(self.deg[v]) + self.gamma for v in self.graph.targets(u)
-        )
-
-    def total(self, u):
-        s = int(self.sums[u])
-        if s >= UNREACHABLE:
-            return UNREACHABLE
-        return self._edge_spend(u) + s
-
-    def _after_totals(self, u):
-        new_sums = addition_row_sums(self.dist, u)
-        prices = self.beta * (self.deg + 1) + self.gamma
-        after = self._edge_spend(u) + prices + new_sums
-        eligible = ~self.adj[u]
-        eligible[u] = False
-        if self.cfg.locality_k is not None:
-            eligible = eligible & (self.dist[u] <= self.cfg.locality_k)
-        return eligible, after
-
-    def find_move(self, u, policy):
-        cur = self.total(u)
-        eligible, after = self._after_totals(u)
-        if not eligible.any():
-            return None
-        if policy == BEST_SINGLE_EDGE:
-            masked = np.where(eligible, after, np.iinfo(np.int64).max)
-            v = int(masked.argmin())
-            if int(masked[v]) < cur:
-                return AddEdge(v), cur, int(masked[v])
-            return None
-        improving = np.flatnonzero(eligible & (after < cur))
-        if improving.size:
-            v = int(improving[0])
-            return AddEdge(v), cur, int(after[v])
-        return None
-
-    def eval_move(self, u, kind):
-        if not isinstance(kind, AddEdge):
-            raise ScheduleReplayError(
-                f"agent {u}: add-only engine got {type(kind).__name__}"
-            )
-        v = kind.target
-        if v == u or self.adj[u, v]:
-            raise ScheduleReplayError(f"agent {u}: edge to {v} invalid or present")
-        k = self.cfg.locality_k
-        if k is not None and int(self.dist[u, v]) > k:
-            raise ScheduleReplayError(
-                f"agent {u}: target {v} at distance {int(self.dist[u, v])} > k={k}"
-            )
-        eligible, after = self._after_totals(u)
-        return self.total(u), int(after[v])
-
-    def apply(self, u, kind):
-        v = kind.target
-        self.graph.add_edge(u, v)
-        self.adj[u, v] = self.adj[v, u] = True
-        self.deg[u] += 1
-        self.deg[v] += 1
-        apsp_update_add(self.dist, u, v)
-        self.sums = row_sums_with_sentinel(self.dist)
-
-
-def _make_engine(g0, cfg, scheme):
-    integer_prices = isinstance(cfg.price_beta, int) and isinstance(cfg.price_gamma, int)
-    single_edge = scheme.move_policy != FULL_BEST_RESPONSE
-    if cfg.add_only and single_edge and integer_prices:
-        return _AddOnlyEngine(g0, cfg)
-    return _GenericEngine(g0, cfg)
+        if self.dist is not None:
+            for v in sorted(self.graph.targets(u) - before):
+                apsp_update_add(self.dist, u, v)
 
 
 def _remember(seen, g):
@@ -358,7 +258,7 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    engine = _make_engine(g0, cfg, scheme)
+    engine = _Engine(g0, cfg)
     g = engine.graph
     n = g.n
     steps = []
@@ -368,8 +268,6 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     metadata = {
         "config": cfg.describe(),
         "scheme": scheme.describe(),
-        "backend": BACKEND,
-        "engine": type(engine).__name__.strip("_"),
     }
     if scheme.move_policy == FIRST_IMPROVING_SINGLE_MOVE:
         metadata["pick_rule"] = "additions scanned in ascending target id"

@@ -1,20 +1,28 @@
 """Moves, best responses, and equilibrium verification.
 
-A deviation never mutates the input graph: candidate strategies are
-priced by a BFS that overlays the deviator's new edge set on the stale
-adjacency of everyone else.  Only edges incident to the deviator change,
-and those are exactly the edges the overlay controls, so the stale rest
-is safe to reuse.
+Every fast path prices a deviation of agent u through one private core,
+``_Pricing``.  Taking u out of the network fixes everyone else's
+distances, so one all-pairs table of G - u prices any strategy S of u:
+u's distance to w is 1 + the minimum of d_{G-u}(v, w) over the targets
+v in S and the agents that bought edges to u.  An edge's price depends
+only on its target, not on the rest of S.  Single moves are vectorised
+rows of that table, and the exact best response is a subset-min DP over
+it.  Prices stay exact, as int or Fraction.
+
+``evaluate_deviation`` prices one strategy by its own BFS.  It is the
+scalar reference that the tests and the brute-force oracle use.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from functools import cached_property, partial
 
 import numpy as np
 
-from degprice._kernels import UNREACHABLE
-from degprice.costs import agent_cost, edge_price
+from degprice._kernels import UNREACHABLE, apsp
+from degprice.costs import edge_price
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import bfs_distances
 
@@ -22,6 +30,9 @@ EXACT = "exact"
 SINGLE_MOVE = "single-move"
 
 CANDIDATE_CAP = 20
+# at most 2^10 low-bit subsets per best-response block keeps the DP's
+# extra memory near 2^10 * n int64 whatever the number of candidates
+_BLOCK_BITS = 10
 
 K_DELETION_NOTE = (
     "locality restricts new targets only; deletions and the removal half "
@@ -220,24 +231,13 @@ def enumerate_single_moves(g, u, cfg):
     NCG variants only.  Disconnecting moves appear with an UNREACHABLE
     after-cost rather than being filtered.
     """
-    before = agent_cost(g, u, cfg).total
-    cands = sorted(candidate_targets(g, u, cfg))
-    moves = []
-
-    def record(kind):
-        after = evaluate_deviation(g, u, strategy_after(g, u, kind), cfg)
-        moves.append(MoveRecord(agent=u, kind=kind, cost_before=before, cost_after=after))
-
-    for v in cands:
-        record(AddEdge(v))
-    if not cfg.add_only:
-        owned = sorted(g.targets(u))
-        for v in owned:
-            record(DeleteEdge(v))
-        for old in owned:
-            for new in cands:
-                record(SwapEdge(old, new))
-    return moves
+    pricing = _Pricing(g, u, cfg)
+    before = pricing.value(pricing.total(pricing.current))
+    return [
+        MoveRecord(agent=u, kind=make(v), cost_before=before, cost_after=pricing.value(t))
+        for make, targets, totals in pricing.move_groups(cfg.add_only)
+        for v, t in zip(targets, totals)
+    ]
 
 
 def best_response_exact(g, u, cfg, cap=CANDIDATE_CAP):
@@ -248,28 +248,168 @@ def best_response_exact(g, u, cfg, cap=CANDIDATE_CAP):
     edges, then the lexicographically smallest target set.  Raises
     CandidateCapExceeded when the variable universe tops the cap.
     """
-    cands = candidate_targets(g, u, cfg)
-    current = g.targets(u)
-    if cfg.add_only:
-        variable = sorted(cands)
-        base = current
-    else:
-        variable = sorted(cands | current)
-        base = set()
-    if len(variable) > cap:
-        raise CandidateCapExceeded(u, len(variable), cap)
+    return _Pricing(g, u, cfg).best_response(cap)
 
-    best_key = None
-    best = None
-    for r in range(len(variable) + 1):
-        for picked in combinations(variable, r):
-            strategy = base | set(picked)
-            cost = evaluate_deviation(g, u, strategy, cfg)
-            key = (cost, len(strategy), tuple(sorted(strategy)))
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (strategy, cost)
-    return best
+
+class _Pricing:
+    """Exact cost of every strategy of agent u, from one distance table.
+
+    With ``table`` the hop distances of G - u, u's distance to w under
+    strategy S is ``min(floor[w], 1 + table[v, w] for v in S)``, where
+    ``floor`` is the same minimum over the agents that bought edges to u
+    (``floor[u] = 0``).  An add-only caller that keeps G's own distance
+    matrix may pass it as ``dist`` instead: the floor is then ``dist[u]``
+    and u's current targets are the ``base`` that every priced strategy
+    keeps.  That is exact too, since a shortest path from u never passes
+    through u again.
+
+    An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
+    holds it.  Totals are integers scaled by ``scale``, the common
+    denominator of beta and gamma, so Fraction prices stay exact.  A
+    strategy that leaves u disconnected totals exactly ``unreachable``.
+    """
+
+    def __init__(self, g, u, cfg, dist=None):
+        g._check_node(u)
+        self.graph, self.u, self.add_only = g, u, cfg.add_only
+        self.current = g.targets(u)
+        n = g.n
+        if dist is None:
+            self.base = frozenset()
+            row = bfs_distances(g, u).dist
+        else:
+            self.table, self.base, self.floor = dist, frozenset(self.current), dist[u]
+            row = self.floor
+
+        beta, gamma = Fraction(cfg.price_beta), Fraction(cfg.price_gamma)
+        self.scale = math.lcm(beta.denominator, gamma.denominator)
+        self.unreachable = UNREACHABLE * self.scale
+        b, c = int(beta * self.scale), int(gamma * self.scale)
+        # every scaled total stays below this; past int64 range use Python ints
+        bound = (n * n + UNREACHABLE) * self.scale + n * (abs(b) * n + abs(c))
+        adjacent = list(g._adj[u])
+        deg = np.array([len(a) for a in g._adj], dtype=np.int64) + 1
+        deg[adjacent] -= 1
+        self.price = deg.astype(np.int64 if bound < 2**62 else object) * b + c
+
+        eligible = np.ones(n, dtype=bool)
+        eligible[adjacent] = False
+        eligible[u] = False
+        if cfg.locality_k is not None:
+            eligible &= row <= cfg.locality_k
+        self.cands = np.flatnonzero(eligible).tolist()
+
+    # The table of G - u is built on first use, so that a best response
+    # over too many candidates fails on the cap without paying for it.
+    @cached_property
+    def table(self):
+        adj = self.graph.adjacency_matrix()
+        adj[self.u] = adj[:, self.u] = False
+        return apsp(adj)
+
+    @cached_property
+    def floor(self):
+        incoming = sorted(self.graph._adj[self.u] - self.current)
+        floor = np.full(self.graph.n, UNREACHABLE, dtype=np.int64)
+        if incoming:
+            floor = self.table[incoming].min(axis=0) + 1
+        floor[self.u] = 0
+        return floor
+
+    def merged(self, strategy):
+        """u's distance row under a strategy that keeps the base."""
+        extra = sorted(strategy - self.base)
+        if not extra:
+            return self.floor
+        return np.minimum(self.floor, self.table[extra].min(axis=0) + 1)
+
+    def spend(self, strategy):
+        return int(sum(self.price[v] for v in strategy))
+
+    def totals(self, merged, spend):
+        """Scaled totals of distance rows ``merged`` with edge spends ``spend``."""
+        dtype = self.price.dtype
+        connected = merged.max(axis=-1) < UNREACHABLE
+        dsum = np.where(connected, merged.sum(axis=-1), 0).astype(dtype)
+        return np.where(connected, dsum * self.scale + spend, np.array(self.unreachable, dtype))
+
+    def total(self, strategy):
+        return self.totals(self.merged(strategy), self.spend(strategy))
+
+    def value(self, scaled):
+        """Exact cost behind a scaled total; disconnected is UNREACHABLE."""
+        scaled = int(scaled)
+        if scaled == self.unreachable:
+            return UNREACHABLE
+        return scaled if self.scale == 1 else Fraction(scaled, self.scale)
+
+    def _plus_one(self, kept):
+        """Scaled totals of kept | {v} for every candidate v."""
+        merged = np.minimum(self.merged(kept), self.table[self.cands] + 1)
+        return self.totals(merged, self.spend(kept) + self.price[self.cands])
+
+    def move_groups(self, adds_only):
+        """u's elementary moves as (make kind, targets, scaled totals) groups.
+
+        The order is the canonical one: additions by target, deletions by
+        target, then swaps by old and new target.
+        """
+        groups = [(AddEdge, self.cands, self._plus_one(self.current))]
+        if not adds_only:
+            owned = sorted(self.current)
+            kept = [self.current - {v} for v in owned]
+            deletes = np.array([self.total(s) for s in kept], dtype=self.price.dtype)
+            groups.append((DeleteEdge, owned, deletes))
+            for old, s in zip(owned, kept):
+                groups.append((partial(SwapEdge, old), self.cands, self._plus_one(s)))
+        return groups
+
+    def best_response(self, cap):
+        """(strategy, exact cost) of u's best response; see best_response_exact.
+
+        A subset-min DP, ``M[S] = min(M[S - lowbit], rows[lowbit])``, fills
+        one block of 2^10 low-bit subsets; every setting of the high bits
+        reuses it, so extra memory stays near 2^10 * n.
+        """
+        if self.add_only:
+            kept, variable = self.current, self.cands
+        else:
+            kept, variable = set(), sorted(set(self.cands) | self.current)
+        if len(variable) > cap:
+            raise CandidateCapExceeded(self.u, len(variable), cap)
+        # variable i sits at bit V-1-i, so among equal costs and sizes the
+        # larger mask is the lexicographically smaller target tuple
+        bits = variable[::-1]
+        low, high = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
+        size = 1 << len(low)
+        rows = np.empty((size, self.graph.n), dtype=np.int64)
+        rows[0] = self.merged(kept)
+        spend = np.zeros(size, dtype=self.price.dtype)
+        count = np.zeros(size, dtype=np.int64)
+        for j, v in enumerate(low):
+            h = 1 << j
+            np.minimum(rows[:h], self.table[v] + 1, out=rows[h : 2 * h])
+            spend[h : 2 * h] = spend[:h] + self.price[v]
+            count[h : 2 * h] = count[:h] + 1
+        spend += self.spend(kept)
+
+        best = None
+        for hi in range(1 << len(high)):
+            picked = [v for t, v in enumerate(high) if hi >> t & 1]
+            block = rows
+            if picked:
+                block = np.minimum(rows, self.table[picked].min(axis=0) + 1)
+            totals = self.totals(block, spend + self.spend(picked))
+            cost = totals.min()
+            tie = totals == cost
+            fewest = count[tie].min()
+            low_mask = np.flatnonzero(tie & (count == fewest))[-1]
+            key = (int(cost), int(fewest) + len(picked), -(hi << len(low) | int(low_mask)))
+            if best is None or key < best:
+                best = key
+        mask = -best[2]
+        strategy = kept | {v for j, v in enumerate(bits) if mask >> j & 1}
+        return strategy, self.value(best[0])
 
 
 def _classify_deviation(current, strategy):
@@ -310,8 +450,9 @@ def verify_equilibrium(g, cfg, level=EXACT, cap=CANDIDATE_CAP):
     if level != EXACT:
         raise ValueError(f"unknown check level {level!r}")
     for u in range(g.n):
-        before = agent_cost(g, u, cfg).total
-        strategy, cost = best_response_exact(g, u, cfg, cap=cap)
+        pricing = _Pricing(g, u, cfg)
+        before = pricing.value(pricing.total(pricing.current))
+        strategy, cost = pricing.best_response(cap)
         if cost < before:
             kind = _classify_deviation(g.targets(u), strategy)
             witness = MoveRecord(agent=u, kind=kind, cost_before=before, cost_after=cost)

@@ -11,6 +11,7 @@ ids per set.
 import csv
 import io
 import json
+from fractions import Fraction
 
 from degprice.errors import GraphFormatError
 from degprice.graph import OwnedGraph
@@ -120,7 +121,14 @@ def serialize_set_cover(inst):
 
 
 def to_json_text(data):
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """JSON text; exact Fraction costs print as floats, as in every as_dict."""
+    return json.dumps(data, indent=2, sort_keys=True, default=_fraction_as_float) + "\n"
+
+
+def _fraction_as_float(x):
+    if isinstance(x, Fraction):
+        return float(x)
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
 
 
 def to_csv_text(header, rows):

@@ -1,11 +1,13 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from degprice.cli import main
 from degprice.constructions import build_path, build_star
+from degprice.costs import GameConfig, social_cost
 from degprice.textio import parse_graph_file, parse_set_cover_file, serialize_graph
 
 
@@ -71,6 +73,19 @@ def test_cost_honors_price_flags(capsys, tmp_path):
     data = json.loads(out)
     assert data["social_cost"] == 14
     assert "beta=2 gamma=0" in data["config"]
+
+
+def test_cost_prices_stay_exact(capsys, tmp_path):
+    """A decimal price flag is parsed as the exact fraction it names."""
+    p = tmp_path / "c4.graph"
+    p.write_text("n 4\n0 1\n1 2\n2 3\n0 3\n")
+    code, out, _ = run_cli(capsys, "cost", str(p), "--gamma", "0.1")
+    assert code == 0
+    data = json.loads(out)
+    exact = social_cost(parse_graph_file(p.read_text()), GameConfig(price_gamma=Fraction(1, 10)))
+    assert exact == Fraction(122, 5)
+    assert data["social_cost"] == float(exact)
+    assert "gamma=1/10" in data["config"]
 
 
 def test_best_response_output(capsys, path_file):

@@ -1,14 +1,17 @@
 """Improving-response dynamics: schedules, traces, replay validation."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from degprice.constructions import build_figure_network
 from degprice.costs import GameConfig, UNREACHABLE
 from degprice.dynamics import (
+    BEST_SINGLE_EDGE,
     CONVERGED,
     CYCLE_DETECTED,
+    FIRST_IMPROVING_SINGLE_MOVE,
     FULL_BEST_RESPONSE,
     STEP_LIMIT,
     ActivationScheme,
@@ -94,10 +97,22 @@ def test_step_limit_counts_activations():
     assert trace.activations == 3
 
 
-def test_engine_selection_is_reported():
-    rr = ActivationScheme.round_robin()
-    assert run_dynamics(path(4), AOG2, rr).metadata["engine"] == "AddOnlyEngine"
-    assert run_dynamics(path(4), GameConfig(), rr).metadata["engine"] == "GenericEngine"
+@pytest.mark.parametrize("policy", [BEST_SINGLE_EDGE, FIRST_IMPROVING_SINGLE_MOVE])
+def test_disconnected_agent_gains_nothing_from_cheap_edges(policy):
+    """Negative edge prices must not make a still-disconnected move look improving.
+
+    Node 3 stays unreachable whatever one agent buys, so no move helps;
+    int and Fraction prices must give the same, empty, trace.
+    """
+    g = OwnedGraph(4, [(0, 1)])
+    traces = [
+        run_dynamics(
+            g, GameConfig(variant="aog", price_gamma=gamma), ActivationScheme.round_robin(policy)
+        ).as_dict()
+        for gamma in (-2, Fraction(-2))
+    ]
+    assert traces[0] == traces[1]
+    assert traces[0]["steps"] == []
 
 
 def test_unfixable_disconnection_serializes_as_unreachable():

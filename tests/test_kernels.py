@@ -1,29 +1,14 @@
-"""Distance kernels: numba and numpy variants against reference answers."""
-
-import os
-import subprocess
-import sys
+"""Distance kernels and the row-min sums priced from them, against reference answers."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import owned_graphs
-from degprice import _kernels
-from degprice._kernels import (
-    UNREACHABLE,
-    addition_row_sums,
-    apsp,
-    apsp_update_add,
-    row_sums_with_sentinel,
-    sum_with_sentinel,
-)
+from degprice._kernels import UNREACHABLE, apsp, apsp_update_add, row_sums_with_sentinel
+from degprice.costs import GameConfig
 from degprice.graph import bfs_distances
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.HAS_NUMBA, reason="numba not installed"
-)
+from degprice.moves import _Pricing
 
 
 @settings(max_examples=50)
@@ -56,15 +41,18 @@ def test_incremental_update_matches_recompute(g, data):
 @settings(max_examples=50)
 @given(owned_graphs(max_n=7))
 def test_addition_row_sums_against_naive(g):
+    """Add-only pricing on G's own matrix sums min(dist[u], 1 + dist[v]) per addition."""
     dist = apsp(g.adjacency_matrix())
+    free_edges = GameConfig(variant="aog", price_beta=0, price_gamma=0)
     for u in range(g.n):
-        got = addition_row_sums(dist, u)
-        for v in range(g.n):
+        _, targets, got = _Pricing(g, u, free_edges, dist).move_groups(adds_only=True)[0]
+        assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
+        for v, total in zip(targets, got):
             merged = [min(dist[u, w], 1 + dist[v, w]) for w in range(g.n)]
             if max(merged) >= UNREACHABLE:
-                assert got[v] == UNREACHABLE
+                assert total == UNREACHABLE
             else:
-                assert got[v] == sum(merged)
+                assert total == sum(merged)
 
 
 def test_sentinel_rows_never_overflow():
@@ -76,43 +64,7 @@ def test_sentinel_rows_never_overflow():
     assert dist[0, 2] == UNREACHABLE
     apsp_update_add(dist, 0, 1)  # re-relaxing an existing edge is a no-op
     assert dist[0, 2] == UNREACHABLE and dist[0, 1] == 1
-    assert sum_with_sentinel(dist[0]) == UNREACHABLE
-    assert sum_with_sentinel([1, 2, 0]) == 3
     assert list(row_sums_with_sentinel(np.array([[0, 1], [UNREACHABLE, 0]]))) == [
         1,
         UNREACHABLE,
     ]
-
-
-@needs_numba
-def test_variants_agree_directly():
-    rng = np.random.default_rng(7)
-    adj = rng.random((12, 12)) < 0.25
-    adj |= adj.T
-    np.fill_diagonal(adj, False)
-    d_np = _kernels.apsp_np(adj)
-    d_nb = _kernels.apsp_nb(adj)
-    assert np.array_equal(d_np, d_nb)
-    assert np.array_equal(
-        _kernels.addition_row_sums_np(d_np, 0),
-        _kernels.addition_row_sums_nb(d_nb, 0),
-    )
-
-
-def test_env_flag_selects_numpy_backend():
-    """DEGPRICE_NO_NUMBA must force the fallback path with equal output."""
-    code = (
-        "from degprice import _kernels\n"
-        "import numpy as np\n"
-        "adj = np.zeros((5, 5), dtype=bool)\n"
-        "for i in range(4): adj[i, i+1] = adj[i+1, i] = True\n"
-        "print(_kernels.BACKEND)\n"
-        "print(_kernels.apsp(adj)[0, 4])\n"
-        "print(_kernels.apsp is _kernels.apsp_np)\n"
-    )
-    env = dict(os.environ, DEGPRICE_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["numpy", "4", "True"]

@@ -1,9 +1,10 @@
 """Deviation machinery: single moves, exact best response, verification."""
 
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import owned_graphs
@@ -29,6 +30,10 @@ from degprice.moves import (
 
 def path(n):
     return OwnedGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+# prices that keep Fraction arithmetic and make some edges pay for themselves
+FRACTION_PRICES = GameConfig(price_beta=Fraction(1, 2), price_gamma=Fraction(-4, 3))
 
 
 def clique(n):
@@ -88,6 +93,7 @@ def test_single_move_costs_match_replay(g, data):
                 GameConfig(locality_k=2),
                 GameConfig(variant="aog"),
                 GameConfig(variant="aog", locality_k=2),
+                FRACTION_PRICES,
             ]
         )
     )
@@ -148,14 +154,25 @@ def test_exact_witnesses_are_sound_and_imply_single_move(g, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(owned_graphs(max_n=5, connected=True), st.data())
-def test_best_response_matches_brute_force(g, data):
-    cfg = data.draw(
-        st.sampled_from(
-            [GameConfig(), GameConfig(locality_k=2), GameConfig(variant="aog")]
-        )
-    )
-    u = data.draw(st.integers(0, g.n - 1))
+@given(
+    owned_graphs(max_n=8),
+    st.sampled_from(
+        [
+            GameConfig(),
+            GameConfig(locality_k=2),
+            GameConfig(variant="aog"),
+            GameConfig(variant="aog", locality_k=2),
+            FRACTION_PRICES,
+            # scaled to a common denominator, these totals outgrow int64
+            GameConfig(price_gamma=Fraction(-1, 10**12)),
+        ]
+    ),
+    st.integers(min_value=0),
+)
+# 13 variables: the subset search runs over several blocks of low-bit subsets
+@example(path(14), FRACTION_PRICES, 0)
+def test_best_response_matches_brute_force(g, cfg, agent):
+    u = agent % g.n
     assert best_response_exact(g, u, cfg) == _brute_best_response(g, u, cfg)
     # determinism: a second run returns the identical strategy object value
     assert best_response_exact(g, u, cfg) == best_response_exact(g, u, cfg)
@@ -169,6 +186,9 @@ def test_candidate_cap_guards_exact_search():
     assert exc.value.universe_size == 24  # 23 candidates plus the owned target
     with pytest.raises(CandidateCapExceeded):
         verify_equilibrium(g, GameConfig(), level=EXACT)
+    # a hit cap fails before the distance table of a large graph is built
+    with pytest.raises(CandidateCapExceeded):
+        best_response_exact(path(2000), 0, GameConfig())
     # a wider cap or a locality radius makes the same call feasible
     verify_equilibrium(g, GameConfig(locality_k=2), level=SINGLE_MOVE)
     strategy, _ = best_response_exact(g, 0, GameConfig(locality_k=2))
