@@ -20,8 +20,7 @@ from degprice.dynamics import (
     BEST_SINGLE_EDGE,
     DEG2AOG_2NE,
     DEGAOG_NE,
-    FIRST_IMPROVING_SINGLE_MOVE,
-    FULL_BEST_RESPONSE,
+    POLICIES,
     adversarial_schedule,
     run_dynamics,
     scripted_linear_sequences,
@@ -33,7 +32,6 @@ from degprice.errors import (
     ResourceCapExceeded,
     ScheduleReplayError,
 )
-from degprice.graph import diameter
 from degprice.moves import AddEdge, DeleteEdge, SwapEdge, best_response_exact, verify_equilibrium
 from degprice.oracle import equilibrium_census, optimal_social_cost
 
@@ -41,8 +39,6 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-POLICIES = (BEST_SINGLE_EDGE, FIRST_IMPROVING_SINGLE_MOVE, FULL_BEST_RESPONSE)
 
 
 def _add_game_flags(p):
@@ -245,7 +241,7 @@ def _cmd_reduce(args):
     return EXIT_OK
 
 
-def _preset_star_equilibrium(seed):
+def _preset_star_equilibrium():
     checks = []
     for n in range(3, 9):
         g = constructions.build_star(n)
@@ -259,7 +255,7 @@ def _preset_star_equilibrium(seed):
     return checks, all(c["is_equilibrium"] for c in checks)
 
 
-def _preset_star_optimal(seed):
+def _preset_star_optimal():
     checks = []
     for n in range(2, 6):
         cost, witness = optimal_social_cost(n, GameConfig(variant="ncg"))
@@ -267,7 +263,7 @@ def _preset_star_optimal(seed):
     return checks, all(c["opt_cost"] == c["expected"] for c in checks)
 
 
-def _preset_small_census(seed):
+def _preset_small_census():
     checks = []
     for variant in ("ncg", "aog"):
         for k in (None, 2):
@@ -286,7 +282,7 @@ def _preset_small_census(seed):
     return checks, all(c["pos"] == 1.0 for c in checks)
 
 
-def _preset_figure_cycle(seed):
+def _preset_figure_cycle():
     g = constructions.build_figure_network(constructions.FIG3_G1)
     cfg = GameConfig(variant="ncg")
     schedule = [
@@ -299,7 +295,7 @@ def _preset_figure_cycle(seed):
     return [{"outcome": trace.outcome, "costs": deltas}], ok
 
 
-def _preset_adversarial_convergence(seed):
+def _preset_adversarial_convergence():
     checks = []
     ok = True
     for n in (16, 20):
@@ -320,7 +316,7 @@ def _preset_adversarial_convergence(seed):
     return checks, ok
 
 
-def _preset_linear_equilibria(seed):
+def _preset_linear_equilibria():
     checks = []
     ok = True
     for which, n, cfg in (
@@ -342,7 +338,7 @@ def _preset_linear_equilibria(seed):
     return checks, ok
 
 
-def _preset_set_cover_gadget(seed):
+def _preset_set_cover_gadget():
     inst = constructions.SetCoverInstance(
         universe_size=8, sets=((0, 1, 2, 3), (4, 5, 6, 7), (2, 3, 4, 5)), q=4
     )
@@ -370,10 +366,9 @@ PRESETS = {
 
 def _cmd_preset(args):
     fn = PRESETS[args.name]
-    checks, passed = fn(args.seed)
+    checks, passed = fn()
     report = {
         "preset": args.name,
-        "seed": args.seed,
         "passed": passed,
         "checks": checks,
     }
@@ -447,7 +442,6 @@ def build_parser():
 
     p = sub.add_parser("preset", help="run a named experiment preset")
     p.add_argument("name", choices=sorted(PRESETS))
-    p.add_argument("--seed", type=int, default=0)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_preset)
 

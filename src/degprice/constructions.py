@@ -14,8 +14,6 @@ from importlib import resources
 from degprice.errors import InfeasibleInstanceError
 from degprice.graph import OwnedGraph, bfs_distances, degree
 
-CENTER = "center"
-
 FIG2A = "fig2a"
 FIG2B = "fig2b"
 FIG2C = "fig2c"
@@ -41,7 +39,6 @@ FIGURE_NAMES = (
 )
 
 __all__ = [
-    "CENTER",
     "FIGURE_NAMES",
     "FIG2A",
     "FIG2B",
@@ -65,12 +62,10 @@ __all__ = [
 ]
 
 
-def build_star(n, sponsor=CENTER):
+def build_star(n):
     """Star on ``n`` nodes; the center (node 0) buys every edge."""
     if n < 2:
         raise ValueError(f"star needs at least 2 nodes, got {n}")
-    if sponsor != CENTER:
-        raise ValueError(f"unsupported sponsor {sponsor!r}")
     g = OwnedGraph(n)
     for leaf in range(1, n):
         g.add_edge(0, leaf)

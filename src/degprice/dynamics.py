@@ -1,13 +1,17 @@
 """Improving-response dynamics: activation schemes, replay, traces.
 
 The engine activates one agent at a time.  An activation either applies
-that agent's move (per the scheme's move policy) or records that the
-agent is currently stuck.  ``max_steps`` caps activations, not applied
-moves; convergence statistics are reported in activations because that
-is the unit the random process is naturally measured in.
+that agent's move or records that the agent is currently stuck.  Each
+scheme is a source of activations: round-robin and uniform-random wake
+agents who look for their own move under the scheme's move policy
+(``moves._Pricing.improving_move``, the same search that verifies
+equilibria), while a scripted schedule names each move, which must
+replay as strictly improving.  One loop consumes every source.
+``max_steps`` caps activations, not applied moves; convergence
+statistics are reported in activations because that is the unit the
+random process is naturally measured in.
 
-One engine prices every activation through the pricing core in
-``moves``.  In add-only games it keeps the full distance matrix current
+In add-only games the engine keeps the full distance matrix current
 with unit-edge updates, so an activation costs O(n^2) array work.  In
 the other games each activation prices from a fresh distance table of
 the network without the activated agent.  Prices stay exact, as int or
@@ -15,21 +19,22 @@ Fraction, and a move that leaves its agent disconnected is priced at
 exactly UNREACHABLE.
 """
 
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from degprice._kernels import UNREACHABLE, apsp, apsp_update_add
 from degprice.costs import social_cost
 from degprice.errors import ScheduleReplayError
 from degprice.graph import diameter
 from degprice.moves import (
-    CANDIDATE_CAP,
+    BEST_SINGLE_EDGE,
+    FIRST_IMPROVING_SINGLE_MOVE,
+    FULL_BEST_RESPONSE,
+    POLICIES,
     AddEdge,
     MoveRecord,
-    _classify_deviation,
     _Pricing,
     apply_move,
     strategy_after,
@@ -39,18 +44,12 @@ UNIFORM_RANDOM = "uniform-random"
 ROUND_ROBIN = "round-robin"
 SCRIPTED = "scripted"
 
-BEST_SINGLE_EDGE = "best-single-edge"
-FIRST_IMPROVING_SINGLE_MOVE = "first-improving-single-move"
-FULL_BEST_RESPONSE = "full-best-response"
-
 CONVERGED = "converged"
 CYCLE_DETECTED = "cycle-detected"
 STEP_LIMIT = "step-limit"
 
 DEGAOG_NE = "degaog-ne"
 DEG2AOG_2NE = "deg2aog-2ne"
-
-_POLICIES = (BEST_SINGLE_EDGE, FIRST_IMPROVING_SINGLE_MOVE, FULL_BEST_RESPONSE)
 
 __all__ = [
     "UNIFORM_RANDOM",
@@ -59,6 +58,7 @@ __all__ = [
     "BEST_SINGLE_EDGE",
     "FIRST_IMPROVING_SINGLE_MOVE",
     "FULL_BEST_RESPONSE",
+    "POLICIES",
     "CONVERGED",
     "CYCLE_DETECTED",
     "STEP_LIMIT",
@@ -80,15 +80,14 @@ class ActivationScheme:
     kind: str
     move_policy: str | None = None
     seed: int | None = None
-    order: tuple | None = None
     schedule: tuple | None = None
 
     def __post_init__(self):
         if self.kind == UNIFORM_RANDOM:
-            if self.seed is None or self.move_policy not in _POLICIES:
+            if self.seed is None or self.move_policy not in POLICIES:
                 raise ValueError("uniform-random needs a seed and a move policy")
         elif self.kind == ROUND_ROBIN:
-            if self.move_policy not in _POLICIES:
+            if self.move_policy not in POLICIES:
                 raise ValueError("round-robin needs a move policy")
         elif self.kind == SCRIPTED:
             if not self.schedule:
@@ -101,9 +100,8 @@ class ActivationScheme:
         return cls(kind=UNIFORM_RANDOM, move_policy=move_policy, seed=seed)
 
     @classmethod
-    def round_robin(cls, move_policy=BEST_SINGLE_EDGE, order=None):
-        order = None if order is None else tuple(order)
-        return cls(kind=ROUND_ROBIN, move_policy=move_policy, order=order)
+    def round_robin(cls, move_policy=BEST_SINGLE_EDGE):
+        return cls(kind=ROUND_ROBIN, move_policy=move_policy)
 
     @classmethod
     def scripted(cls, schedule):
@@ -122,8 +120,9 @@ class DynamicsTrace:
     """Full record of one run: applied moves plus summary statistics.
 
     ``steps`` holds applied moves only; ``activations`` also counts
-    agent wake-ups that found nothing to do.  ``rounds`` is the number
-    of completed sweeps (for uniform-random: activations divided by n).
+    agent wake-ups that found nothing to do.  ``rounds`` is
+    ``activations // n`` for every scheme: the completed sweeps of a
+    round-robin run.
     """
 
     initial: object
@@ -184,27 +183,7 @@ class _Engine:
         self.dist = apsp(self.graph.adjacency_matrix()) if cfg.add_only else None
 
     def find_move(self, u, policy):
-        p = _Pricing(self.graph, u, self.cfg, self.dist)
-        now = p.total(p.current)
-        before = p.value(now)
-        if policy == FULL_BEST_RESPONSE:
-            strategy, cost = p.best_response(CANDIDATE_CAP)
-            if cost < before:
-                return _classify_deviation(p.current, strategy), before, cost
-            return None
-        if policy == BEST_SINGLE_EDGE:
-            groups = p.move_groups(adds_only=True)
-        elif policy == FIRST_IMPROVING_SINGLE_MOVE:
-            groups = p.move_groups(self.cfg.add_only)
-        else:
-            raise ValueError(f"unknown move policy {policy!r}")
-        for make, targets, totals in groups:
-            improving = np.flatnonzero(totals < now)
-            if improving.size:
-                # argmin takes the smallest target among equally cheap additions
-                i = int(totals.argmin() if policy == BEST_SINGLE_EDGE else improving[0])
-                return make(targets[i]), before, p.value(totals[i])
-        return None
+        return _Pricing(self.graph, u, self.cfg, self.dist).improving_move(policy)
 
     def eval_move(self, u, kind):
         g = self.graph
@@ -230,21 +209,18 @@ class _Engine:
                 apsp_update_add(self.dist, u, v)
 
 
-def _remember(seen, g):
-    """Record the state; True when this exact state was already seen."""
-    bucket = seen.setdefault(canonical_state_hash(g), [])
-    key = g.state_key()
-    if key in bucket:
-        return True
-    bucket.append(key)
-    return False
+def _activation_source(scheme, n):
+    """(agent, scripted move kind or None) per activation, in order.
 
-
-def _single_move_stable(engine):
-    for u in range(engine.graph.n):
-        if engine.find_move(u, FIRST_IMPROVING_SINGLE_MOVE) is not None:
-            return False
-    return True
+    Only a scripted source ends; the others wake agents until the loop
+    stops them.
+    """
+    if scheme.kind == SCRIPTED:
+        return iter(scheme.schedule)
+    if scheme.kind == ROUND_ROBIN:
+        return ((agent, None) for agent in itertools.cycle(range(n)))
+    rng = random.Random(scheme.seed)
+    return ((rng.randrange(n), None) for _ in itertools.count())
 
 
 def run_dynamics(g0, cfg, scheme, max_steps=100_000):
@@ -254,7 +230,9 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     schedules that contain a non-improving or illegal move abort with
     ScheduleReplayError.  A scripted run whose schedule ends cleanly is
     CONVERGED when the final graph is single-move stable, STEP_LIMIT
-    otherwise (noted in metadata).
+    otherwise (noted in metadata).  Round-robin runs converge at the end
+    of a round in which every agent was stuck; uniform-random runs as
+    soon as every agent has been found stuck since the last move.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -263,99 +241,59 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     n = g.n
     steps = []
     activations = 0
-    rounds = 0
-    outcome = None
     metadata = {
         "config": cfg.describe(),
         "scheme": scheme.describe(),
     }
     if scheme.move_policy == FIRST_IMPROVING_SINGLE_MOVE:
         metadata["pick_rule"] = "additions scanned in ascending target id"
-    seen = None
-    if not cfg.add_only:
-        seen = {}
-        _remember(seen, g)
-
-    def step_applied(agent, kind, before, after):
-        engine.apply(agent, kind)
-        steps.append(MoveRecord(agent=agent, kind=kind, cost_before=before, cost_after=after))
-        if seen is not None and _remember(seen, g):
-            return CYCLE_DETECTED
-        return None
-
-    if scheme.kind == SCRIPTED:
-        exhausted = True
-        for index, (agent, kind) in enumerate(scheme.schedule):
-            if activations >= max_steps:
-                outcome = STEP_LIMIT
-                exhausted = False
-                break
-            activations += 1
+    # add-only games cannot revisit a state: every move adds an edge
+    seen = None if cfg.add_only else {g.state_key()}
+    stuck = set()
+    for agent, kind in _activation_source(scheme, n):
+        # round-robin converges only at a round's end, where stuck holds
+        # all n agents iff none of them moved in that round
+        if len(stuck) == n and (scheme.kind == UNIFORM_RANDOM or activations % n == 0):
+            outcome = CONVERGED
+            break
+        if activations >= max_steps:
+            outcome = STEP_LIMIT
+            break
+        activations += 1
+        if kind is None:
+            found = engine.find_move(agent, scheme.move_policy)
+        else:
             before, after = engine.eval_move(agent, kind)
             if not after < before:
                 raise ScheduleReplayError(
-                    f"schedule step {index} (agent {agent}, {kind}): "
+                    f"schedule step {activations - 1} (agent {agent}, {kind}): "
                     f"cost {before} -> {after} is not strictly improving"
                 )
-            outcome = step_applied(agent, kind, before, after)
-            if outcome:
-                exhausted = False
+            found = kind, before, after
+        if found is None:
+            stuck.add(agent)
+            continue
+        engine.apply(agent, found[0])
+        steps.append(MoveRecord(agent, *found))
+        stuck.clear()
+        if seen is not None:
+            key = g.state_key()
+            if key in seen:
+                outcome = CYCLE_DETECTED
                 break
-        if outcome is None and exhausted:
-            stable = _single_move_stable(engine)
-            metadata["script_exhausted"] = True
-            metadata["final_single_move_stable"] = stable
-            outcome = CONVERGED if stable else STEP_LIMIT
-        rounds = activations // n
-
-    elif scheme.kind == ROUND_ROBIN:
-        order = scheme.order if scheme.order is not None else tuple(range(n))
-        while outcome is None:
-            moved = False
-            for agent in order:
-                if activations >= max_steps:
-                    outcome = STEP_LIMIT
-                    break
-                activations += 1
-                found = engine.find_move(agent, scheme.move_policy)
-                if found is not None:
-                    kind, before, after = found
-                    moved = True
-                    outcome = step_applied(agent, kind, before, after)
-                    if outcome:
-                        break
-            else:
-                rounds += 1
-                if not moved:
-                    outcome = CONVERGED
-
-    elif scheme.kind == UNIFORM_RANDOM:
-        rng = random.Random(scheme.seed)
-        unknown = set(range(n))
-        while outcome is None:
-            if not unknown:
-                outcome = CONVERGED
-                break
-            if activations >= max_steps:
-                outcome = STEP_LIMIT
-                break
-            agent = rng.randrange(n)
-            activations += 1
-            found = engine.find_move(agent, scheme.move_policy)
-            if found is not None:
-                kind, before, after = found
-                outcome = step_applied(agent, kind, before, after)
-                unknown = set(range(n))
-            else:
-                unknown.discard(agent)
-        rounds = activations // n
+            seen.add(key)
+    else:
+        stable = all(engine.find_move(u, FIRST_IMPROVING_SINGLE_MOVE) is None for u in range(n))
+        metadata["script_exhausted"] = True
+        metadata["final_single_move_stable"] = stable
+        outcome = CONVERGED if stable else STEP_LIMIT
 
     final = engine.graph.copy()
     return DynamicsTrace(
         initial=g0.copy(),
         steps=steps,
         outcome=outcome,
-        rounds=rounds,
+        rounds=activations // n,
         final_social_cost=social_cost(final, cfg),
         final_diameter=diameter(final),
         final=final,

@@ -1,4 +1,4 @@
-"""Moves, best responses, and equilibrium verification.
+"""Moves, best responses, and the one search for an improving move.
 
 Every fast path prices a deviation of agent u through one private core,
 ``_Pricing``.  Taking u out of the network fixes everyone else's
@@ -8,6 +8,10 @@ v in S and the agents that bought edges to u.  An edge's price depends
 only on its target, not on the rest of S.  Single moves are vectorised
 rows of that table, and the exact best response is a subset-min DP over
 it.  Prices stay exact, as int or Fraction.
+
+``_Pricing.improving_move`` answers "can u strictly improve, and how?"
+under one of three move policies.  ``verify_equilibrium`` asks it of
+every agent, and the dynamics ask it of each activated agent.
 
 ``evaluate_deviation`` prices one strategy by its own BFS.  It is the
 scalar reference that the tests and the brute-force oracle use.
@@ -29,6 +33,11 @@ from degprice.graph import bfs_distances
 EXACT = "exact"
 SINGLE_MOVE = "single-move"
 
+BEST_SINGLE_EDGE = "best-single-edge"
+FIRST_IMPROVING_SINGLE_MOVE = "first-improving-single-move"
+FULL_BEST_RESPONSE = "full-best-response"
+POLICIES = (BEST_SINGLE_EDGE, FIRST_IMPROVING_SINGLE_MOVE, FULL_BEST_RESPONSE)
+
 CANDIDATE_CAP = 20
 # at most 2^10 low-bit subsets per best-response block keeps the DP's
 # extra memory near 2^10 * n int64 whatever the number of candidates
@@ -43,6 +52,10 @@ SINGLE_MOVE_NOTE = "single-move check is a necessary condition, not sufficient"
 __all__ = [
     "EXACT",
     "SINGLE_MOVE",
+    "BEST_SINGLE_EDGE",
+    "FIRST_IMPROVING_SINGLE_MOVE",
+    "FULL_BEST_RESPONSE",
+    "POLICIES",
     "CANDIDATE_CAP",
     "AddEdge",
     "DeleteEdge",
@@ -364,6 +377,36 @@ class _Pricing:
                 groups.append((partial(SwapEdge, old), self.cands, self._plus_one(s)))
         return groups
 
+    def improving_move(self, policy, cap=CANDIDATE_CAP):
+        """(kind, before, after) of u's move under policy, or None if u is stuck.
+
+        FULL_BEST_RESPONSE plays the exact best response when it is
+        strictly cheaper.  BEST_SINGLE_EDGE plays the cheapest improving
+        addition, the smallest target among equals.  FIRST_IMPROVING_SINGLE_MOVE
+        plays the first improving move in the canonical order of
+        ``move_groups``.
+        """
+        now = self.total(self.current)
+        before = self.value(now)
+        if policy == FULL_BEST_RESPONSE:
+            strategy, cost = self.best_response(cap)
+            if cost < before:
+                return _classify_deviation(self.current, strategy), before, cost
+            return None
+        if policy == BEST_SINGLE_EDGE:
+            groups = self.move_groups(adds_only=True)
+        elif policy == FIRST_IMPROVING_SINGLE_MOVE:
+            groups = self.move_groups(self.add_only)
+        else:
+            raise ValueError(f"unknown move policy {policy!r}")
+        for make, targets, totals in groups:
+            improving = np.flatnonzero(totals < now)
+            if improving.size:
+                # argmin takes the smallest target among equally cheap additions
+                i = int(totals.argmin() if policy == BEST_SINGLE_EDGE else improving[0])
+                return make(targets[i]), before, self.value(totals[i])
+        return None
+
     def best_response(self, cap):
         """(strategy, exact cost) of u's best response; see best_response_exact.
 
@@ -439,22 +482,16 @@ def verify_equilibrium(g, cfg, level=EXACT, cap=CANDIDATE_CAP):
 
     EXACT searches every allowed strategy per agent (cap permitting);
     SINGLE_MOVE only scans elementary moves and says so in its notes.
+    The witness is the first agent's move that improves: its exact best
+    response, or its first improving move in the canonical order.
     """
-    notes = _notes_for(cfg, level)
-    if level == SINGLE_MOVE:
-        for u in range(g.n):
-            for mv in enumerate_single_moves(g, u, cfg):
-                if mv.improving:
-                    return EquilibriumReport(False, mv, level, notes)
-        return EquilibriumReport(True, None, level, notes)
-    if level != EXACT:
+    policies = {EXACT: FULL_BEST_RESPONSE, SINGLE_MOVE: FIRST_IMPROVING_SINGLE_MOVE}
+    if level not in policies:
         raise ValueError(f"unknown check level {level!r}")
+    notes = _notes_for(cfg, level)
     for u in range(g.n):
-        pricing = _Pricing(g, u, cfg)
-        before = pricing.value(pricing.total(pricing.current))
-        strategy, cost = pricing.best_response(cap)
-        if cost < before:
-            kind = _classify_deviation(g.targets(u), strategy)
-            witness = MoveRecord(agent=u, kind=kind, cost_before=before, cost_after=cost)
+        found = _Pricing(g, u, cfg).improving_move(policies[level], cap)
+        if found is not None:
+            witness = MoveRecord(u, *found)
             return EquilibriumReport(False, witness, level, notes)
     return EquilibriumReport(True, None, level, notes)

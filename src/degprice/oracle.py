@@ -238,17 +238,16 @@ class _StateEvaluator:
                     return True
         return False
 
-    def is_equilibrium(self, emask, omask, level="exact"):
-        for u in range(self.n):
-            # the cheap necessary check first; survivors get the full scan
-            if self.has_improvement(emask, omask, u, "single-move"):
-                return False
-        if level == "single-move":
-            return True
-        for u in range(self.n):
-            if self.has_improvement(emask, omask, u, "exact"):
-                return False
-        return True
+    def failed_stage(self, emask, omask):
+        """First check the state fails, "single-move" then "exact", or None.
+
+        The cheap necessary single-move check runs for every agent before
+        any agent gets the full scan.
+        """
+        for level in ("single-move", "exact"):
+            if any(self.has_improvement(emask, omask, u, level) for u in range(self.n)):
+                return level
+        return None
 
 
 @dataclass(frozen=True)
@@ -290,7 +289,7 @@ def _plain(x):
     return int(x)
 
 
-def _census_chunk(n, cfg, lo, hi, level):
+def _census_chunk(n, cfg, lo, hi):
     """Census statistics over the emask range [lo, hi)."""
     ev = _StateEvaluator(n, cfg)
     counts = {"states": 0, "disconnected": 0, "failed_single_move": 0, "failed_exact": 0}
@@ -309,9 +308,10 @@ def _census_chunk(n, cfg, lo, hi, level):
         sub = emask
         while True:
             counts["states"] += 1
-            if not ev.is_equilibrium(emask, sub, "single-move"):
+            failed = ev.failed_stage(emask, sub)
+            if failed == "single-move":
                 counts["failed_single_move"] += 1
-            elif level == "exact" and not ev.is_equilibrium(emask, sub, "exact"):
+            elif failed == "exact":
                 counts["failed_exact"] += 1
             else:
                 eq_count += 1
@@ -339,7 +339,6 @@ def equilibrium_census(n, cfg, workers=None):
     """
     if n > MAX_ENUM_NODES:
         raise OracleBudgetExceeded(f"census limited to n <= {MAX_ENUM_NODES}, got {n}")
-    level = "exact"
     workers = worker_count(1) if workers is None else workers
     p = n * (n - 1) // 2
     m = 1 << p
@@ -348,14 +347,14 @@ def equilibrium_census(n, cfg, workers=None):
 
         bounds = np.linspace(0, m, workers * 4 + 1).astype(int)
         jobs = [
-            (n, cfg, int(bounds[i]), int(bounds[i + 1]), level)
+            (n, cfg, int(bounds[i]), int(bounds[i + 1]))
             for i in range(len(bounds) - 1)
             if bounds[i] < bounds[i + 1]
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_census_chunk_star, jobs))
     else:
-        parts = [_census_chunk(n, cfg, 0, m, level)]
+        parts = [_census_chunk(n, cfg, 0, m)]
 
     counts = {"states": 0, "disconnected": 0, "failed_single_move": 0, "failed_exact": 0}
     eq_count = 0

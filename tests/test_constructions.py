@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from degprice.constructions import (
-    CENTER,
     FIGURE_NAMES,
     GadgetLayout,
     SetCoverInstance,
@@ -57,9 +56,6 @@ class TestBuilders:
         assert social_cost(g, GameConfig()) == 32
         with pytest.raises(ValueError):
             build_star(1)
-        with pytest.raises(ValueError, match="sponsor"):
-            build_star(4, sponsor="leaves")
-        assert build_star(3, sponsor=CENTER).edge_count == 2
 
     def test_path_and_cycle_ownership(self):
         p = build_path(4)

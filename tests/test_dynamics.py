@@ -11,12 +11,14 @@ from degprice.dynamics import (
     BEST_SINGLE_EDGE,
     CONVERGED,
     CYCLE_DETECTED,
+    DEG2AOG_2NE,
     FIRST_IMPROVING_SINGLE_MOVE,
     FULL_BEST_RESPONSE,
     STEP_LIMIT,
     ActivationScheme,
     canonical_state_hash,
     run_dynamics,
+    scripted_linear_sequences,
 )
 from degprice.errors import ScheduleReplayError
 from degprice.graph import OwnedGraph
@@ -57,6 +59,7 @@ def test_same_seed_reruns_are_identical():
     b = run_dynamics(path(6), AOG2, ActivationScheme.uniform_random(seed=0))
     assert a.as_dict() == b.as_dict()
     assert a.outcome == CONVERGED
+    assert a.rounds == a.activations // 6
     # a converged uniform-random run must have reached single-move stability
     assert verify_equilibrium(a.final, AOG2, level="exact").is_equilibrium
 
@@ -73,7 +76,7 @@ def test_every_applied_step_improves_and_only_adds_in_aog():
     assert trace.initial == path(8)
 
 
-def test_round_robin_accounting_and_custom_order():
+def test_round_robin_accounting():
     trace = run_dynamics(
         path(4), GameConfig(), ActivationScheme.round_robin(move_policy=FULL_BEST_RESPONSE)
     )
@@ -81,12 +84,16 @@ def test_round_robin_accounting_and_custom_order():
     assert (len(trace.steps), trace.activations, trace.rounds) == (1, 8, 2)
     assert trace.activations == trace.rounds * 4
     assert verify_equilibrium(trace.final, GameConfig(), level="exact").is_equilibrium
-    # an order covering one never-improving agent converges after one wake-up
-    lone = run_dynamics(
-        path(4), GameConfig(variant="aog"), ActivationScheme.round_robin(order=(1,))
-    )
-    assert lone.outcome == CONVERGED
-    assert (lone.activations, lone.rounds, lone.steps) == (1, 1, [])
+
+
+def test_round_robin_cycle_closed_by_last_agent_completes_the_round():
+    """rounds is activations // n even when the last wake-up of a round
+    closes a cycle: here the 16th activation on 8 nodes ends round two."""
+    g = OwnedGraph(8, [(0, 6), (0, 7), (2, 4), (2, 6), (3, 4), (5, 2), (6, 1), (6, 4), (7, 4)])
+    cfg = GameConfig(variant="ncg", locality_k=2, price_beta=3, price_gamma=-2)
+    trace = run_dynamics(g, cfg, ActivationScheme.round_robin(FIRST_IMPROVING_SINGLE_MOVE))
+    assert trace.outcome == CYCLE_DETECTED
+    assert (trace.activations, trace.rounds, len(trace.steps)) == (16, 2, 6)
 
 
 def test_step_limit_counts_activations():
@@ -95,6 +102,18 @@ def test_step_limit_counts_activations():
     )
     assert trace.outcome == STEP_LIMIT
     assert trace.activations == 3
+    # a schedule exactly as long as the cap still ends with the stability check ...
+    scheme = scripted_linear_sequences(10, DEG2AOG_2NE)
+    moves = len(scheme.schedule)
+    full = run_dynamics(path(10), AOG2, scheme, max_steps=moves)
+    assert full.outcome == CONVERGED
+    assert full.metadata["script_exhausted"] is True
+    assert full.activations == len(full.steps) == moves
+    # ... and one move longer than the cap stops at it, unexhausted
+    cut = run_dynamics(path(10), AOG2, scheme, max_steps=moves - 1)
+    assert cut.outcome == STEP_LIMIT
+    assert "script_exhausted" not in cut.metadata
+    assert cut.activations == len(cut.steps) == moves - 1
 
 
 @pytest.mark.parametrize("policy", [BEST_SINGLE_EDGE, FIRST_IMPROVING_SINGLE_MOVE])

@@ -11,6 +11,8 @@ from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
 from degprice.graph import OwnedGraph, is_connected
 from degprice.moves import verify_equilibrium
 from degprice.oracle import (
+    _graph_to_state,
+    _StateEvaluator,
     best_reachable,
     enumerate_states,
     equilibrium_census,
@@ -87,6 +89,40 @@ def test_census_pinned_values(key, census):
     assert s.eq_diameter_max == diam
     d = s.as_dict()
     assert d["equilibrium_count"] == count and d["pos"] == 1.0
+
+
+STAGES_N4 = {
+    # (variant, k): states, disconnected, failed_single_move, failed_exact, equilibria
+    ("ncg", None): (729, 105, 496, 28, 100),
+    ("ncg", 2): (729, 105, 400, 28, 196),
+    ("aog", None): (729, 105, 96, 0, 528),
+    ("aog", 2): (729, 105, 0, 0, 624),
+}
+
+
+@pytest.mark.parametrize("key", sorted(STAGES_N4, key=str), ids=lambda k: f"{k[0]}-k{k[1]}")
+def test_census_stage_counts_n4(key, census):
+    counts = census.get(*key, 4).stage_counts
+    fields = ("states", "disconnected", "failed_single_move", "failed_exact", "equilibria")
+    assert tuple(counts[f] for f in fields) == STAGES_N4[key]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [GameConfig(variant=v, locality_k=k) for v in ("ncg", "aog") for k in (None, 2)]
+    + [GameConfig(price_beta=Fraction(1, 3), price_gamma=Fraction(1, 2))],
+    ids=lambda cfg: cfg.describe(),
+)
+def test_verify_agrees_with_oracle_on_every_small_state(cfg):
+    """The move engine's verdict at both levels matches the mask oracle's,
+    disconnected states included."""
+    for n in (2, 3, 4):
+        ev = _StateEvaluator(n, cfg)
+        for g in enumerate_states(n):
+            failed = ev.failed_stage(*_graph_to_state(g))
+            single = verify_equilibrium(g, cfg, level="single-move").is_equilibrium
+            exact = verify_equilibrium(g, cfg, level="exact").is_equilibrium
+            assert (single, exact) == (failed != "single-move", failed is None), g
 
 
 def test_census_witnesses_verify_independently(census):
