@@ -1,9 +1,14 @@
-"""Array kernels for distance work, in plain numpy.
+"""The one distance kernel: breadth-first search over neighbour sets.
 
-All distance arrays are int64 and use the ``UNREACHABLE`` sentinel for
-disconnected pairs.  The sentinel is far below the int64 overflow line,
-so ``sentinel + sentinel + 1`` is still safely comparable; kernels clamp
-results back to exactly ``UNREACHABLE`` before returning.
+``neighbours[v]`` is the set of v's neighbours (``OwnedGraph._adj`` is
+one).  ``bfs_row`` gives the hop distances from one source, ``apsp``
+stacks one row per source into an int64 table, and ``apsp_update_add``
+patches such a table after an edge is added.  Every distance caller
+goes through them, except ``moves.evaluate_deviation``, the scalar
+reference that keeps its own BFS.  A disconnected pair holds exactly
+``UNREACHABLE``.  The sentinel is far below the int64 overflow line, so
+``sentinel + sentinel + 1`` still compares safely; the update clamps its
+results back to exactly ``UNREACHABLE``.
 """
 
 import numpy as np
@@ -11,24 +16,43 @@ import numpy as np
 UNREACHABLE = 10**9
 
 
-def apsp(adj):
-    """All-pairs hop distances of a dense boolean adjacency matrix.
+def bfs_row(neighbours, source, without=None):
+    """Hop distances from source as a list, with node ``without`` taken out.
 
-    Runs one synchronized BFS wave from every source at once via boolean
-    matrix products.
+    ``without`` loses all its edges: no path passes through it, and from
+    itself it reaches nothing.
     """
-    n = adj.shape[0]
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    reached = np.eye(n, dtype=bool)
-    frontier = reached.copy()
+    row = [UNREACHABLE] * len(neighbours)
+    row[source] = 0
+    if source == without:
+        return row
+    if without is not None:
+        # a temporary non-sentinel value marks it as visited, so no path enters it
+        row[without] = -1
+    frontier = [source]
     d = 0
-    while frontier.any():
+    while frontier:
         d += 1
-        frontier = (frontier @ adj) & ~reached
-        dist[frontier] = d
-        reached |= frontier
-    return dist
+        reached = []
+        for x in frontier:
+            for y in neighbours[x]:
+                if row[y] == UNREACHABLE:
+                    row[y] = d
+                    reached.append(y)
+        frontier = reached
+    if without is not None:
+        row[without] = UNREACHABLE
+    return row
+
+
+def apsp(neighbours, without=None):
+    """All-pairs hop distances, one ``bfs_row`` per source, as an int64 table.
+
+    With ``without`` set, the table is that of the graph with that node's
+    edges removed.  O(n * (n + edges)) time.
+    """
+    n = len(neighbours)
+    return np.array([bfs_row(neighbours, s, without) for s in range(n)], dtype=np.int64)
 
 
 def apsp_update_add(dist, u, v):
@@ -42,9 +66,3 @@ def apsp_update_add(dist, u, v):
     np.minimum(dist, thru_uv, out=dist)
     np.minimum(dist, thru_vu, out=dist)
     np.minimum(dist, UNREACHABLE, out=dist)
-
-
-def row_sums_with_sentinel(mat):
-    """Per-row sums of a distance matrix with sentinel propagation."""
-    connected = (mat < UNREACHABLE).all(axis=1)
-    return np.where(connected, mat.sum(axis=1), UNREACHABLE)

@@ -14,7 +14,7 @@ otherwise.  Nothing here ever rounds.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from degprice._kernels import UNREACHABLE, apsp, row_sums_with_sentinel
+from degprice._kernels import UNREACHABLE, apsp
 from degprice.graph import bfs_distances, degree
 
 NCG = "ncg"
@@ -98,11 +98,14 @@ def agent_cost(g, u, cfg):
 
 def social_cost(g, cfg):
     """Sum of all agents' totals; UNREACHABLE when disconnected."""
-    dist = apsp(g.adjacency_matrix())
-    sums = row_sums_with_sentinel(dist)
-    if int(sums.max()) >= UNREACHABLE:
+    return _social_cost_from(g, cfg, apsp(g._adj))
+
+
+def _social_cost_from(g, cfg, dist):
+    """social_cost of g, given g's all-pairs distance table."""
+    if int(dist.max()) >= UNREACHABLE:
         return UNREACHABLE
-    total = int(sums.sum())
+    total = int(dist.sum())
     for owner, target in g.owned_edges:
         total = total + edge_price(cfg, degree(g, target))
     return total

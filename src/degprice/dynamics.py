@@ -25,9 +25,8 @@ import random
 from dataclasses import dataclass, field
 
 from degprice._kernels import UNREACHABLE, apsp, apsp_update_add
-from degprice.costs import social_cost
+from degprice.costs import _social_cost_from
 from degprice.errors import ScheduleReplayError
-from degprice.graph import diameter
 from degprice.moves import (
     BEST_SINGLE_EDGE,
     FIRST_IMPROVING_SINGLE_MOVE,
@@ -136,13 +135,14 @@ class DynamicsTrace:
     metadata: dict = field(default_factory=dict)
 
     def as_dict(self):
+        diameter, cost = self._final_values()
         return {
             "initial": _graph_dict(self.initial),
             "steps": [s.as_dict() for s in self.steps],
             "outcome": self.outcome,
             "rounds": self.rounds,
-            "final_social_cost": _cost_value(self.final_social_cost),
-            "final_diameter": _cost_value(self.final_diameter),
+            "final_social_cost": cost,
+            "final_diameter": diameter,
             "final": _graph_dict(self.final),
             "activations": self.activations,
             "metadata": self.metadata,
@@ -150,23 +150,22 @@ class DynamicsTrace:
 
     def csv_row(self):
         """(n, steps, rounds, diameter, social_cost): steps = activations."""
-        return (
-            self.initial.n,
-            self.activations,
-            self.rounds,
-            _cost_value(self.final_diameter),
-            _cost_value(self.final_social_cost),
-        )
+        return (self.initial.n, self.activations, self.rounds, *self._final_values())
+
+    def _final_values(self):
+        """(diameter, social cost) as printed, both "unreachable" when disconnected.
+
+        Connectivity is read from the diameter, which is below n on a
+        connected graph, so a large real cost is never mistaken for it.
+        """
+        if self.final_diameter == UNREACHABLE:
+            return "unreachable", "unreachable"
+        cost = self.final_social_cost
+        return self.final_diameter, int(cost) if cost == int(cost) else float(cost)
 
 
 def _graph_dict(g):
     return {"n": g.n, "edges": [list(e) for e in sorted(g.owned_edges)]}
-
-
-def _cost_value(x):
-    if x >= UNREACHABLE:
-        return "unreachable"
-    return int(x) if x == int(x) else float(x)
 
 
 def canonical_state_hash(g):
@@ -180,7 +179,7 @@ class _Engine:
     def __init__(self, g0, cfg):
         self.graph = g0.copy()
         self.cfg = cfg
-        self.dist = apsp(self.graph.adjacency_matrix()) if cfg.add_only else None
+        self.dist = apsp(self.graph._adj) if cfg.add_only else None
 
     def find_move(self, u, policy):
         return _Pricing(self.graph, u, self.cfg, self.dist).improving_move(policy)
@@ -289,13 +288,14 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
         outcome = CONVERGED if stable else STEP_LIMIT
 
     final = engine.graph.copy()
+    dist = apsp(final._adj) if engine.dist is None else engine.dist
     return DynamicsTrace(
         initial=g0.copy(),
         steps=steps,
         outcome=outcome,
         rounds=activations // n,
-        final_social_cost=social_cost(final, cfg),
-        final_diameter=diameter(final),
+        final_social_cost=_social_cost_from(final, cfg, dist),
+        final_diameter=int(dist.max()),
         final=final,
         activations=activations,
         metadata=metadata,

@@ -5,12 +5,11 @@ bought it; the metric structure (distances, degrees, diameter) always
 uses the undirected view.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from degprice._kernels import UNREACHABLE, apsp
+from degprice._kernels import UNREACHABLE, apsp, bfs_row
 
 __all__ = [
     "UNREACHABLE",
@@ -148,17 +147,7 @@ class DistanceRow:
 def bfs_distances(g, source):
     """Exact hop distances from source over the undirected view."""
     g._check_node(source)
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        x = queue.popleft()
-        dx = dist[x]
-        for y in g._adj[x]:
-            if dist[y] == UNREACHABLE:
-                dist[y] = dx + 1
-                queue.append(y)
-    return DistanceRow(source=source, dist=dist)
+    return DistanceRow(source=source, dist=np.array(bfs_row(g._adj, source), dtype=np.int64))
 
 
 def degree(g, v):
@@ -177,9 +166,7 @@ def ball(g, u, k):
 
 def diameter(g):
     """Largest finite distance, or UNREACHABLE when disconnected."""
-    dist = apsp(g.adjacency_matrix())
-    worst = int(dist.max())
-    return UNREACHABLE if worst >= UNREACHABLE else worst
+    return int(apsp(g._adj).max())
 
 
 def is_connected(g):

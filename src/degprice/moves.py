@@ -289,10 +289,8 @@ class _Pricing:
         n = g.n
         if dist is None:
             self.base = frozenset()
-            row = bfs_distances(g, u).dist
         else:
             self.table, self.base, self.floor = dist, frozenset(self.current), dist[u]
-            row = self.floor
 
         beta, gamma = Fraction(cfg.price_beta), Fraction(cfg.price_gamma)
         self.scale = math.lcm(beta.denominator, gamma.denominator)
@@ -309,6 +307,7 @@ class _Pricing:
         eligible[adjacent] = False
         eligible[u] = False
         if cfg.locality_k is not None:
+            row = bfs_distances(g, u).dist if dist is None else dist[u]
             eligible &= row <= cfg.locality_k
         self.cands = np.flatnonzero(eligible).tolist()
 
@@ -316,9 +315,7 @@ class _Pricing:
     # over too many candidates fails on the cap without paying for it.
     @cached_property
     def table(self):
-        adj = self.graph.adjacency_matrix()
-        adj[self.u] = adj[:, self.u] = False
-        return apsp(adj)
+        return apsp(self.graph._adj, without=self.u)
 
     @cached_property
     def floor(self):

@@ -25,7 +25,6 @@ from degprice.graph import OwnedGraph
 from degprice.moves import candidate_targets, evaluate_deviation
 
 MAX_ENUM_NODES = 6
-MAX_CENSUS_EXACT_NODES = 5
 
 __all__ = [
     "EnumerationSummary",
@@ -52,23 +51,28 @@ def worker_count(default=1):
 
 
 @lru_cache(maxsize=8)
+def _pairs(n):
+    """The unordered node pairs in mask-bit order: pair i is bit i."""
+    return tuple(combinations(range(n), 2))
+
+
+@lru_cache(maxsize=8)
 def _tables(n):
     """Distance/degree tables for every undirected graph on n nodes."""
     if n > MAX_ENUM_NODES:
         raise OracleBudgetExceeded(f"tables limited to n <= {MAX_ENUM_NODES}, got {n}")
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    p = len(pairs)
-    m = 1 << p
-    adj = np.zeros((m, n, n), dtype=bool)
-    masks = np.arange(m)
-    for i, (a, b) in enumerate(pairs):
-        hit = (masks >> i) & 1 == 1
-        adj[hit, a, b] = True
-        adj[hit, b, a] = True
+    pairs = _pairs(n)
+    m = 1 << len(pairs)
     dist = np.empty((m, n, n), dtype=np.int64)
+    degs = np.empty((m, n), dtype=np.int64)
     for mask in range(m):
-        dist[mask] = apsp(adj[mask])
-    degs = adj.sum(axis=2).astype(np.int64)
+        neighbours = [set() for _ in range(n)]
+        for i, (a, b) in enumerate(pairs):
+            if mask >> i & 1:
+                neighbours[a].add(b)
+                neighbours[b].add(a)
+        dist[mask] = apsp(neighbours)
+        degs[mask] = [len(s) for s in neighbours]
     distsum = dist.sum(axis=2)
     connected = (dist < UNREACHABLE).all(axis=(1, 2))
     return pairs, dist, degs, distsum, connected
@@ -76,9 +80,8 @@ def _tables(n):
 
 def _pair_bits(n):
     """bit[u][v] = mask bit of the unordered pair {u,v}."""
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     bits = [[0] * n for _ in range(n)]
-    for i, (a, b) in enumerate(pairs):
+    for i, (a, b) in enumerate(_pairs(n)):
         bits[a][b] = bits[b][a] = 1 << i
     return bits
 
@@ -96,9 +99,8 @@ def _graph_to_state(g):
 
 
 def _state_to_graph(n, emask, omask):
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     g = OwnedGraph(n)
-    for i, (a, b) in enumerate(pairs):
+    for i, (a, b) in enumerate(_pairs(n)):
         if emask >> i & 1:
             if omask >> i & 1:
                 g.add_edge(a, b)
@@ -144,28 +146,6 @@ class _StateEvaluator:
         # price per possible degree value, so the hot loop only indexes
         self.price = [beta * d + gamma for d in range(n)]
 
-    def targets_of(self, emask, omask, u):
-        out = []
-        for v in range(self.n):
-            if v == u:
-                continue
-            b = self.bits[u][v]
-            if emask & b:
-                low_owner = bool(omask & b)
-                owner_is_u = low_owner == (u < v)
-                if owner_is_u:
-                    out.append(v)
-        return out
-
-    def agent_total(self, emask, omask, u):
-        ds = int(self.distsum[emask, u])
-        if ds >= UNREACHABLE:
-            return UNREACHABLE
-        total = ds
-        for v in self.targets_of(emask, omask, u):
-            total = total + self.price[self.degs[emask, v]]
-        return total
-
     def social(self, emask, omask):
         base = int(self.distsum[emask].sum())
         if not self.connected[emask]:
@@ -210,9 +190,9 @@ class _StateEvaluator:
 
     def has_improvement(self, emask, omask, u, level):
         """Does u have a strictly improving deviation from this state?"""
-        current = self.agent_total(emask, omask, u)
         kept, new, owned_mask = self._universe(emask, omask, u)
         base = emask & ~owned_mask
+        current = self.deviation_cost(base, u, kept)
         add_only = self.cfg.add_only
         if level == "single-move":
             for v in new:

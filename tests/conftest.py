@@ -5,11 +5,12 @@ they are computed lazily and cached for the whole session.  Everything else
 is cheap enough to build inline.
 """
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from degprice.costs import GameConfig
-from degprice.graph import OwnedGraph
+from degprice.graph import UNREACHABLE, OwnedGraph
 from degprice.oracle import equilibrium_census
 
 
@@ -36,6 +37,22 @@ def owned_graphs(draw, max_n=8, connected=False):
         if a != b and not g.has_edge(a, b):
             g.add_edge(a, b)
     return g
+
+
+def floyd_warshall(g):
+    """Independent distance oracle for cross-checking the BFS kernel."""
+    n = g.n
+    d = np.full((n, n), UNREACHABLE, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for u, v in g.owned_edges:
+        d[u, v] = d[v, u] = 1
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i, k] + d[k, j] < d[i, j]:
+                    d[i, j] = d[i, k] + d[k, j]
+    d[d > UNREACHABLE] = UNREACHABLE
+    return d
 
 
 class _CensusCache:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from degprice.constructions import build_figure_network
-from degprice.costs import GameConfig, UNREACHABLE
+from degprice.costs import GameConfig, UNREACHABLE, social_cost
 from degprice.dynamics import (
     BEST_SINGLE_EDGE,
     CONVERGED,
@@ -21,7 +21,7 @@ from degprice.dynamics import (
     scripted_linear_sequences,
 )
 from degprice.errors import ScheduleReplayError
-from degprice.graph import OwnedGraph
+from degprice.graph import OwnedGraph, diameter
 from degprice.moves import AddEdge, SwapEdge, verify_equilibrium
 
 
@@ -30,6 +30,12 @@ def path(n):
 
 
 AOG2 = GameConfig(variant="aog", locality_k=2)
+
+
+def assert_final_stats(trace, cfg):
+    """The trace's final figures are those of its final graph."""
+    assert trace.final_social_cost == social_cost(trace.final, cfg)
+    assert trace.final_diameter == diameter(trace.final)
 
 
 def test_scheme_validation():
@@ -60,6 +66,7 @@ def test_same_seed_reruns_are_identical():
     assert a.as_dict() == b.as_dict()
     assert a.outcome == CONVERGED
     assert a.rounds == a.activations // 6
+    assert_final_stats(a, AOG2)
     # a converged uniform-random run must have reached single-move stability
     assert verify_equilibrium(a.final, AOG2, level="exact").is_equilibrium
 
@@ -83,6 +90,7 @@ def test_round_robin_accounting():
     assert trace.outcome == CONVERGED
     assert (len(trace.steps), trace.activations, trace.rounds) == (1, 8, 2)
     assert trace.activations == trace.rounds * 4
+    assert_final_stats(trace, GameConfig())
     assert verify_equilibrium(trace.final, GameConfig(), level="exact").is_equilibrium
 
 
@@ -144,6 +152,18 @@ def test_unfixable_disconnection_serializes_as_unreachable():
     payload = json.loads(json.dumps(trace.as_dict()))
     assert payload["final_social_cost"] == "unreachable"
     assert payload["steps"] == []
+
+
+def test_connected_run_with_a_huge_cost_prints_its_numbers():
+    """A connected graph's social cost may pass the sentinel's value;
+    only a disconnected one prints as "unreachable"."""
+    cfg = GameConfig(variant="aog", price_beta=10**9, price_gamma=0)
+    trace = run_dynamics(path(3), cfg, ActivationScheme.round_robin())
+    assert trace.outcome == CONVERGED
+    assert (trace.final_social_cost, trace.final_diameter) == (3_000_000_008, 2)
+    assert trace.csv_row() == (3, 3, 1, 2, 3_000_000_008)
+    payload = trace.as_dict()
+    assert (payload["final_diameter"], payload["final_social_cost"]) == (2, 3_000_000_008)
 
 
 def test_scripted_replay_rejects_non_improving_step():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import owned_graphs
+from conftest import floyd_warshall, owned_graphs
 from degprice.graph import (
     UNREACHABLE,
     OwnedGraph,
@@ -20,22 +20,6 @@ from degprice.graph import (
 
 def path(n):
     return OwnedGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def _floyd_warshall(g):
-    """Independent distance oracle for cross-checking BFS."""
-    n = g.n
-    d = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    np.fill_diagonal(d, 0)
-    for u, v in g.owned_edges:
-        d[u, v] = d[v, u] = 1
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if d[i, k] + d[k, j] < d[i, j]:
-                    d[i, j] = d[i, k] + d[k, j]
-    d[d > UNREACHABLE] = UNREACHABLE
-    return d
 
 
 class TestOwnedGraph:
@@ -87,7 +71,7 @@ class TestOwnedGraph:
 @settings(max_examples=60)
 @given(owned_graphs())
 def test_bfs_matches_floyd_warshall(g):
-    expected = _floyd_warshall(g)
+    expected = floyd_warshall(g)
     for s in range(g.n):
         assert np.array_equal(bfs_distances(g, s).dist, expected[s])
 
