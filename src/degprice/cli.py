@@ -2,8 +2,9 @@
 
 Subcommands: construct, cost, best-response, verify, dynamics,
 enumerate, reduce, preset.  JSON is the machine format; CSV exists for
-plotting convergence curves; text is a short human summary.  Exit codes:
-0 success, 1 assertion failure, 2 usage error, 3 resource cap exceeded.
+plotting convergence curves; text is a short human summary.  Every cost
+prints through ``costs.plain``.  Exit codes: 0 success, 1 assertion
+failure, 2 usage error, 3 resource cap exceeded.
 """
 
 import argparse
@@ -14,7 +15,7 @@ from fractions import Fraction
 
 from degprice import constructions
 from degprice import textio
-from degprice.costs import GameConfig, agent_cost, social_cost
+from degprice.costs import GameConfig, agent_cost, plain, social_cost
 from degprice.dynamics import (
     ActivationScheme,
     BEST_SINGLE_EDGE,
@@ -106,7 +107,7 @@ def _cmd_construct(args):
 def _cmd_cost(args):
     g = _read_graph(args.graph)
     cfg = _config_from(args)
-    data = {"config": cfg.describe(), "social_cost": social_cost(g, cfg)}
+    data = {"config": cfg.describe(), "social_cost": plain(social_cost(g, cfg))}
     if args.agent is not None:
         data["agent"] = args.agent
         data["cost"] = agent_cost(g, args.agent, cfg).as_dict()
@@ -130,8 +131,8 @@ def _cmd_best_response(args):
     data = {
         "config": cfg.describe(),
         "agent": args.agent,
-        "current_cost": current,
-        "best_cost": cost,
+        "current_cost": plain(current),
+        "best_cost": plain(cost),
         "best_strategy": sorted(strategy),
         "improves": cost < current,
     }
@@ -194,12 +195,12 @@ def _cmd_dynamics(args):
             ),
         )
     elif args.format == "text":
+        *_, diameter, cost = trace.csv_row()
         _emit(
             args,
             f"outcome: {trace.outcome}\nsteps: {len(trace.steps)}\n"
             f"activations: {trace.activations}\nrounds: {trace.rounds}\n"
-            f"final diameter: {trace.final_diameter}\n"
-            f"final social cost: {trace.final_social_cost}\n",
+            f"final diameter: {diameter}\nfinal social cost: {cost}\n",
         )
     else:
         _emit(args, textio.to_json_text(trace.as_dict()))

@@ -4,13 +4,15 @@ Buying the edge {u,v} costs u ``beta * deg(v) + gamma`` where deg(v) is
 v's degree in the evaluated network (the purchased edge included).  The
 default (beta, gamma) = (1, -1) therefore prices an edge at the target's
 degree not counting the edge itself.  On top of edge prices every agent
-pays the sum of her hop distances to all other agents, infinite (the
-UNREACHABLE sentinel) when the network is disconnected.
+pays the sum of her hop distances to all other agents, ``math.inf``
+when the network is disconnected.
 
 All arithmetic is exact: integers under integer pricing, fractions.Fraction
-otherwise.  Nothing here ever rounds.
+otherwise.  Nothing here ever rounds.  ``plain`` is the one rule for
+printing a cost.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,6 +33,7 @@ __all__ = [
     "agent_cost",
     "social_cost",
     "rho",
+    "plain",
 ]
 
 
@@ -67,18 +70,22 @@ class CostBreakdown:
     """One agent's cost, split into edge prices and distance sum."""
 
     edge_cost: int | Fraction
-    distance_cost: int
-    total: int | Fraction
+    distance_cost: int | float
+    total: int | Fraction | float
 
     def as_dict(self):
-        def plain(x):
-            return float(x) if isinstance(x, Fraction) else int(x)
-
         return {
             "edge_cost": plain(self.edge_cost),
             "distance_cost": plain(self.distance_cost),
             "total": plain(self.total),
         }
+
+
+def plain(cost):
+    """A cost as printed: "unreachable" for inf, an int when integral, else a float."""
+    if cost == math.inf:
+        return "unreachable"
+    return int(cost) if cost == int(cost) else float(cost)
 
 
 def edge_price(cfg, target_degree):
@@ -89,22 +96,20 @@ def edge_price(cfg, target_degree):
 def agent_cost(g, u, cfg):
     """Edge prices of u's owned edges plus u's distance sum."""
     edge = sum((edge_price(cfg, degree(g, v)) for v in g.targets(u)), 0)
-    dist_row = bfs_distances(g, u).dist
-    if int(dist_row.max()) >= UNREACHABLE:
-        return CostBreakdown(edge_cost=edge, distance_cost=UNREACHABLE, total=UNREACHABLE)
-    d = int(dist_row.sum())
+    row = bfs_distances(g, u)
+    d = math.inf if int(row.max()) == UNREACHABLE else int(row.sum())
     return CostBreakdown(edge_cost=edge, distance_cost=d, total=edge + d)
 
 
 def social_cost(g, cfg):
-    """Sum of all agents' totals; UNREACHABLE when disconnected."""
+    """Sum of all agents' totals; math.inf when disconnected."""
     return _social_cost_from(g, cfg, apsp(g._adj))
 
 
 def _social_cost_from(g, cfg, dist):
     """social_cost of g, given g's all-pairs distance table."""
-    if int(dist.max()) >= UNREACHABLE:
-        return UNREACHABLE
+    if int(dist.max()) == UNREACHABLE:
+        return math.inf
     total = int(dist.sum())
     for owner, target in g.owned_edges:
         total = total + edge_price(cfg, degree(g, target))
@@ -116,6 +121,6 @@ def rho(g, best_reachable_cost, cfg):
     if best_reachable_cost <= 0:
         raise ValueError("best reachable cost must be positive")
     cost = social_cost(g, cfg)
-    if cost >= UNREACHABLE:
+    if cost == math.inf:
         raise ValueError("quality ratio of a disconnected network is undefined")
     return Fraction(cost) / Fraction(best_reachable_cost)

@@ -15,8 +15,8 @@ In add-only games the engine keeps the full distance matrix current
 with unit-edge updates, so an activation costs O(n^2) array work.  In
 the other games each activation prices from a fresh distance table of
 the network without the activated agent.  Prices stay exact, as int or
-Fraction, and a move that leaves its agent disconnected is priced at
-exactly UNREACHABLE.
+Fraction, and a move that leaves its agent disconnected costs
+``math.inf``.
 """
 
 import itertools
@@ -24,8 +24,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from degprice._kernels import UNREACHABLE, apsp, apsp_update_add
-from degprice.costs import _social_cost_from
+from degprice._kernels import apsp, apsp_update_add
+from degprice.costs import _social_cost_from, plain
 from degprice.errors import ScheduleReplayError
 from degprice.moves import (
     BEST_SINGLE_EDGE,
@@ -153,15 +153,9 @@ class DynamicsTrace:
         return (self.initial.n, self.activations, self.rounds, *self._final_values())
 
     def _final_values(self):
-        """(diameter, social cost) as printed, both "unreachable" when disconnected.
-
-        Connectivity is read from the diameter, which is below n on a
-        connected graph, so a large real cost is never mistaken for it.
-        """
-        if self.final_diameter == UNREACHABLE:
-            return "unreachable", "unreachable"
-        cost = self.final_social_cost
-        return self.final_diameter, int(cost) if cost == int(cost) else float(cost)
+        """(diameter, social cost) as printed, both "unreachable" when disconnected."""
+        cost = plain(self.final_social_cost)
+        return (cost if cost == "unreachable" else self.final_diameter), cost
 
 
 def _graph_dict(g):

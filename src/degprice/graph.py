@@ -5,8 +5,6 @@ bought it; the metric structure (distances, degrees, diameter) always
 uses the undirected view.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from degprice._kernels import UNREACHABLE, apsp, bfs_row
@@ -14,7 +12,6 @@ from degprice._kernels import UNREACHABLE, apsp, bfs_row
 __all__ = [
     "UNREACHABLE",
     "OwnedGraph",
-    "DistanceRow",
     "bfs_distances",
     "degree",
     "ball",
@@ -99,18 +96,22 @@ class OwnedGraph:
         """Swap out u's entire strategy in place.
 
         Only edges owned by u change; edges other agents bought toward u
-        stay.  Raises if a new target collides with such an edge.
+        stay.  Every new target is checked (range, self-loop, collision
+        with such an edge) before anything changes.
         """
         new_targets = set(new_targets)
+        for v in new_targets:
+            self._check_node(v)
+            if v == u:
+                raise ValueError(f"self-loop at node {u}")
         incoming = self._adj[u] - self._targets[u]
         clash = new_targets & incoming
         if clash:
             raise ValueError(f"targets {sorted(clash)} already linked to {u}")
-        for v in self._targets[u]:
-            self._adj[v].discard(u)
-        self._targets[u] = set()
-        self._adj[u] = set(incoming)
-        for v in new_targets:
+        old = set(self._targets[u])
+        for v in old - new_targets:
+            self.remove_edge(u, v)
+        for v in new_targets - old:
             self.add_edge(u, v)
 
     def adjacency_matrix(self):
@@ -133,21 +134,13 @@ class OwnedGraph:
         return f"OwnedGraph(n={self.n}, edges={sorted(self.owned_edges)})"
 
 
-@dataclass(frozen=True, eq=False)
-class DistanceRow:
-    """Hop distances from one source; unreachable nodes hold the sentinel."""
-
-    source: int
-    dist: np.ndarray = field(repr=False)
-
-    def __getitem__(self, v):
-        return int(self.dist[v])
-
-
 def bfs_distances(g, source):
-    """Exact hop distances from source over the undirected view."""
+    """Exact hop distances from source over the undirected view, as an int64 row.
+
+    Unreachable nodes hold UNREACHABLE.
+    """
     g._check_node(source)
-    return DistanceRow(source=source, dist=np.array(bfs_row(g._adj, source), dtype=np.int64))
+    return np.array(bfs_row(g._adj, source), dtype=np.int64)
 
 
 def degree(g, v):
@@ -161,7 +154,7 @@ def ball(g, u, k):
     if k < 0:
         raise ValueError("radius must be nonnegative")
     row = bfs_distances(g, u)
-    return {v for v in range(g.n) if row.dist[v] == k}
+    return {v for v in range(g.n) if row[v] == k}
 
 
 def diameter(g):
@@ -170,18 +163,18 @@ def diameter(g):
 
 
 def is_connected(g):
-    return g.n == 1 or int(bfs_distances(g, 0).dist.max()) < UNREACHABLE
+    return g.n == 1 or int(bfs_distances(g, 0).max()) < UNREACHABLE
 
 
 def layer_decomposition(g, root):
     """BFS layers L_0={root}, L_1, ... partitioning a connected graph."""
     row = bfs_distances(g, root)
-    if int(row.dist.max()) >= UNREACHABLE:
+    depth = int(row.max())
+    if depth == UNREACHABLE:
         raise ValueError("layer decomposition needs a connected graph")
-    depth = int(row.dist.max())
     layers = [set() for _ in range(depth + 1)]
     for v in range(g.n):
-        layers[int(row.dist[v])].add(v)
+        layers[int(row[v])].add(v)
     return layers
 
 

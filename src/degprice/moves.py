@@ -7,7 +7,8 @@ u's distance to w is 1 + the minimum of d_{G-u}(v, w) over the targets
 v in S and the agents that bought edges to u.  An edge's price depends
 only on its target, not on the rest of S.  Single moves are vectorised
 rows of that table, and the exact best response is a subset-min DP over
-it.  Prices stay exact, as int or Fraction.
+it.  Prices stay exact, as int or Fraction; a deviation that leaves u
+disconnected costs ``math.inf``.
 
 ``_Pricing.improving_move`` answers "can u strictly improve, and how?"
 under one of three move policies.  ``verify_equilibrium`` asks it of
@@ -18,7 +19,6 @@ scalar reference that the tests and the brute-force oracle use.
 """
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
@@ -26,7 +26,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from degprice._kernels import UNREACHABLE, apsp
-from degprice.costs import edge_price
+from degprice.costs import edge_price, plain
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import bfs_distances
 
@@ -120,9 +120,6 @@ class MoveRecord:
         return self.cost_after < self.cost_before
 
     def as_dict(self):
-        def plain(x):
-            return int(x) if x == int(x) else float(x)
-
         return {
             "agent": self.agent,
             "kind": self.kind.as_dict(),
@@ -156,17 +153,13 @@ def candidate_targets(g, u, cfg):
         return {v for v in range(g.n) if v != u and not g.has_edge(u, v)}
     row = bfs_distances(g, u)
     k = cfg.locality_k
-    return {
-        v
-        for v in range(g.n)
-        if v != u and not g.has_edge(u, v) and row.dist[v] <= k
-    }
+    return {v for v in range(g.n) if v != u and not g.has_edge(u, v) and row[v] <= k}
 
 
 def evaluate_deviation(g, u, new_targets, cfg):
     """Total cost of u if u switched to new_targets, everyone else fixed.
 
-    Returns UNREACHABLE when the deviation leaves u disconnected.
+    Returns math.inf when the deviation leaves u disconnected.
     """
     new_targets = set(new_targets)
     old_targets = g._targets[u]
@@ -182,22 +175,17 @@ def evaluate_deviation(g, u, new_targets, cfg):
             d += 1
         edge = edge + edge_price(cfg, d)
 
-    dist = np.full(g.n, UNREACHABLE, dtype=np.int64)
-    dist[u] = 0
-    queue = deque()
-    for v in new_targets | incoming:
-        dist[v] = 1
-        queue.append(v)
-    while queue:
-        x = queue.popleft()
-        dx = int(dist[x])
-        for y in g._adj[x]:
-            if dist[y] == UNREACHABLE:
-                dist[y] = dx + 1
-                queue.append(y)
-    if int(dist.max()) >= UNREACHABLE:
-        return UNREACHABLE
-    return edge + int(dist.sum())
+    frontier = new_targets | incoming
+    seen = frontier | {u}
+    total, depth = 0, 1
+    while frontier:
+        total += depth * len(frontier)
+        frontier = {y for x in frontier for y in g._adj[x]} - seen
+        seen |= frontier
+        depth += 1
+    if len(seen) < g.n:
+        return math.inf
+    return edge + total
 
 
 def strategy_after(g, u, kind):
@@ -223,25 +211,15 @@ def strategy_after(g, u, kind):
 
 
 def apply_move(g, u, kind):
-    """Mutate g by playing the move."""
-    if isinstance(kind, AddEdge):
-        g.add_edge(u, kind.target)
-    elif isinstance(kind, DeleteEdge):
-        g.remove_edge(u, kind.target)
-    elif isinstance(kind, SwapEdge):
-        g.remove_edge(u, kind.old_target)
-        g.add_edge(u, kind.new_target)
-    elif isinstance(kind, ReplaceStrategy):
-        g.replace_strategy(u, kind.new_targets)
-    else:
-        raise TypeError(f"unknown move kind {kind!r}")
+    """Mutate g by playing the move; an illegal move raises and leaves g as it was."""
+    g.replace_strategy(u, strategy_after(g, u, kind))
 
 
 def enumerate_single_moves(g, u, cfg):
     """All elementary deviations of u with exact before/after costs.
 
     Additions go to candidate targets; deletions and swaps exist in the
-    NCG variants only.  Disconnecting moves appear with an UNREACHABLE
+    NCG variants only.  Disconnecting moves appear with an infinite
     after-cost rather than being filtered.
     """
     pricing = _Pricing(g, u, cfg)
@@ -278,8 +256,9 @@ class _Pricing:
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
     holds it.  Totals are integers scaled by ``scale``, the common
-    denominator of beta and gamma, so Fraction prices stay exact.  A
-    strategy that leaves u disconnected totals exactly ``unreachable``.
+    denominator of beta and gamma, so Fraction prices stay exact.  Every
+    connected total stays below ``unreachable``, which is the total of a
+    strategy that leaves u disconnected.
     """
 
     def __init__(self, g, u, cfg, dist=None):
@@ -294,20 +273,19 @@ class _Pricing:
 
         beta, gamma = Fraction(cfg.price_beta), Fraction(cfg.price_gamma)
         self.scale = math.lcm(beta.denominator, gamma.denominator)
-        self.unreachable = UNREACHABLE * self.scale
         b, c = int(beta * self.scale), int(gamma * self.scale)
-        # every scaled total stays below this; past int64 range use Python ints
-        bound = (n * n + UNREACHABLE) * self.scale + n * (abs(b) * n + abs(c))
+        # above every distance sum (< n^2) plus every spend; past int64 range use Python ints
+        self.unreachable = n * n * self.scale + n * (abs(b) * n + abs(c))
         adjacent = list(g._adj[u])
         deg = np.array([len(a) for a in g._adj], dtype=np.int64) + 1
         deg[adjacent] -= 1
-        self.price = deg.astype(np.int64 if bound < 2**62 else object) * b + c
+        self.price = deg.astype(np.int64 if self.unreachable < 2**62 else object) * b + c
 
         eligible = np.ones(n, dtype=bool)
         eligible[adjacent] = False
         eligible[u] = False
         if cfg.locality_k is not None:
-            row = bfs_distances(g, u).dist if dist is None else dist[u]
+            row = bfs_distances(g, u) if dist is None else dist[u]
             eligible &= row <= cfg.locality_k
         self.cands = np.flatnonzero(eligible).tolist()
 
@@ -347,10 +325,10 @@ class _Pricing:
         return self.totals(self.merged(strategy), self.spend(strategy))
 
     def value(self, scaled):
-        """Exact cost behind a scaled total; disconnected is UNREACHABLE."""
+        """Exact cost behind a scaled total; disconnected is math.inf."""
         scaled = int(scaled)
         if scaled == self.unreachable:
-            return UNREACHABLE
+            return math.inf
         return scaled if self.scale == 1 else Fraction(scaled, self.scale)
 
     def _plus_one(self, kept):

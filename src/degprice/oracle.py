@@ -10,6 +10,7 @@ pairs (bit set = edge present) plus an ownership submask (bit set = the
 lower endpoint owns that edge).
 """
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from degprice._kernels import UNREACHABLE, apsp
-from degprice.costs import agent_cost
+from degprice.costs import agent_cost, plain, social_cost
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
 from degprice.graph import OwnedGraph
 from degprice.moves import candidate_targets, evaluate_deviation
@@ -137,20 +138,14 @@ class _StateEvaluator:
         self.cfg = cfg
         self.pairs, self.dist, self.degs, self.distsum, self.connected = _tables(n)
         self.bits = _pair_bits(n)
-        self.incident = [0] * n
-        for u in range(n):
-            for v in range(n):
-                if v != u:
-                    self.incident[u] |= self.bits[u][v]
         beta, gamma = cfg.price_beta, cfg.price_gamma
         # price per possible degree value, so the hot loop only indexes
         self.price = [beta * d + gamma for d in range(n)]
 
     def social(self, emask, omask):
-        base = int(self.distsum[emask].sum())
         if not self.connected[emask]:
-            return UNREACHABLE
-        total = base
+            return math.inf
+        total = int(self.distsum[emask].sum())
         for i, (a, b) in enumerate(self.pairs):
             if emask >> i & 1:
                 target = b if omask >> i & 1 else a
@@ -182,7 +177,7 @@ class _StateEvaluator:
             mask |= self.bits[u][v]
         ds = int(self.distsum[mask, u])
         if ds >= UNREACHABLE:
-            return UNREACHABLE
+            return math.inf
         total = ds
         for v in strategy:
             total = total + self.price[self.degs[mask, v]]
@@ -252,21 +247,15 @@ class EnumerationSummary:
         return {
             "n": self.n,
             "config": self.config.describe(),
-            "opt_cost": _plain(self.opt_cost),
+            "opt_cost": plain(self.opt_cost),
             "equilibrium_count": self.equilibrium_count,
-            "best_eq_cost": _plain(self.best_eq_cost),
-            "worst_eq_cost": _plain(self.worst_eq_cost),
+            "best_eq_cost": plain(self.best_eq_cost),
+            "worst_eq_cost": plain(self.worst_eq_cost),
             "poa": float(self.poa),
             "pos": float(self.pos),
             "eq_diameter_max": self.eq_diameter_max,
             "stage_counts": dict(self.stage_counts),
         }
-
-
-def _plain(x):
-    if isinstance(x, Fraction):
-        return float(x) if x.denominator != 1 else int(x)
-    return int(x)
 
 
 def _census_chunk(n, cfg, lo, hi):
@@ -461,15 +450,11 @@ def _improving_successors(g, cfg):
 
 def best_reachable(g0, cfg, budget=200_000):
     """Minimum social cost over the improving-response closure of g0."""
-    from degprice.costs import social_cost
-
     best = None
     witness = None
     for g, _terminal in reachable_closure(g0, cfg, budget=budget):
         cost = social_cost(g, cfg)
-        if cost >= UNREACHABLE:
-            continue
-        if best is None or cost < best:
+        if cost != math.inf and (best is None or cost < best):
             best, witness = cost, g
     return best, witness
 

@@ -11,8 +11,8 @@ ids per set.
 import csv
 import io
 import json
-from fractions import Fraction
 
+from degprice.costs import plain
 from degprice.errors import GraphFormatError
 from degprice.graph import OwnedGraph
 
@@ -121,14 +121,11 @@ def serialize_set_cover(inst):
 
 
 def to_json_text(data):
-    """JSON text; exact Fraction costs print as floats, as in every as_dict."""
-    return json.dumps(data, indent=2, sort_keys=True, default=_fraction_as_float) + "\n"
+    """JSON text; a cost that is not a JSON number prints through ``costs.plain``.
 
-
-def _fraction_as_float(x):
-    if isinstance(x, Fraction):
-        return float(x)
-    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+    A raw ``math.inf`` raises ValueError rather than printing ``Infinity``.
+    """
+    return json.dumps(data, indent=2, sort_keys=True, default=plain, allow_nan=False) + "\n"
 
 
 def to_csv_text(header, rows):

@@ -1,5 +1,6 @@
 """Cost model: edge pricing, per-agent breakdowns, social cost, ratio."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -72,8 +73,8 @@ def test_star_and_clique_social_cost():
 def test_disconnection_is_sentinel_not_a_big_number():
     g = OwnedGraph(4, [(0, 1), (2, 3)])
     cfg = GameConfig()
-    assert social_cost(g, cfg) == UNREACHABLE
-    assert agent_cost(g, 0, cfg).total == UNREACHABLE
+    assert social_cost(g, cfg) == math.inf
+    assert agent_cost(g, 0, cfg).total == math.inf
     with pytest.raises(ValueError, match="disconnected"):
         rho(g, 8, cfg)
 
@@ -85,6 +86,9 @@ def test_rho_is_exact_fraction():
     assert rho(OwnedGraph(3, [(1, 0), (1, 2)]), 8, cfg) == 1
     with pytest.raises(ValueError):
         rho(g, 0, cfg)
+    # a connected graph whose cost passes 10^9 still has a ratio
+    huge = GameConfig(price_beta=10**9, price_gamma=0)
+    assert rho(OwnedGraph(3, [(0, 1), (1, 2)]), 10, huge) == Fraction(1500000004, 5)
 
 
 @settings(max_examples=60)
@@ -105,5 +109,5 @@ def test_social_cost_is_sum_of_agent_costs(g):
     if is_connected(g):
         assert social_cost(g, cfg) == sum(totals)
     else:
-        assert social_cost(g, cfg) == UNREACHABLE
-        assert UNREACHABLE in totals
+        assert social_cost(g, cfg) == math.inf
+        assert math.inf in totals

@@ -1,12 +1,13 @@
 """Improving-response dynamics: schedules, traces, replay validation."""
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
 from degprice.constructions import build_figure_network
-from degprice.costs import GameConfig, UNREACHABLE, social_cost
+from degprice.costs import GameConfig, social_cost
 from degprice.dynamics import (
     BEST_SINGLE_EDGE,
     CONVERGED,
@@ -147,7 +148,7 @@ def test_unfixable_disconnection_serializes_as_unreachable():
     g = OwnedGraph(3, [(0, 1)])
     trace = run_dynamics(g, AOG2, ActivationScheme.round_robin())
     assert trace.outcome == CONVERGED
-    assert trace.final_social_cost == UNREACHABLE
+    assert trace.final_social_cost == math.inf
     assert trace.csv_row() == (3, 3, 1, "unreachable", "unreachable")
     payload = json.loads(json.dumps(trace.as_dict()))
     assert payload["final_social_cost"] == "unreachable"
@@ -164,6 +165,11 @@ def test_connected_run_with_a_huge_cost_prints_its_numbers():
     assert trace.csv_row() == (3, 3, 1, 2, 3_000_000_008)
     payload = trace.as_dict()
     assert (payload["final_diameter"], payload["final_social_cost"]) == (2, 3_000_000_008)
+    # no agent of the same path gains by cutting itself off in the swap game
+    ncg = GameConfig(price_beta=10**9, price_gamma=0)
+    for policy in (FIRST_IMPROVING_SINGLE_MOVE, FULL_BEST_RESPONSE):
+        trace = run_dynamics(path(3), ncg, ActivationScheme.round_robin(policy))
+        assert (trace.outcome, trace.steps) == (CONVERGED, [])
 
 
 def test_scripted_replay_rejects_non_improving_step():

@@ -54,12 +54,13 @@ def test_addition_row_sums_against_naive(g):
     dist = apsp(g._adj)
     free_edges = GameConfig(variant="aog", price_beta=0, price_gamma=0)
     for u in range(g.n):
-        _, targets, got = _Pricing(g, u, free_edges, dist).move_groups(adds_only=True)[0]
+        pricing = _Pricing(g, u, free_edges, dist)
+        _, targets, got = pricing.move_groups(adds_only=True)[0]
         assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
         for v, total in zip(targets, got):
             merged = [min(dist[u, w], 1 + dist[v, w]) for w in range(g.n)]
             if max(merged) >= UNREACHABLE:
-                assert total == UNREACHABLE
+                assert total == pricing.unreachable
             else:
                 assert total == sum(merged)
 

@@ -1,14 +1,16 @@
 """Deviation machinery: single moves, exact best response, verification."""
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import owned_graphs
-from degprice.costs import GameConfig, UNREACHABLE, agent_cost
+from degprice.costs import GameConfig, agent_cost
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import OwnedGraph
 from degprice.moves import (
@@ -18,6 +20,7 @@ from degprice.moves import (
     DeleteEdge,
     ReplaceStrategy,
     SwapEdge,
+    _Pricing,
     apply_move,
     best_response_exact,
     candidate_targets,
@@ -34,6 +37,10 @@ def path(n):
 
 # prices that keep Fraction arithmetic and make some edges pay for themselves
 FRACTION_PRICES = GameConfig(price_beta=Fraction(1, 2), price_gamma=Fraction(-4, 3))
+# scaled to a common denominator, these totals outgrow int64
+HUGE_DENOMINATOR = GameConfig(price_gamma=Fraction(-1, 10**18))
+# one edge costs more than the old 10^9 stand-in for "disconnected"
+HUGE_PRICES = GameConfig(price_beta=10**9, price_gamma=0)
 
 
 def clique(n):
@@ -82,6 +89,15 @@ def test_strategy_after_validates_moves():
         apply_move(g, 0, "add")
 
 
+def test_illegal_move_leaves_the_graph_unchanged():
+    g = OwnedGraph(3, [(0, 1), (2, 0)])
+    for kind in (SwapEdge(1, 2), AddEdge(5), ReplaceStrategy((1, 0)), ReplaceStrategy((2,))):
+        h = g.copy()
+        with pytest.raises(ValueError):
+            apply_move(h, 0, kind)
+        assert h == g and h._adj == g._adj, kind
+
+
 @settings(max_examples=60)
 @given(owned_graphs(connected=True), st.data())
 def test_single_move_costs_match_replay(g, data):
@@ -109,13 +125,17 @@ def test_single_move_costs_match_replay(g, data):
 
 def test_disconnecting_move_reported_with_sentinel():
     g = path(3)
-    deletes = [
-        mv
-        for mv in enumerate_single_moves(g, 1, GameConfig())
-        if isinstance(mv.kind, DeleteEdge)
-    ]
-    assert deletes and all(mv.cost_after == UNREACHABLE for mv in deletes)
-    assert not any(mv.improving for mv in deletes)
+    for cfg in (GameConfig(), HUGE_PRICES):
+        deletes = [
+            mv
+            for mv in enumerate_single_moves(g, 0, cfg) + enumerate_single_moves(g, 1, cfg)
+            if isinstance(mv.kind, DeleteEdge)
+        ]
+        assert deletes and all(mv.cost_after == math.inf for mv in deletes)
+        assert not any(mv.improving for mv in deletes)
+    # so however dear its edges, the path is an equilibrium of the swap game
+    for level in (EXACT, SINGLE_MOVE):
+        assert verify_equilibrium(g, HUGE_PRICES, level=level).is_equilibrium
 
 
 def test_aog_enumerates_additions_only():
@@ -163,8 +183,8 @@ def test_exact_witnesses_are_sound_and_imply_single_move(g, data):
             GameConfig(variant="aog"),
             GameConfig(variant="aog", locality_k=2),
             FRACTION_PRICES,
-            # scaled to a common denominator, these totals outgrow int64
-            GameConfig(price_gamma=Fraction(-1, 10**12)),
+            HUGE_DENOMINATOR,
+            HUGE_PRICES,
         ]
     ),
     st.integers(min_value=0),
@@ -176,6 +196,11 @@ def test_best_response_matches_brute_force(g, cfg, agent):
     assert best_response_exact(g, u, cfg) == _brute_best_response(g, u, cfg)
     # determinism: a second run returns the identical strategy object value
     assert best_response_exact(g, u, cfg) == best_response_exact(g, u, cfg)
+
+
+def test_huge_denominators_price_with_python_ints():
+    assert _Pricing(path(3), 0, HUGE_DENOMINATOR).price.dtype == object
+    assert _Pricing(path(3), 0, GameConfig()).price.dtype == np.int64
 
 
 def test_candidate_cap_guards_exact_search():

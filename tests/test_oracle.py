@@ -20,6 +20,7 @@ from degprice.oracle import (
     min_set_cover,
     optimal_social_cost,
     reachable_closure,
+    worker_count,
 )
 
 
@@ -110,7 +111,10 @@ def test_census_stage_counts_n4(key, census):
 @pytest.mark.parametrize(
     "cfg",
     [GameConfig(variant=v, locality_k=k) for v in ("ncg", "aog") for k in (None, 2)]
-    + [GameConfig(price_beta=Fraction(1, 3), price_gamma=Fraction(1, 2))],
+    + [
+        GameConfig(price_beta=Fraction(1, 3), price_gamma=Fraction(1, 2)),
+        GameConfig(price_beta=10**9, price_gamma=0),
+    ],
     ids=lambda cfg: cfg.describe(),
 )
 def test_verify_agrees_with_oracle_on_every_small_state(cfg):
@@ -134,6 +138,36 @@ def test_census_witnesses_verify_independently(census):
             assert verify_equilibrium(g, cfg, level="exact").is_equilibrium
         assert social_cost(s.worst_witness, cfg) == s.worst_eq_cost
         assert social_cost(s.opt_witness, cfg) == s.opt_cost
+
+
+def test_census_counts_what_verify_accepts_under_huge_prices():
+    """Edges dearer than 10^9 each: cutting yourself off still never pays."""
+    cfg = GameConfig(price_beta=10**9, price_gamma=0)
+    accepted = sum(
+        1
+        for g in enumerate_states(4)
+        if is_connected(g) and verify_equilibrium(g, cfg, level="exact").is_equilibrium
+    )
+    assert equilibrium_census(4, cfg).equilibrium_count == accepted == 100
+
+
+@pytest.mark.parametrize("variant, k", [("ncg", None), ("ncg", 2), ("aog", None), ("aog", 2)])
+def test_parallel_census_matches_serial(variant, k, census):
+    serial = census.get(variant, k, 4)
+    parallel = equilibrium_census(4, GameConfig(variant=variant, locality_k=k), workers=2)
+    assert parallel.as_dict() == serial.as_dict()
+    for witness in ("opt_witness", "best_witness", "worst_witness"):
+        assert getattr(parallel, witness) == getattr(serial, witness)
+
+
+def test_worker_count_reads_the_environment(monkeypatch):
+    monkeypatch.delenv("DEGPRICE_WORKERS", raising=False)
+    assert worker_count() == 1
+    monkeypatch.setenv("DEGPRICE_WORKERS", "2")
+    assert worker_count() == 2
+    monkeypatch.setenv("DEGPRICE_WORKERS", "0")
+    with pytest.raises(ValueError):
+        worker_count()
 
 
 def test_census_ratios_are_exact(census):
