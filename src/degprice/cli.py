@@ -2,8 +2,9 @@
 
 Subcommands: construct, cost, best-response, verify, dynamics,
 enumerate, reduce, preset.  JSON is the machine format; CSV exists for
-plotting convergence curves; text is a short human summary.  Every cost
-prints through ``costs.plain``.  Exit codes: 0 success, 1 assertion
+plotting convergence curves; text is a short human summary.  Only cost,
+verify and dynamics take --format.  Every cost prints through
+``costs.plain``.  Exit codes (``EXIT_CODES``): 0 success, 1 assertion
 failure, 2 usage error, 3 resource cap exceeded.
 """
 
@@ -26,20 +27,28 @@ from degprice.dynamics import (
     run_dynamics,
     scripted_linear_sequences,
 )
-from degprice.errors import (
-    DegpriceError,
-    GraphFormatError,
-    InfeasibleInstanceError,
-    ResourceCapExceeded,
-    ScheduleReplayError,
-)
-from degprice.moves import AddEdge, DeleteEdge, SwapEdge, best_response_exact, verify_equilibrium
-from degprice.oracle import equilibrium_census, optimal_social_cost
+from degprice.errors import DegpriceError, GraphFormatError, ResourceCapExceeded
+from degprice.moves import SwapEdge, best_response_exact, parse_schedule, verify_equilibrium
+from degprice.oracle import equilibrium_census, min_set_cover, optimal_social_cost
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+
+# the first class an error matches decides its exit code
+EXIT_CODES = (
+    (ResourceCapExceeded, EXIT_RESOURCE),
+    ((GraphFormatError, ValueError, OSError), EXIT_USAGE),
+    (DegpriceError, EXIT_ASSERTION),
+)
+
+FAMILIES = {
+    "star": constructions.build_star,
+    "path": constructions.build_path,
+    "cycle": constructions.build_cycle,
+    "clique": constructions.build_clique,
+}
 
 
 def _add_game_flags(p):
@@ -55,19 +64,17 @@ def _price(text):
     return value.numerator if value.denominator == 1 else value
 
 
-def _add_out_flags(p, formats=("json", "text")):
+def _add_out_flags(p, *formats):
     p.add_argument("--out", type=pathlib.Path, default=None)
-    p.add_argument("--format", choices=formats, default=formats[0])
+    if formats:
+        p.add_argument("--format", choices=formats, default=formats[0])
 
 
 def _config_from(args):
-    if args.k == "global":
-        k = None
-    else:
-        try:
-            k = int(args.k)
-        except ValueError:
-            raise ValueError(f"--k must be an integer or 'global', got {args.k!r}")
+    try:
+        k = None if args.k == "global" else int(args.k)
+    except ValueError:
+        raise ValueError(f"--k must be an integer or 'global', got {args.k!r}")
     return GameConfig(
         variant=args.game, locality_k=k, price_beta=args.beta, price_gamma=args.gamma
     )
@@ -86,20 +93,14 @@ def _read_graph(path):
 
 def _cmd_construct(args):
     name = args.family
-    if name in ("star", "path", "cycle", "clique") and args.n is None:
-        raise ValueError(f"construct {name} requires --n")
-    if name == "star":
-        g = constructions.build_star(args.n)
-    elif name == "path":
-        g = constructions.build_path(args.n)
-    elif name == "cycle":
-        g = constructions.build_cycle(args.n)
-    elif name == "clique":
-        g = constructions.build_clique(args.n)
-    elif name in constructions.FIGURE_NAMES:
+    if name in constructions.FIGURE_NAMES:
         g = constructions.build_figure_network(name)
-    else:
+    elif name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
+    elif args.n is None:
+        raise ValueError(f"construct {name} requires --n")
+    else:
+        g = FAMILIES[name](args.n)
     _emit(args, textio.serialize_graph(g))
     return EXIT_OK
 
@@ -116,7 +117,7 @@ def _cmd_cost(args):
     if args.format == "text":
         lines = [f"social cost: {data['social_cost']}"]
         if args.agent is not None:
-            lines.append(f"agent {args.agent}: {data['cost']}")
+            lines.append(f"agent {args.agent}: {json.dumps(data['cost'], sort_keys=True)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
         _emit(args, textio.to_json_text(data))
@@ -147,8 +148,8 @@ def _cmd_verify(args):
     data = {"config": cfg.describe()}
     data.update(report.as_dict())
     if args.format == "text":
-        verdict = "equilibrium" if report.is_equilibrium else f"witness: {report.witness}"
-        _emit(args, f"{verdict}\n")
+        witness = json.dumps(data["witness"], sort_keys=True)
+        _emit(args, "equilibrium\n" if report.is_equilibrium else f"witness: {witness}\n")
     else:
         _emit(args, textio.to_json_text(data))
     return EXIT_OK if report.is_equilibrium else EXIT_ASSERTION
@@ -160,19 +161,8 @@ def _load_schedule(spec_text, g, cfg):
         return adversarial_schedule(g.n, cfg)
     if spec_text in (DEGAOG_NE, DEG2AOG_2NE):
         return scripted_linear_sequences(g.n, spec_text)
-    moves = json.loads(pathlib.Path(spec_text).read_text())
-    kinds = {"add": AddEdge, "delete": DeleteEdge}
-    out = []
-    for entry in moves:
-        agent = entry["agent"]
-        kind = entry["type"]
-        if kind == "swap":
-            out.append((agent, SwapEdge(entry["old_target"], entry["new_target"])))
-        elif kind in kinds:
-            out.append((agent, kinds[kind](entry["target"])))
-        else:
-            raise ValueError(f"unknown move type {kind!r} in schedule file")
-    return ActivationScheme.scripted(out)
+    entries = json.loads(pathlib.Path(spec_text).read_text())
+    return ActivationScheme.scripted(parse_schedule(entries))
 
 
 def _cmd_dynamics(args):
@@ -188,12 +178,8 @@ def _cmd_dynamics(args):
         scheme = ActivationScheme.round_robin(move_policy=args.policy)
     trace = run_dynamics(g, cfg, scheme, max_steps=args.max_steps)
     if args.format == "csv":
-        _emit(
-            args,
-            textio.to_csv_text(
-                ("n", "steps", "rounds", "diameter", "social_cost"), [trace.csv_row()]
-            ),
-        )
+        header = ("n", "steps", "rounds", "diameter", "social_cost")
+        _emit(args, textio.to_csv_text(header, [trace.csv_row()]))
     elif args.format == "text":
         *_, diameter, cost = trace.csv_row()
         _emit(
@@ -223,6 +209,10 @@ def _cmd_enumerate(args):
 
 
 def _cmd_reduce(args):
+    needs = {"set-cover-to-gadget": ("instance",), "dominating-to-set-cover": ("graph", "q")}
+    for flag in needs[args.transformation]:
+        if getattr(args, flag) is None:
+            raise ValueError(f"reduce {args.transformation} requires --{flag}")
     if args.transformation == "set-cover-to-gadget":
         inst = textio.parse_set_cover_file(pathlib.Path(args.instance).read_text())
         layout = constructions.set_cover_to_best_response_gadget(inst)
@@ -233,12 +223,10 @@ def _cmd_reduce(args):
                 "role_map": {str(v): layout.role_map[v] for v in sorted(layout.role_map)},
             }
             args.roles.write_text(textio.to_json_text(roles))
-    elif args.transformation == "dominating-to-set-cover":
+    else:
         g = _read_graph(args.graph)
         inst = constructions.dominating_set_to_set_cover(g, args.q)
         _emit(args, textio.serialize_set_cover(inst))
-    else:
-        raise ValueError(f"unknown transformation {args.transformation!r}")
     return EXIT_OK
 
 
@@ -347,8 +335,6 @@ def _preset_set_cover_gadget():
     cfg = GameConfig(variant="ncg", locality_k=2)
     strategy, _ = best_response_exact(layout.graph, layout.agent, cfg)
     cover = layout.cover_from_targets(strategy)
-    from degprice.oracle import min_set_cover
-
     size, _ = min_set_cover(inst)
     ok = len(cover) == size and inst.is_cover(cover)
     return [{"cover": list(cover), "optimal_size": size}], ok
@@ -368,11 +354,7 @@ PRESETS = {
 def _cmd_preset(args):
     fn = PRESETS[args.name]
     checks, passed = fn()
-    report = {
-        "preset": args.name,
-        "passed": passed,
-        "checks": checks,
-    }
+    report = {"preset": args.name, "passed": passed, "checks": checks}
     _emit(args, textio.to_json_text(report))
     return EXIT_OK if passed else EXIT_ASSERTION
 
@@ -393,7 +375,7 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--agent", type=int, default=None)
     _add_game_flags(p)
-    _add_out_flags(p)
+    _add_out_flags(p, "json", "text")
     p.set_defaults(fn=_cmd_cost)
 
     p = sub.add_parser("best-response", help="exact best response for one agent")
@@ -407,7 +389,7 @@ def build_parser():
     p.add_argument("graph")
     p.add_argument("--level", choices=("exact", "single-move"), default="single-move")
     _add_game_flags(p)
-    _add_out_flags(p)
+    _add_out_flags(p, "json", "text")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("dynamics", help="run improving-response dynamics")
@@ -422,7 +404,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--max-steps", type=int, default=100_000)
     _add_game_flags(p)
-    _add_out_flags(p, formats=("json", "csv", "text"))
+    _add_out_flags(p, "json", "csv", "text")
     p.set_defaults(fn=_cmd_dynamics)
 
     p = sub.add_parser("enumerate", help="exhaustive small-n equilibrium census")
@@ -450,25 +432,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ResourceCapExceeded as exc:
+    except (DegpriceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (GraphFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InfeasibleInstanceError, ScheduleReplayError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
-    except DegpriceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -72,6 +72,7 @@ class OwnedGraph:
 
     def targets(self, u):
         """Strategy of u: targets of the edges u owns (fresh set)."""
+        self._check_node(u)
         return set(self._targets[u])
 
     def neighbors(self, u):

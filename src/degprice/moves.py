@@ -14,12 +14,15 @@ disconnected costs ``math.inf``.
 under one of three move policies.  ``verify_equilibrium`` asks it of
 every agent, and the dynamics ask it of each activated agent.
 
+Each move kind declares its JSON ``type``; ``as_dict`` and
+``parse_schedule`` derive the rest from the kind's fields.
+
 ``evaluate_deviation`` prices one strategy by its own BFS.  It is the
 scalar reference that the tests and the brute-force oracle use.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from functools import cached_property, partial
 
@@ -61,6 +64,7 @@ __all__ = [
     "DeleteEdge",
     "SwapEdge",
     "ReplaceStrategy",
+    "parse_schedule",
     "MoveRecord",
     "EquilibriumReport",
     "candidate_targets",
@@ -73,37 +77,63 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AddEdge:
-    target: int
+class _Kind:
+    """A move kind; its JSON form is ``{"type": type, <each field>: value}``."""
 
     def as_dict(self):
-        return {"type": "add", "target": self.target}
+        return {"type": self.type, **asdict(self)}
 
 
 @dataclass(frozen=True)
-class DeleteEdge:
+class AddEdge(_Kind):
+    type = "add"
     target: int
 
-    def as_dict(self):
-        return {"type": "delete", "target": self.target}
+
+@dataclass(frozen=True)
+class DeleteEdge(_Kind):
+    type = "delete"
+    target: int
 
 
 @dataclass(frozen=True)
-class SwapEdge:
+class SwapEdge(_Kind):
+    type = "swap"
     old_target: int
     new_target: int
 
-    def as_dict(self):
-        return {"type": "swap", "old_target": self.old_target, "new_target": self.new_target}
-
 
 @dataclass(frozen=True)
-class ReplaceStrategy:
+class ReplaceStrategy(_Kind):
+    type = "replace"
     new_targets: tuple
 
-    def as_dict(self):
-        return {"type": "replace", "new_targets": list(self.new_targets)}
+
+# the kinds a schedule file may name: every field is one node id
+_SCHEDULE_KINDS = (AddEdge, DeleteEdge, SwapEdge)
+
+
+def parse_schedule(entries):
+    """(agent, kind) pairs from a JSON list of ``{"agent", "type", <the kind's fields>}``.
+
+    Every value but ``type`` must be an int; anything else raises ValueError.
+    """
+    if not isinstance(entries, list):
+        raise ValueError("a schedule file must hold a JSON list of moves")
+    kinds = "|".join(k.type for k in _SCHEDULE_KINDS)
+    out = []
+    for entry in entries:
+        name = entry.get("type") if isinstance(entry, dict) else None
+        kind = next((k for k in _SCHEDULE_KINDS if k.type == name), None)
+        keys = ["agent", *(f.name for f in fields(kind))] if kind else []
+        values = [entry[k] for k in keys if k in entry]
+        if not kind or set(entry) != {"type", *keys} or any(type(v) is not int for v in values):
+            raise ValueError(
+                f"schedule entry {entry!r}: expected exactly agent, type ({kinds}) "
+                "and that move's fields, all integers"
+            )
+        out.append((values[0], kind(*values[1:])))
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,12 +178,7 @@ class EquilibriumReport:
 
 def candidate_targets(g, u, cfg):
     """Nodes u could buy a new edge to under cfg's locality radius."""
-    g._check_node(u)
-    if cfg.locality_k is None:
-        return {v for v in range(g.n) if v != u and not g.has_edge(u, v)}
-    row = bfs_distances(g, u)
-    k = cfg.locality_k
-    return {v for v in range(g.n) if v != u and not g.has_edge(u, v) and row[v] <= k}
+    return set(_Pricing(g, u, cfg).cands)
 
 
 def evaluate_deviation(g, u, new_targets, cfg):
@@ -231,15 +256,15 @@ def enumerate_single_moves(g, u, cfg):
     ]
 
 
-def best_response_exact(g, u, cfg, cap=CANDIDATE_CAP):
+def best_response_exact(g, u, cfg):
     """Cost-minimizing strategy for u by exhaustive subset search.
 
     NCG: any subset of candidates plus current targets.  AOG: current
     targets plus any subset of candidates.  Ties break toward fewer
     edges, then the lexicographically smallest target set.  Raises
-    CandidateCapExceeded when the variable universe tops the cap.
+    CandidateCapExceeded when the variable universe tops CANDIDATE_CAP.
     """
-    return _Pricing(g, u, cfg).best_response(cap)
+    return _Pricing(g, u, cfg).best_response()
 
 
 class _Pricing:
@@ -352,7 +377,7 @@ class _Pricing:
                 groups.append((partial(SwapEdge, old), self.cands, self._plus_one(s)))
         return groups
 
-    def improving_move(self, policy, cap=CANDIDATE_CAP):
+    def improving_move(self, policy):
         """(kind, before, after) of u's move under policy, or None if u is stuck.
 
         FULL_BEST_RESPONSE plays the exact best response when it is
@@ -364,7 +389,7 @@ class _Pricing:
         now = self.total(self.current)
         before = self.value(now)
         if policy == FULL_BEST_RESPONSE:
-            strategy, cost = self.best_response(cap)
+            strategy, cost = self.best_response()
             if cost < before:
                 return _classify_deviation(self.current, strategy), before, cost
             return None
@@ -382,7 +407,7 @@ class _Pricing:
                 return make(targets[i]), before, self.value(totals[i])
         return None
 
-    def best_response(self, cap):
+    def best_response(self):
         """(strategy, exact cost) of u's best response; see best_response_exact.
 
         A subset-min DP, ``M[S] = min(M[S - lowbit], rows[lowbit])``, fills
@@ -393,8 +418,8 @@ class _Pricing:
             kept, variable = self.current, self.cands
         else:
             kept, variable = set(), sorted(set(self.cands) | self.current)
-        if len(variable) > cap:
-            raise CandidateCapExceeded(self.u, len(variable), cap)
+        if len(variable) > CANDIDATE_CAP:
+            raise CandidateCapExceeded(self.u, len(variable), CANDIDATE_CAP)
         # variable i sits at bit V-1-i, so among equal costs and sizes the
         # larger mask is the lexicographically smaller target tuple
         bits = variable[::-1]
@@ -452,10 +477,10 @@ def _notes_for(cfg, level):
     return tuple(notes)
 
 
-def verify_equilibrium(g, cfg, level=EXACT, cap=CANDIDATE_CAP):
+def verify_equilibrium(g, cfg, level=EXACT):
     """Check whether no agent can strictly improve.
 
-    EXACT searches every allowed strategy per agent (cap permitting);
+    EXACT searches every allowed strategy per agent (CANDIDATE_CAP permitting);
     SINGLE_MOVE only scans elementary moves and says so in its notes.
     The witness is the first agent's move that improves: its exact best
     response, or its first improving move in the canonical order.
@@ -465,7 +490,7 @@ def verify_equilibrium(g, cfg, level=EXACT, cap=CANDIDATE_CAP):
         raise ValueError(f"unknown check level {level!r}")
     notes = _notes_for(cfg, level)
     for u in range(g.n):
-        found = _Pricing(g, u, cfg).improving_move(policies[level], cap)
+        found = _Pricing(g, u, cfg).improving_move(policies[level])
         if found is not None:
             witness = MoveRecord(u, *found)
             return EquilibriumReport(False, witness, level, notes)

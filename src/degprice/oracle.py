@@ -26,6 +26,8 @@ from degprice.graph import OwnedGraph
 from degprice.moves import candidate_targets, evaluate_deviation
 
 MAX_ENUM_NODES = 6
+MAX_COVER_SETS = 20
+MAX_DOMINATING_NODES = 20
 
 __all__ = [
     "EnumerationSummary",
@@ -40,12 +42,9 @@ __all__ = [
 ]
 
 
-def worker_count(default=1):
-    """Worker count for census chunking; DEGPRICE_WORKERS overrides."""
-    raw = os.environ.get("DEGPRICE_WORKERS")
-    if not raw:
-        return default
-    value = int(raw)
+def worker_count():
+    """Worker count for census chunking: DEGPRICE_WORKERS, else 1."""
+    value = int(os.environ.get("DEGPRICE_WORKERS") or 1)
     if value < 1:
         raise ValueError("DEGPRICE_WORKERS must be >= 1")
     return value
@@ -306,9 +305,11 @@ def equilibrium_census(n, cfg, workers=None):
     is minutes of work, so the emask range can be spread over worker
     processes (DEGPRICE_WORKERS).
     """
+    if n < 2:
+        raise ValueError(f"census needs n >= 2, got {n}")
     if n > MAX_ENUM_NODES:
         raise OracleBudgetExceeded(f"census limited to n <= {MAX_ENUM_NODES}, got {n}")
-    workers = worker_count(1) if workers is None else workers
+    workers = worker_count() if workers is None else workers
     p = n * (n - 1) // 2
     m = 1 << p
     if workers > 1:
@@ -459,11 +460,11 @@ def best_reachable(g0, cfg, budget=200_000):
     return best, witness
 
 
-def min_set_cover(inst, max_sets=20):
+def min_set_cover(inst):
     """Exact minimum cover by subset enumeration, lex-first witness."""
     sets = [frozenset(s) for s in inst.sets]
-    if len(sets) > max_sets:
-        raise OracleBudgetExceeded(f"{len(sets)} sets exceeds enumeration cap {max_sets}")
+    if len(sets) > MAX_COVER_SETS:
+        raise OracleBudgetExceeded(f"{len(sets)} sets exceeds enumeration cap {MAX_COVER_SETS}")
     universe = frozenset(range(inst.universe_size))
     covered = frozenset().union(*sets) if sets else frozenset()
     if covered != universe:
@@ -478,10 +479,10 @@ def min_set_cover(inst, max_sets=20):
     raise AssertionError("full union covers, so some subset must")
 
 
-def min_dominating_set(g, max_nodes=20):
+def min_dominating_set(g):
     """Exact minimum dominating set by subset enumeration."""
-    if g.n > max_nodes:
-        raise OracleBudgetExceeded(f"n={g.n} exceeds dominating-set cap {max_nodes}")
+    if g.n > MAX_DOMINATING_NODES:
+        raise OracleBudgetExceeded(f"n={g.n} exceeds dominating-set cap {MAX_DOMINATING_NODES}")
     closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
     everyone = frozenset(range(g.n))
     for r in range(1, g.n + 1):

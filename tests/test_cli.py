@@ -64,6 +64,8 @@ def test_cost_reports_social_and_agent(capsys, star_file):
     assert data["cost"] == {"edge_cost": 0, "distance_cost": 4, "total": 4}
     code, out, _ = run_cli(capsys, "cost", star_file, "--format", "text")
     assert code == 0 and out.startswith("social cost: 32")
+    code, out, _ = run_cli(capsys, "cost", star_file, "--agent", "1", "--format", "text")
+    assert out == 'social cost: 32\nagent 1: {"distance_cost": 7, "edge_cost": 0, "total": 7}\n'
 
 
 def test_cost_honors_price_flags(capsys, tmp_path):
@@ -116,6 +118,10 @@ def test_missing_file_and_bad_flags_are_usage_errors(capsys, star_file):
     assert code == 2 and "--k" in err
     with pytest.raises(SystemExit) as exc:
         main(["inspect", star_file])
+    assert exc.value.code == 2
+    # --format exists only on cost, verify and dynamics
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "star", "--n", "3", "--format", "json"])
     assert exc.value.code == 2
 
 
@@ -231,3 +237,67 @@ def test_preset_runs_and_reports(capsys):
     assert data["passed"] is True
     assert data["preset"] == "star-optimal"
     assert all(c["opt_cost"] == c["expected"] for c in data["checks"])
+
+
+SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
+
+
+@pytest.mark.parametrize(
+    "argv, schedule, code, named",
+    [
+        pytest.param(["verify", "{dir}"], None, 2, "directory", id="directory"),
+        pytest.param(["cost", "{graph}", "--agent", "9"], None, 2, "node id 9", id="agent-9"),
+        pytest.param(
+            SCHEDULE_RUN, {"agent": 0, "type": "add", "target": 2}, 2, "list", id="not-a-list"
+        ),
+        pytest.param(
+            SCHEDULE_RUN, [{"agent": 0, "type": "add"}], 2, "schedule entry", id="no-target"
+        ),
+        pytest.param(
+            SCHEDULE_RUN,
+            [{"agent": "0", "type": "add", "target": 2}],
+            2,
+            "schedule entry",
+            id="string-agent",
+        ),
+        pytest.param(
+            SCHEDULE_RUN,
+            [{"agent": 9, "type": "add", "target": 2}],
+            1,
+            "node id 9",
+            id="schedule-agent-9",
+        ),
+        pytest.param(["enumerate", "--n", "1"], None, 2, "n >= 2", id="census-n1"),
+        pytest.param(["enumerate", "--n", "0"], None, 2, "n >= 2", id="census-n0"),
+        pytest.param(["reduce", "set-cover-to-gadget"], None, 2, "--instance", id="no-instance"),
+        pytest.param(
+            ["reduce", "dominating-to-set-cover", "--graph", "{graph}"], None, 2, "--q", id="no-q"
+        ),
+        pytest.param(
+            ["reduce", "dominating-to-set-cover", "--q", "2"], None, 2, "--graph", id="no-graph"
+        ),
+    ],
+)
+def test_malformed_input_is_one_error_line(
+    capsys, tmp_path, path_file, argv, schedule, code, named
+):
+    """Each malformed input exits 2 (1 for a move that does not replay) with one error line."""
+    sched = tmp_path / "moves.json"
+    sched.write_text(json.dumps(schedule))
+    paths = {"dir": str(tmp_path), "graph": path_file(5), "sched": str(sched)}
+    code_seen, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code_seen == code
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
+    assert "Traceback" not in err and out == ""
+
+
+def test_text_witness_prints_costs_like_json(capsys, tmp_path, path_file):
+    split = tmp_path / "split.graph"
+    split.write_text("n 3\n0 1\n")
+    code, out, _ = run_cli(capsys, "verify", str(split), "--level", "exact", "--format", "text")
+    assert code == 1 and '"before": "unreachable"' in out
+    code, out, _ = run_cli(
+        capsys, "verify", path_file(4), "--beta", "1/3", "--gamma", "1/2", "--format", "text"
+    )
+    assert code == 1 and out.startswith("witness: {") and "Fraction(" not in out
+

@@ -25,6 +25,7 @@ from degprice.moves import (
     best_response_exact,
     candidate_targets,
     enumerate_single_moves,
+    parse_schedule,
     evaluate_deviation,
     strategy_after,
     verify_equilibrium,
@@ -87,6 +88,22 @@ def test_strategy_after_validates_moves():
         strategy_after(g, 0, SwapEdge(2, 1))
     with pytest.raises(TypeError):
         apply_move(g, 0, "add")
+
+
+def test_schedule_entries_read_back_what_as_dict_writes():
+    kinds = [AddEdge(2), DeleteEdge(1), SwapEdge(1, 3)]
+    entries = [{"agent": 0, **kind.as_dict()} for kind in kinds]
+    assert entries[2] == {"agent": 0, "type": "swap", "old_target": 1, "new_target": 3}
+    assert parse_schedule(entries) == [(0, kind) for kind in kinds]
+    for bad in (
+        {"agent": 0, "type": "add", "target": 2},
+        [{"agent": 0, "type": "add", "target": 2, "extra": 1}],
+        [{"agent": 0, "type": "replace", "new_targets": [1]}],
+        [{"agent": 0, "type": "add", "target": True}],
+        [{"agent": 0, "type": ["add"], "target": 2}],
+    ):
+        with pytest.raises(ValueError):
+            parse_schedule(bad)
 
 
 def test_illegal_move_leaves_the_graph_unchanged():
