@@ -8,12 +8,16 @@ goes through them, except ``moves.evaluate_deviation``, the scalar
 reference that keeps its own BFS.  A disconnected pair holds exactly
 ``UNREACHABLE``.  The sentinel is far below the int64 overflow line, so
 ``sentinel + sentinel + 1`` still compares safely; the update clamps its
-results back to exactly ``UNREACHABLE``.
+results back to exactly ``UNREACHABLE``.  ``apsp`` refuses graphs of more
+than ``APSP_MAX_NODES`` nodes, whose table would pass 800 MB.
 """
 
 import numpy as np
 
+from degprice.errors import ResourceCapExceeded
+
 UNREACHABLE = 10**9
+APSP_MAX_NODES = 10_000
 
 
 def bfs_row(neighbours, source, without=None):
@@ -52,6 +56,10 @@ def apsp(neighbours, without=None):
     edges removed.  O(n * (n + edges)) time.
     """
     n = len(neighbours)
+    if n > APSP_MAX_NODES:
+        raise ResourceCapExceeded(
+            f"distance table limited to n <= {APSP_MAX_NODES} nodes, got {n}"
+        )
     return np.array([bfs_row(neighbours, s, without) for s in range(n)], dtype=np.int64)
 
 

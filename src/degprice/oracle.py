@@ -8,6 +8,14 @@ cross-check the engine rather than inherit its bugs.
 A state packs an undirected graph into an integer mask over the node
 pairs (bit set = edge present) plus an ownership submask (bit set = the
 lower endpoint owns that edge).
+
+Verdicts are per agent.  An agent's verdict -- the first check it fails,
+single-move or exact, and what it pays for its edges -- reads only the
+edge mask and the mask of the pairs that agent owns.  So the census
+decides each agent once per (edge mask, owned-pair mask) and shares that
+verdict among all the edge mask's ownership labellings.  A state's stage
+is the worst over its agents.  An equilibrium's social cost is the edge
+mask's distance total plus its agents' spends.
 """
 
 import math
@@ -129,46 +137,34 @@ def enumerate_states(n):
             sub = (sub - 1) & emask
 
 
+# An agent's stage, in rising severity: it passes both checks, only a
+# deviation of several edges improves on its strategy, or a single move does.
+_STAGES = (None, "exact", "single-move")
+
+
 class _StateEvaluator:
-    """Cost and deviation logic over mask states for one (n, cfg)."""
+    """Cost and deviation logic over mask states for one (n, cfg).
+
+    An agent's verdict reads only the graph (``emask``) and the mask of
+    the pairs it owns (``owned``), so the per-agent methods take those.
+    """
 
     def __init__(self, n, cfg):
         self.n = n
         self.cfg = cfg
-        self.pairs, self.dist, self.degs, self.distsum, self.connected = _tables(n)
+        _, self.dist, self.degs, self.distsum, self.connected = _tables(n)
         self.bits = _pair_bits(n)
+        # the pairs where u is the lower endpoint / the higher endpoint
+        self.low = [sum(self.bits[u][v] for v in range(u + 1, n)) for u in range(n)]
+        self.high = [sum(self.bits[u][v] for v in range(u)) for u in range(n)]
         beta, gamma = cfg.price_beta, cfg.price_gamma
         # price per possible degree value, so the hot loop only indexes
         self.price = [beta * d + gamma for d in range(n)]
 
-    def social(self, emask, omask):
-        if not self.connected[emask]:
-            return math.inf
-        total = int(self.distsum[emask].sum())
-        for i, (a, b) in enumerate(self.pairs):
-            if emask >> i & 1:
-                target = b if omask >> i & 1 else a
-                total = total + self.price[self.degs[emask, target]]
-        return total
-
-    def _universe(self, emask, omask, u):
-        """(kept-or-new candidate targets, mask of u's owned pairs)."""
-        k = self.cfg.locality_k
-        owned_mask = 0
-        new_targets = []
-        kept_targets = []
-        for v in range(self.n):
-            if v == u:
-                continue
-            b = self.bits[u][v]
-            if emask & b:
-                if (bool(omask & b)) == (u < v):
-                    owned_mask |= b
-                    kept_targets.append(v)
-            else:
-                if k is None or self.dist[emask, u, v] <= k:
-                    new_targets.append(v)
-        return kept_targets, new_targets, owned_mask
+    def owned(self, emask, omask, u):
+        """Mask of u's owned pairs: omask's edges are owned by their lower
+        endpoint, the other edges by their higher one."""
+        return (omask & self.low[u]) | ((emask ^ omask) & self.high[u])
 
     def deviation_cost(self, base_mask, u, strategy):
         mask = base_mask
@@ -182,46 +178,50 @@ class _StateEvaluator:
             total = total + self.price[self.degs[mask, v]]
         return total
 
-    def has_improvement(self, emask, omask, u, level):
-        """Does u have a strictly improving deviation from this state?"""
-        kept, new, owned_mask = self._universe(emask, omask, u)
-        base = emask & ~owned_mask
+    def agent_verdict(self, emask, owned, u):
+        """(stage, spend): u's index in ``_STAGES`` and its edges' prices.
+
+        The single-move check runs first; only an agent that passes it
+        gets the exact scan over every subset of its variable targets.
+        """
+        k = self.cfg.locality_k
+        kept = []
+        new = []
+        for v in range(self.n):
+            b = self.bits[u][v]
+            if owned & b:
+                kept.append(v)
+            elif v != u and not emask & b and (k is None or self.dist[emask, u, v] <= k):
+                new.append(v)
+        base = emask & ~owned
         current = self.deviation_cost(base, u, kept)
+        spend = sum(self.price[self.degs[emask, v]] for v in kept)
+
+        def improves(strategy):
+            return self.deviation_cost(base, u, strategy) < current
+
         add_only = self.cfg.add_only
-        if level == "single-move":
-            for v in new:
-                if self.deviation_cost(base, u, kept + [v]) < current:
-                    return True
-            if add_only:
-                return False
-            for i, t in enumerate(kept):
+        if any(improves(kept + [v]) for v in new):
+            return 2, spend
+        if not add_only:
+            for i in range(len(kept)):
                 rest = kept[:i] + kept[i + 1 :]
-                if self.deviation_cost(base, u, rest) < current:
-                    return True
-                for v in new:
-                    if self.deviation_cost(base, u, rest + [v]) < current:
-                        return True
-            return False
-        if add_only:
-            fixed, variable = kept, new
-        else:
-            fixed, variable = [], kept + new
+                if improves(rest) or any(improves(rest + [v]) for v in new):
+                    return 2, spend
+        fixed, variable = (kept, new) if add_only else ([], kept + new)
         for r in range(len(variable) + 1):
             for picked in combinations(variable, r):
-                if self.deviation_cost(base, u, fixed + list(picked)) < current:
-                    return True
-        return False
+                if improves(fixed + list(picked)):
+                    return 1, spend
+        return 0, spend
 
     def failed_stage(self, emask, omask):
-        """First check the state fails, "single-move" then "exact", or None.
-
-        The cheap necessary single-move check runs for every agent before
-        any agent gets the full scan.
-        """
-        for level in ("single-move", "exact"):
-            if any(self.has_improvement(emask, omask, u, level) for u in range(self.n)):
-                return level
-        return None
+        """First check the state fails, "single-move" then "exact", or None:
+        the worst of its agents' stages."""
+        worst = max(
+            self.agent_verdict(emask, self.owned(emask, omask, u), u)[0] for u in range(self.n)
+        )
+        return _STAGES[worst]
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,7 @@ class EnumerationSummary:
 def _census_chunk(n, cfg, lo, hi):
     """Census statistics over the emask range [lo, hi)."""
     ev = _StateEvaluator(n, cfg)
+    low, high = ev.low, ev.high
     counts = {"states": 0, "disconnected": 0, "failed_single_move": 0, "failed_exact": 0}
     eq_count = 0
     best = worst = None
@@ -272,19 +273,35 @@ def _census_chunk(n, cfg, lo, hi):
             counts["states"] += per_mask
             counts["disconnected"] += per_mask
             continue
+        # u's verdict per owned-pair mask, shared by every labelling of emask
+        verdicts = [{} for _ in range(n)]
+        dist_total = int(ev.distsum[emask].sum())
         mask_has_eq = False
         sub = emask
         while True:
             counts["states"] += 1
-            failed = ev.failed_stage(emask, sub)
-            if failed == "single-move":
+            failed = 0
+            cost = dist_total
+            by_higher = emask ^ sub  # as in ev.owned: the edges their higher endpoint owns
+            for u, table in enumerate(verdicts):
+                owned = (sub & low[u]) | (by_higher & high[u])
+                verdict = table.get(owned)
+                if verdict is None:
+                    verdict = table[owned] = ev.agent_verdict(emask, owned, u)
+                stage, spend = verdict
+                if stage == 2:
+                    failed = 2
+                    break
+                if stage > failed:
+                    failed = stage
+                cost = cost + spend
+            if failed == 2:
                 counts["failed_single_move"] += 1
-            elif failed == "exact":
+            elif failed == 1:
                 counts["failed_exact"] += 1
             else:
                 eq_count += 1
                 mask_has_eq = True
-                cost = ev.social(emask, sub)
                 if best is None or cost < best:
                     best, best_state = cost, (emask, sub)
                 if worst is None or cost > worst:
@@ -300,10 +317,11 @@ def _census_chunk(n, cfg, lo, hi):
 def equilibrium_census(n, cfg, workers=None):
     """Filter every state through connectivity and equilibrium checks.
 
-    n <= 5 checks every connected state exactly; n = 6 keeps the same
-    pipeline (single-move prescan, then the exact scan on survivors) but
-    is minutes of work, so the emask range can be spread over worker
-    processes (DEGPRICE_WORKERS).
+    Every connected state is checked exactly, at any n up to
+    MAX_ENUM_NODES.  n = 6 (14 348 907 states) took 22 s for ncg global
+    and 50 s for aog k=2 on one worker of a 2-core x86-64 host with
+    Python 3.11, so the emask range can be spread over worker processes
+    (DEGPRICE_WORKERS).
     """
     if n < 2:
         raise ValueError(f"census needs n >= 2, got {n}")

@@ -133,6 +133,14 @@ def test_candidate_cap_is_a_resource_exit(capsys, path_file):
     assert "cap" in err
 
 
+def test_distance_table_cap_is_a_resource_exit(capsys, tmp_path):
+    big = tmp_path / "big.graph"
+    big.write_text("n 200000\n")
+    code, out, err = run_cli(capsys, "cost", str(big), "--agent", "0")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "distance table limited" in err
+
+
 def test_dynamics_csv_is_deterministic(capsys, path_file):
     argv = (
         "dynamics", path_file(6), "--game", "aog", "--k", "2", "--format", "csv"

@@ -1,13 +1,15 @@
 """Distance kernels and the row-min sums priced from them, against reference answers."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import floyd_warshall, owned_graphs
-from degprice._kernels import UNREACHABLE, apsp, apsp_update_add
+from degprice._kernels import APSP_MAX_NODES, UNREACHABLE, apsp, apsp_update_add
 from degprice.constructions import build_path
 from degprice.costs import GameConfig
+from degprice.errors import ResourceCapExceeded
 from degprice.graph import OwnedGraph
 from degprice.moves import _Pricing
 
@@ -26,6 +28,13 @@ def test_apsp_reaches_the_far_end_of_a_long_path():
     n = 1000
     i = np.arange(n)
     assert np.array_equal(apsp(build_path(n)._adj), abs(i[:, None] - i[None, :]))
+
+
+def test_apsp_refuses_a_table_past_the_cap():
+    # every row would be a full BFS, so only an up-front check returns at once
+    with pytest.raises(ResourceCapExceeded, match=str(APSP_MAX_NODES)):
+        apsp([set()] * (APSP_MAX_NODES + 1))
+    assert APSP_MAX_NODES >= 1600  # the long-path dynamics stay under it
 
 
 @settings(max_examples=50, deadline=None)

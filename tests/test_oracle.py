@@ -8,7 +8,7 @@ import pytest
 from degprice.constructions import SetCoverInstance
 from degprice.costs import GameConfig, social_cost
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
-from degprice.graph import OwnedGraph, is_connected
+from degprice.graph import OwnedGraph, diameter, is_connected
 from degprice.moves import verify_equilibrium
 from degprice.oracle import (
     _graph_to_state,
@@ -101,22 +101,68 @@ STAGES_N4 = {
 }
 
 
+STAGES_N5 = {
+    ("ncg", None): (59049, 3801, 53844, 255, 1149),
+    ("ncg", 2): (59049, 3801, 51924, 1095, 2229),
+    ("aog", None): (59049, 3801, 11520, 0, 43728),
+    ("aog", 2): (59049, 3801, 960, 0, 54288),
+}
+
+STAGE_FIELDS = ("states", "disconnected", "failed_single_move", "failed_exact", "equilibria")
+
+
 @pytest.mark.parametrize("key", sorted(STAGES_N4, key=str), ids=lambda k: f"{k[0]}-k{k[1]}")
 def test_census_stage_counts_n4(key, census):
     counts = census.get(*key, 4).stage_counts
-    fields = ("states", "disconnected", "failed_single_move", "failed_exact", "equilibria")
-    assert tuple(counts[f] for f in fields) == STAGES_N4[key]
+    assert tuple(counts[f] for f in STAGE_FIELDS) == STAGES_N4[key]
 
 
-@pytest.mark.parametrize(
-    "cfg",
-    [GameConfig(variant=v, locality_k=k) for v in ("ncg", "aog") for k in (None, 2)]
-    + [
-        GameConfig(price_beta=Fraction(1, 3), price_gamma=Fraction(1, 2)),
-        GameConfig(price_beta=10**9, price_gamma=0),
-    ],
-    ids=lambda cfg: cfg.describe(),
-)
+@pytest.mark.parametrize("key", sorted(STAGES_N5, key=str), ids=lambda k: f"{k[0]}-k{k[1]}")
+def test_census_stage_counts_n5(key, census):
+    counts = census.get(*key, 5).stage_counts
+    assert tuple(counts[f] for f in STAGE_FIELDS) == STAGES_N5[key]
+
+
+SMALL_GAMES = [GameConfig(variant=v, locality_k=k) for v in ("ncg", "aog") for k in (None, 2)] + [
+    GameConfig(price_beta=Fraction(1, 3), price_gamma=Fraction(1, 2)),
+    GameConfig(price_beta=10**9, price_gamma=0),
+]
+
+
+@pytest.mark.parametrize("cfg", SMALL_GAMES, ids=lambda cfg: cfg.describe())
+def test_census_matches_a_plain_state_loop(cfg):
+    """The census's per-agent verdict tables give what a state-by-state loop
+    over failed_stage and social_cost gives, witnesses included."""
+    for n in (2, 3, 4):
+        ev = _StateEvaluator(n, cfg)
+        counts = dict.fromkeys(STAGE_FIELDS, 0)
+        best = worst = None
+        diam_max = 0
+        for g in enumerate_states(n):
+            counts["states"] += 1
+            if not is_connected(g):
+                counts["disconnected"] += 1
+                continue
+            failed = ev.failed_stage(*_graph_to_state(g))
+            if failed is not None:
+                counts["failed_" + failed.replace("-", "_")] += 1
+                continue
+            counts["equilibria"] += 1
+            cost = social_cost(g, cfg)
+            if best is None or cost < best[0]:
+                best = (cost, g)
+            if worst is None or cost > worst[0]:
+                worst = (cost, g)
+            diam_max = max(diam_max, diameter(g))
+        s = equilibrium_census(n, cfg)
+        assert s.stage_counts == counts
+        assert s.equilibrium_count == counts["equilibria"]
+        assert (s.best_eq_cost, s.best_witness) == best
+        assert (s.worst_eq_cost, s.worst_witness) == worst
+        assert s.eq_diameter_max == diam_max
+
+
+@pytest.mark.parametrize("cfg", SMALL_GAMES, ids=lambda cfg: cfg.describe())
 def test_verify_agrees_with_oracle_on_every_small_state(cfg):
     """The move engine's verdict at both levels matches the mask oracle's,
     disconnected states included."""
