@@ -17,7 +17,7 @@ from degprice.moves import (
     best_response_exact,
     verify_equilibrium,
 )
-from degprice.dynamics import ActivationScheme, run_dynamics, canonical_state_hash
+from degprice.dynamics import ActivationScheme, run_dynamics
 
 __all__ = [
     "OwnedGraph",
@@ -37,7 +37,6 @@ __all__ = [
     "verify_equilibrium",
     "ActivationScheme",
     "run_dynamics",
-    "canonical_state_hash",
 ]
 
 __version__ = "0.1.0"

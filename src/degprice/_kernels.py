@@ -60,7 +60,10 @@ def apsp(neighbours, without=None):
         raise ResourceCapExceeded(
             f"distance table limited to n <= {APSP_MAX_NODES} nodes, got {n}"
         )
-    return np.array([bfs_row(neighbours, s, without) for s in range(n)], dtype=np.int64)
+    dist = np.empty((n, n), dtype=np.int64)
+    for s in range(n):
+        dist[s] = bfs_row(neighbours, s, without)
+    return dist
 
 
 def apsp_update_add(dist, u, v):

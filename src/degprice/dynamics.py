@@ -68,7 +68,6 @@ __all__ = [
     "run_dynamics",
     "adversarial_schedule",
     "scripted_linear_sequences",
-    "canonical_state_hash",
 ]
 
 
@@ -160,11 +159,6 @@ class DynamicsTrace:
 
 def _graph_dict(g):
     return {"n": g.n, "edges": [list(e) for e in sorted(g.owned_edges)]}
-
-
-def canonical_state_hash(g):
-    """Hash covering ownership: equal states collide, reversed edges do not."""
-    return hash(g.state_key())
 
 
 class _Engine:

@@ -8,6 +8,10 @@ uses the undirected view.
 import numpy as np
 
 from degprice._kernels import UNREACHABLE, apsp, bfs_row
+from degprice.errors import ResourceCapExceeded
+
+# a graph holds two sets per node, so this keeps an empty one near 500 MB
+MAX_NODES = 1_000_000
 
 __all__ = [
     "UNREACHABLE",
@@ -35,6 +39,8 @@ class OwnedGraph:
     def __init__(self, n, edges=()):
         if n < 1:
             raise ValueError("need at least one node")
+        if n > MAX_NODES:
+            raise ResourceCapExceeded(f"graphs limited to n <= {MAX_NODES} nodes, got {n}")
         self.n = n
         self._targets = [set() for _ in range(n)]
         self._adj = [set() for _ in range(n)]

@@ -1,9 +1,12 @@
 """Brute-force ground truth for small instances.
 
-Everything here is deliberately independent of the move engine: states
-are edge bitmasks, costs come from precomputed distance tables, and
-deviations are re-derived from scratch.  Census results can therefore
-cross-check the engine rather than inherit its bugs.
+The distance tables, the census, the optimum and the covers are
+deliberately independent of the move engine: states are edge bitmasks,
+costs come from precomputed distance tables, and deviations are
+re-derived from scratch.  Census results can therefore cross-check the
+engine rather than inherit its bugs.  The improving-response closure
+(``reachable_closure``, ``best_reachable``) is the exception: it prices
+its deviations with ``moves`` and ``costs``.
 
 A state packs an undirected graph into an integer mask over the node
 pairs (bit set = edge present) plus an ownership submask (bit set = the
@@ -36,6 +39,7 @@ from degprice.moves import candidate_targets, evaluate_deviation
 MAX_ENUM_NODES = 6
 MAX_COVER_SETS = 20
 MAX_DOMINATING_NODES = 20
+MAX_CLOSURE_STATES = 200_000
 
 __all__ = [
     "EnumerationSummary",
@@ -60,15 +64,16 @@ def worker_count():
 
 @lru_cache(maxsize=8)
 def _pairs(n):
-    """The unordered node pairs in mask-bit order: pair i is bit i."""
+    """The unordered node pairs in mask-bit order: pair i is bit i.  Every
+    enumeration starts here, so this is its one size gate."""
+    if n > MAX_ENUM_NODES:
+        raise OracleBudgetExceeded(f"enumeration limited to n <= {MAX_ENUM_NODES}, got {n}")
     return tuple(combinations(range(n), 2))
 
 
 @lru_cache(maxsize=8)
 def _tables(n):
     """Distance/degree tables for every undirected graph on n nodes."""
-    if n > MAX_ENUM_NODES:
-        raise OracleBudgetExceeded(f"tables limited to n <= {MAX_ENUM_NODES}, got {n}")
     pairs = _pairs(n)
     m = 1 << len(pairs)
     dist = np.empty((m, n, n), dtype=np.int64)
@@ -123,18 +128,21 @@ def enumerate_states(n):
     3^(n(n-1)/2) states: each pair is absent, owned by its lower
     endpoint, or owned by its higher endpoint.
     """
-    if n > MAX_ENUM_NODES:
-        raise OracleBudgetExceeded(
-            f"state enumeration limited to n <= {MAX_ENUM_NODES}, got {n}"
-        )
-    p = n * (n - 1) // 2
-    for emask in range(1 << p):
-        sub = emask
-        while True:
+    for emask in range(1 << len(_pairs(n))):
+        for sub in _labellings(emask):
             yield _state_to_graph(n, emask, sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & emask
+
+
+def _labellings(emask):
+    """The ownership submasks of emask, from emask down to 0: with emask
+    ascending, the state order whose first cheapest (dearest) equilibrium
+    is the census's best (worst) witness."""
+    sub = emask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & emask
 
 
 # An agent's stage, in rising severity: it passes both checks, only a
@@ -258,28 +266,27 @@ class EnumerationSummary:
 
 
 def _census_chunk(n, cfg, lo, hi):
-    """Census statistics over the emask range [lo, hi)."""
+    """Census statistics over the emask range [lo, hi): the stage counts,
+    the first cheapest and first dearest equilibrium as
+    ``(cost, (emask, sub))`` or None, and the largest equilibrium diameter."""
     ev = _StateEvaluator(n, cfg)
     low, high = ev.low, ev.high
-    counts = {"states": 0, "disconnected": 0, "failed_single_move": 0, "failed_exact": 0}
-    eq_count = 0
+    counts = dict.fromkeys(
+        ("states", "disconnected", "failed_single_move", "failed_exact", "equilibria"), 0
+    )
     best = worst = None
-    best_state = worst_state = None
     diam_max = 0
     for emask in range(lo, hi):
+        labellings = 1 << bin(emask).count("1")
+        counts["states"] += labellings
         if not ev.connected[emask]:
-            edges = bin(emask).count("1")
-            per_mask = 1 << edges
-            counts["states"] += per_mask
-            counts["disconnected"] += per_mask
+            counts["disconnected"] += labellings
             continue
         # u's verdict per owned-pair mask, shared by every labelling of emask
         verdicts = [{} for _ in range(n)]
         dist_total = int(ev.distsum[emask].sum())
-        mask_has_eq = False
-        sub = emask
-        while True:
-            counts["states"] += 1
+        eq_before = counts["equilibria"]
+        for sub in _labellings(emask):
             failed = 0
             cost = dist_total
             by_higher = emask ^ sub  # as in ev.owned: the edges their higher endpoint owns
@@ -300,88 +307,69 @@ def _census_chunk(n, cfg, lo, hi):
             elif failed == 1:
                 counts["failed_exact"] += 1
             else:
-                eq_count += 1
-                mask_has_eq = True
-                if best is None or cost < best:
-                    best, best_state = cost, (emask, sub)
-                if worst is None or cost > worst:
-                    worst, worst_state = cost, (emask, sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & emask
-        if mask_has_eq:
+                counts["equilibria"] += 1
+                if best is None or cost < best[0]:
+                    best = (cost, (emask, sub))
+                if worst is None or cost > worst[0]:
+                    worst = (cost, (emask, sub))
+        if counts["equilibria"] > eq_before:
             diam_max = max(diam_max, int(ev.dist[emask].max()))
-    return counts, eq_count, best, best_state, worst, worst_state, diam_max
+    return counts, best, worst, diam_max
 
 
 def equilibrium_census(n, cfg, workers=None):
     """Filter every state through connectivity and equilibrium checks.
 
     Every connected state is checked exactly, at any n up to
-    MAX_ENUM_NODES.  n = 6 (14 348 907 states) took 22 s for ncg global
-    and 50 s for aog k=2 on one worker of a 2-core x86-64 host with
-    Python 3.11, so the emask range can be spread over worker processes
-    (DEGPRICE_WORKERS).
+    MAX_ENUM_NODES.  The emask range is cut into ``workers * 4`` chunks,
+    run in worker processes (DEGPRICE_WORKERS) when there are several.
+    Workers pay off at n = 6 (14 348 907 states): ncg global took 14.3 s
+    on one worker and 10.7 s on two of a 2-core x86-64 host with Python
+    3.11.  At n <= 5 they gain little: ``degprice enumerate --n 5`` took
+    0.4-0.5 s either way.
     """
     if n < 2:
         raise ValueError(f"census needs n >= 2, got {n}")
-    if n > MAX_ENUM_NODES:
-        raise OracleBudgetExceeded(f"census limited to n <= {MAX_ENUM_NODES}, got {n}")
     workers = worker_count() if workers is None else workers
-    p = n * (n - 1) // 2
-    m = 1 << p
-    if workers > 1:
+    if workers < 1:
+        raise ValueError(f"census needs workers >= 1, got {workers}")
+    pairs = _tables(n)[0]  # built once here, so forked workers inherit the cache
+    bounds = np.linspace(0, 1 << len(pairs), workers * 4 + 1).astype(int).tolist()
+    chunks = len(bounds) - 1
+    jobs = ([n] * chunks, [cfg] * chunks, bounds[:-1], bounds[1:])
+    if workers == 1:
+        parts = list(map(_census_chunk, *jobs))
+    else:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, m, workers * 4 + 1).astype(int)
-        jobs = [
-            (n, cfg, int(bounds[i]), int(bounds[i + 1]))
-            for i in range(len(bounds) - 1)
-            if bounds[i] < bounds[i + 1]
-        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_census_chunk_star, jobs))
-    else:
-        parts = [_census_chunk(n, cfg, 0, m)]
+            parts = list(pool.map(_census_chunk, *jobs))
 
-    counts = {"states": 0, "disconnected": 0, "failed_single_move": 0, "failed_exact": 0}
-    eq_count = 0
-    best = worst = None
-    best_state = worst_state = None
-    diam_max = 0
-    for c, eq, b, bs, w, ws, dm in parts:
-        for key in counts:
-            counts[key] += c[key]
-        eq_count += eq
-        diam_max = max(diam_max, dm)
-        if b is not None and (best is None or b < best):
-            best, best_state = b, bs
-        if w is not None and (worst is None or w > worst):
-            worst, worst_state = w, ws
-    counts["equilibria"] = eq_count
-    if eq_count == 0:
+    # chunks come in emask order, and min/max keep the first of equal
+    # costs, as the chunks' strict comparisons do
+    chunk_counts, bests, worsts, diams = zip(*parts)
+    counts = {key: sum(c[key] for c in chunk_counts) for key in chunk_counts[0]}
+    if counts["equilibria"] == 0:
         raise OracleBudgetExceeded(f"no equilibrium found at n={n}; census degenerate")
+    best_eq_cost, best_state = min((b for b in bests if b), key=lambda b: b[0])
+    worst_eq_cost, worst_state = max((w for w in worsts if w), key=lambda w: w[0])
 
     opt_cost, opt_witness = optimal_social_cost(n, cfg)
     return EnumerationSummary(
         n=n,
         config=cfg,
         opt_cost=opt_cost,
-        equilibrium_count=eq_count,
-        best_eq_cost=best,
-        worst_eq_cost=worst,
-        poa=Fraction(worst) / Fraction(opt_cost),
-        pos=Fraction(best) / Fraction(opt_cost),
+        equilibrium_count=counts["equilibria"],
+        best_eq_cost=best_eq_cost,
+        worst_eq_cost=worst_eq_cost,
+        poa=Fraction(worst_eq_cost) / Fraction(opt_cost),
+        pos=Fraction(best_eq_cost) / Fraction(opt_cost),
         opt_witness=opt_witness,
         best_witness=_state_to_graph(n, *best_state),
         worst_witness=_state_to_graph(n, *worst_state),
         stage_counts=counts,
-        eq_diameter_max=diam_max,
+        eq_diameter_max=max(diams),
     )
-
-
-def _census_chunk_star(args):
-    return _census_chunk(*args)
 
 
 def optimal_social_cost(n, cfg):
@@ -393,18 +381,15 @@ def optimal_social_cost(n, cfg):
     the exact optimum over ownership-labeled states (cross-checked
     against the plain 3^P enumeration in the test suite).
     """
-    if n > MAX_ENUM_NODES:
-        raise OracleBudgetExceeded(f"optimal search limited to n <= {MAX_ENUM_NODES}")
-    pairs, dist, degs, distsum, connected = _tables(n)
-    price = [cfg.price_beta * d + cfg.price_gamma for d in range(n)]
+    ev = _StateEvaluator(n, cfg)
+    pairs, price, degs = _pairs(n), ev.price, ev.degs
     best = None
     best_mask = None
     best_orient = None
-    m = 1 << len(pairs)
-    for emask in range(m):
-        if not connected[emask]:
+    for emask in range(1 << len(pairs)):
+        if not ev.connected[emask]:
             continue
-        total = int(distsum[emask].sum())
+        total = int(ev.distsum[emask].sum())
         orient = 0
         for i, (a, b) in enumerate(pairs):
             if emask >> i & 1:
@@ -421,31 +406,31 @@ def optimal_social_cost(n, cfg):
     return best, _state_to_graph(n, best_mask, best_orient)
 
 
-def reachable_closure(g0, cfg, budget=200_000):
+def reachable_closure(g0, cfg):
     """All states reachable from g0 via strictly improving deviations.
 
     Add-only variants only (the closure is finite by the edge-count
     potential).  Returns a list of (graph, is_terminal) pairs; terminal
-    states admit no improving deviation by any agent.
+    states admit no improving deviation by any agent.  Raises
+    OracleBudgetExceeded past MAX_CLOSURE_STATES states.
     """
     if not cfg.add_only:
         raise ValueError("reachability closure needs an add-only config")
-    seen = {}
+    seen = {g0.state_key()}
     order = []
     stack = [g0.copy()]
-    seen[g0.state_key()] = 0
     while stack:
         g = stack.pop()
         successors = _improving_successors(g, cfg)
         order.append((g, len(successors) == 0))
-        if len(order) + len(stack) > budget:
+        if len(order) + len(stack) > MAX_CLOSURE_STATES:
             raise OracleBudgetExceeded(
-                f"reachable closure from n={g0.n} start passed budget {budget}"
+                f"reachable closure from n={g0.n} start passed {MAX_CLOSURE_STATES} states"
             )
         for succ in successors:
             key = succ.state_key()
             if key not in seen:
-                seen[key] = len(seen)
+                seen.add(key)
                 stack.append(succ)
     return order
 
@@ -467,15 +452,25 @@ def _improving_successors(g, cfg):
     return out
 
 
-def best_reachable(g0, cfg, budget=200_000):
+def best_reachable(g0, cfg):
     """Minimum social cost over the improving-response closure of g0."""
     best = None
     witness = None
-    for g, _terminal in reachable_closure(g0, cfg, budget=budget):
+    for g, _terminal in reachable_closure(g0, cfg):
         cost = social_cost(g, cfg)
         if cost != math.inf and (best is None or cost < best):
             best, witness = cost, g
     return best, witness
+
+
+def _first_cover(sets, universe):
+    """(count, indices): the fewest of ``sets`` whose union is ``universe``,
+    the lexicographically first such indices among those."""
+    for r in range(len(sets) + 1):
+        for picked in combinations(range(len(sets)), r):
+            if frozenset().union(*(sets[i] for i in picked)) == universe:
+                return r, picked
+    raise AssertionError("the caller checked that the union of all sets covers")
 
 
 def min_set_cover(inst):
@@ -484,27 +479,16 @@ def min_set_cover(inst):
     if len(sets) > MAX_COVER_SETS:
         raise OracleBudgetExceeded(f"{len(sets)} sets exceeds enumeration cap {MAX_COVER_SETS}")
     universe = frozenset(range(inst.universe_size))
-    covered = frozenset().union(*sets) if sets else frozenset()
+    covered = frozenset().union(*sets)
     if covered != universe:
         missing = sorted(universe - covered)
         raise InfeasibleInstanceError(f"elements {missing} appear in no set")
-    if not universe:
-        return 0, ()
-    for r in range(1, len(sets) + 1):
-        for picked in combinations(range(len(sets)), r):
-            if frozenset().union(*(sets[i] for i in picked)) == universe:
-                return r, tuple(picked)
-    raise AssertionError("full union covers, so some subset must")
+    return _first_cover(sets, universe)
 
 
 def min_dominating_set(g):
-    """Exact minimum dominating set by subset enumeration."""
+    """Exact minimum dominating set by subset enumeration, lex-first witness."""
     if g.n > MAX_DOMINATING_NODES:
         raise OracleBudgetExceeded(f"n={g.n} exceeds dominating-set cap {MAX_DOMINATING_NODES}")
     closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
-    everyone = frozenset(range(g.n))
-    for r in range(1, g.n + 1):
-        for picked in combinations(range(g.n), r):
-            if frozenset().union(*(closed[v] for v in picked)) == everyone:
-                return r, tuple(picked)
-    raise AssertionError("picking all nodes always dominates")
+    return _first_cover(closed, frozenset(range(g.n)))

@@ -141,6 +141,16 @@ def test_distance_table_cap_is_a_resource_exit(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "distance table limited" in err
 
 
+def test_graph_size_cap_is_a_resource_exit(capsys, tmp_path):
+    # 10^8 nodes would need about 45 GB of empty neighbour sets
+    huge = tmp_path / "huge.graph"
+    huge.write_text("n 100000000\n")
+    for argv in (("cost", str(huge)), ("construct", "path", "--n", "100000000")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "graphs limited" in err
+
+
 def test_dynamics_csv_is_deterministic(capsys, path_file):
     argv = (
         "dynamics", path_file(6), "--game", "aog", "--k", "2", "--format", "csv"

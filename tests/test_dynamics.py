@@ -17,7 +17,6 @@ from degprice.dynamics import (
     FULL_BEST_RESPONSE,
     STEP_LIMIT,
     ActivationScheme,
-    canonical_state_hash,
     run_dynamics,
     scripted_linear_sequences,
 )
@@ -209,11 +208,11 @@ def test_swap_cycle_is_detected_and_returns_home():
     assert trace.outcome == CYCLE_DETECTED
     assert len(trace.steps) == 6
     assert trace.final == g1
-    assert canonical_state_hash(trace.final) == canonical_state_hash(g1)
+    assert trace.final.state_key() == g1.state_key()
 
 
 def test_state_hash_is_ownership_sensitive():
     a = OwnedGraph(2, [(0, 1)])
     b = OwnedGraph(2, [(1, 0)])
-    assert canonical_state_hash(a) == canonical_state_hash(a.copy())
-    assert canonical_state_hash(a) != canonical_state_hash(b)
+    assert a.state_key() == a.copy().state_key()
+    assert a.state_key() != b.state_key()

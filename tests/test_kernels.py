@@ -1,5 +1,7 @@
 """Distance kernels and the row-min sums priced from them, against reference answers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,17 @@ def test_apsp_refuses_a_table_past_the_cap():
     with pytest.raises(ResourceCapExceeded, match=str(APSP_MAX_NODES)):
         apsp([set()] * (APSP_MAX_NODES + 1))
     assert APSP_MAX_NODES >= 1600  # the long-path dynamics stay under it
+
+
+def test_apsp_peak_memory_is_about_its_table():
+    neighbours = [set() for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        table = apsp(neighbours)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * table.nbytes
 
 
 @settings(max_examples=50, deadline=None)

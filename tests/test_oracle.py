@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from degprice import oracle
 from degprice.constructions import SetCoverInstance
 from degprice.costs import GameConfig, social_cost
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
@@ -41,6 +42,8 @@ def test_enumeration_cap():
         list(enumerate_states(7))
     with pytest.raises(OracleBudgetExceeded):
         optimal_social_cost(7, GameConfig())
+    with pytest.raises(OracleBudgetExceeded, match="enumeration limited to n <= 6, got 7"):
+        equilibrium_census(7, GameConfig())
 
 
 @pytest.mark.parametrize("cfg", [GameConfig(), GameConfig(price_beta=3, price_gamma=0)])
@@ -206,6 +209,11 @@ def test_parallel_census_matches_serial(variant, k, census):
         assert getattr(parallel, witness) == getattr(serial, witness)
 
 
+def test_census_needs_a_worker():
+    with pytest.raises(ValueError, match="workers >= 1"):
+        equilibrium_census(4, GameConfig(), workers=0)
+
+
 def test_worker_count_reads_the_environment(monkeypatch):
     monkeypatch.delenv("DEGPRICE_WORKERS", raising=False)
     assert worker_count() == 1
@@ -222,7 +230,7 @@ def test_census_ratios_are_exact(census):
     assert isinstance(s.poa, Fraction)
 
 
-def test_reachable_closure_from_tiny_paths():
+def test_reachable_closure_from_tiny_paths(monkeypatch):
     cfg = GameConfig(variant="aog")
     # no purchase strictly helps anyone on the 3-path, so it is its own closure
     states = reachable_closure(path(3), cfg)
@@ -241,8 +249,9 @@ def test_reachable_closure_from_tiny_paths():
 
     with pytest.raises(ValueError, match="add-only"):
         reachable_closure(path(3), GameConfig())
+    monkeypatch.setattr(oracle, "MAX_CLOSURE_STATES", 2)
     with pytest.raises(OracleBudgetExceeded):
-        reachable_closure(path(5), cfg, budget=2)
+        reachable_closure(path(5), cfg)
 
 
 def _brute_min_cover(inst):

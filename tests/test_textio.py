@@ -5,8 +5,8 @@ from hypothesis import given, settings
 
 from conftest import owned_graphs
 from degprice.constructions import SetCoverInstance
-from degprice.errors import GraphFormatError
-from degprice.graph import OwnedGraph
+from degprice.errors import GraphFormatError, ResourceCapExceeded
+from degprice.graph import MAX_NODES, OwnedGraph
 from degprice.textio import (
     parse_graph_file,
     parse_set_cover_file,
@@ -48,6 +48,11 @@ def test_graph_errors_carry_line_numbers(text, fragment, line):
     assert exc.value.line == line
     if line is not None:
         assert f"line {line}:" in str(exc.value)
+
+
+def test_node_count_past_the_graph_cap_is_refused_before_allocating():
+    with pytest.raises(ResourceCapExceeded, match=str(MAX_NODES)):
+        parse_graph_file(f"n {MAX_NODES + 1}\n")
 
 
 def test_serialize_graph_layout():
