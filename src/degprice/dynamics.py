@@ -11,12 +11,14 @@ replay as strictly improving.  One loop consumes every source.
 statistics are reported in activations because that is the unit the
 random process is naturally measured in.
 
-In add-only games the engine keeps the full distance matrix current
-with unit-edge updates, so an activation costs O(n^2) array work.  In
-the other games each activation prices from a fresh distance table of
-the network without the activated agent.  Prices stay exact, as int or
-Fraction, and a move that leaves its agent disconnected costs
-``math.inf``.
+An agent's answer depends only on the graph, so an agent found stuck is
+not priced again until some move is applied; its later wake-ups still
+count as activations.  In add-only games the engine keeps the full
+distance matrix current with unit-edge updates, so a priced activation
+costs O(n^2) array work.  In the other games each priced activation
+builds a fresh distance table of the network without the activated
+agent.  Prices stay exact, as int or Fraction, and a move that leaves
+its agent disconnected costs ``math.inf``.
 """
 
 import itertools
@@ -219,7 +221,9 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     CONVERGED when the final graph is single-move stable, STEP_LIMIT
     otherwise (noted in metadata).  Round-robin runs converge at the end
     of a round in which every agent was stuck; uniform-random runs as
-    soon as every agent has been found stuck since the last move.
+    soon as every agent has been found stuck since the last move.  A
+    wake-up of an agent already found stuck since the last move counts
+    as an activation without pricing it again.
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
@@ -248,6 +252,9 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
             break
         activations += 1
         if kind is None:
+            # the graph is unchanged since this agent was found stuck
+            if agent in stuck:
+                continue
             found = engine.find_move(agent, scheme.move_policy)
         else:
             before, after = engine.eval_move(agent, kind)

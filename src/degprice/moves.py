@@ -364,18 +364,17 @@ class _Pricing:
     def move_groups(self, adds_only):
         """u's elementary moves as (make kind, targets, scaled totals) groups.
 
-        The order is the canonical one: additions by target, deletions by
+        The groups are yielded lazily, each priced only when it is asked
+        for, in the canonical order: additions by target, deletions by
         target, then swaps by old and new target.
         """
-        groups = [(AddEdge, self.cands, self._plus_one(self.current))]
+        yield AddEdge, self.cands, self._plus_one(self.current)
         if not adds_only:
             owned = sorted(self.current)
             kept = [self.current - {v} for v in owned]
-            deletes = np.array([self.total(s) for s in kept], dtype=self.price.dtype)
-            groups.append((DeleteEdge, owned, deletes))
+            yield DeleteEdge, owned, np.array([self.total(s) for s in kept], dtype=self.price.dtype)
             for old, s in zip(owned, kept):
-                groups.append((partial(SwapEdge, old), self.cands, self._plus_one(s)))
-        return groups
+                yield partial(SwapEdge, old), self.cands, self._plus_one(s)
 
     def improving_move(self, policy):
         """(kind, before, after) of u's move under policy, or None if u is stuck.
@@ -384,7 +383,7 @@ class _Pricing:
         strictly cheaper.  BEST_SINGLE_EDGE plays the cheapest improving
         addition, the smallest target among equals.  FIRST_IMPROVING_SINGLE_MOVE
         plays the first improving move in the canonical order of
-        ``move_groups``.
+        ``move_groups``, and prices no group after the one that holds it.
         """
         now = self.total(self.current)
         before = self.value(now)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,10 @@ from degprice.dynamics import (
     DEG2AOG_2NE,
     FIRST_IMPROVING_SINGLE_MOVE,
     FULL_BEST_RESPONSE,
+    POLICIES,
     STEP_LIMIT,
     ActivationScheme,
+    _Engine,
     run_dynamics,
     scripted_linear_sequences,
 )
@@ -211,8 +214,52 @@ def test_swap_cycle_is_detected_and_returns_home():
     assert trace.final.state_key() == g1.state_key()
 
 
-def test_state_hash_is_ownership_sensitive():
-    a = OwnedGraph(2, [(0, 1)])
-    b = OwnedGraph(2, [(1, 0)])
-    assert a.state_key() == a.copy().state_key()
-    assert a.state_key() != b.state_key()
+def random_connected(n, seed):
+    """A random spanning tree plus a few extra edges, random owners throughout."""
+    rng = random.Random(seed)
+    g = OwnedGraph(n)
+    for v in range(1, n):
+        u = rng.randrange(v)
+        g.add_edge(*rng.sample((u, v), 2))
+    for _ in range(n):
+        u, v = rng.sample(range(n), 2)
+        if not g.has_edge(u, v):
+            g.add_edge(u, v)
+    return g
+
+
+@pytest.mark.parametrize("start", [path(8), random_connected(8, seed=5)], ids=["path", "random"])
+@pytest.mark.parametrize("variant", ["ncg", "aog"])
+@pytest.mark.parametrize("policy", POLICIES)
+def test_no_agent_is_priced_twice_on_one_graph(monkeypatch, start, variant, policy):
+    """A stuck agent's answer cannot change until a move is applied."""
+    priced = []
+    find_move = _Engine.find_move
+
+    def recording(engine, u, move_policy):
+        priced.append((u, engine.graph.state_key()))
+        return find_move(engine, u, move_policy)
+
+    monkeypatch.setattr(_Engine, "find_move", recording)
+    cfg = GameConfig(variant=variant)
+    for seed in range(3):
+        priced.clear()
+        trace = run_dynamics(start, cfg, ActivationScheme.uniform_random(seed, policy))
+        assert trace.outcome in (CONVERGED, CYCLE_DETECTED)
+        assert len(priced) == len(set(priced)) < trace.activations
+
+
+def test_uniform_random_totals_are_pinned():
+    """Skipped wake-ups still count: the benchmark's setup, seeds 10000-10007."""
+    ncg, start = GameConfig(variant="ncg"), path(16)
+    traces = [
+        run_dynamics(start, ncg, ActivationScheme.uniform_random(s, FIRST_IMPROVING_SINGLE_MOVE))
+        for s in range(10000, 10008)
+    ]
+    assert all(t.outcome == CONVERGED for t in traces)
+    assert sum(t.activations for t in traces) == 924
+    assert sum(len(t.steps) for t in traces) == 262
+    assert [t.final_social_cost for t in traces] == [531, 530, 516, 539, 538, 525, 539, 527]
+    aog = run_dynamics(start, AOG2, ActivationScheme.uniform_random(10000, BEST_SINGLE_EDGE))
+    assert aog.outcome == CONVERGED
+    assert (aog.activations, len(aog.steps), aog.final_social_cost) == (104, 20, 636)

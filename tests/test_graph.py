@@ -66,6 +66,8 @@ class TestOwnedGraph:
         assert c == a and c.state_key() == a.state_key()
         c.remove_edge(1, 2)
         assert a.owned_edges == {(0, 1), (1, 2)}
+        # the smallest case: one edge, bought by either end
+        assert OwnedGraph(2, [(0, 1)]).state_key() != OwnedGraph(2, [(1, 0)]).state_key()
 
 
 @settings(max_examples=60)

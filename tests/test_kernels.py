@@ -77,7 +77,7 @@ def test_addition_row_sums_against_naive(g):
     free_edges = GameConfig(variant="aog", price_beta=0, price_gamma=0)
     for u in range(g.n):
         pricing = _Pricing(g, u, free_edges, dist)
-        _, targets, got = pricing.move_groups(adds_only=True)[0]
+        _, targets, got = next(pricing.move_groups(adds_only=True))
         assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
         for v, total in zip(targets, got):
             merged = [min(dist[u, w], 1 + dist[v, w]) for w in range(g.n)]

@@ -15,6 +15,7 @@ from degprice.errors import CandidateCapExceeded
 from degprice.graph import OwnedGraph
 from degprice.moves import (
     EXACT,
+    FIRST_IMPROVING_SINGLE_MOVE,
     SINGLE_MOVE,
     AddEdge,
     DeleteEdge,
@@ -171,6 +172,22 @@ def test_path_is_not_an_equilibrium():
     apply_move(h, rep.witness.agent, rep.witness.kind)
     assert agent_cost(h, rep.witness.agent, GameConfig()).total == rep.witness.cost_after
     assert rep.witness.cost_after < rep.witness.cost_before
+
+
+def test_first_improving_search_stops_at_the_first_improving_group(monkeypatch):
+    """An improving addition is found before any swap group is priced."""
+    g = OwnedGraph(6, [(1, 0), (1, 2), (2, 3), (3, 4), (4, 5)])
+    calls = []
+    plus_one = _Pricing._plus_one
+
+    def recording(pricing, kept):
+        calls.append(kept)
+        return plus_one(pricing, kept)
+
+    monkeypatch.setattr(_Pricing, "_plus_one", recording)
+    found = _Pricing(g, 1, GameConfig()).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
+    assert found == (AddEdge(3), 12, 11)
+    assert calls == [{0, 2}]
 
 
 @settings(max_examples=40, deadline=None)
