@@ -3,13 +3,15 @@
 ``neighbours[v]`` is the set of v's neighbours (``OwnedGraph._adj`` is
 one).  ``bfs_row`` gives the hop distances from one source, ``apsp``
 stacks one row per source into an int64 table, and ``apsp_update_add``
-patches such a table after an edge is added.  Every distance caller
-goes through them, except ``moves.evaluate_deviation``, the scalar
-reference that keeps its own BFS.  A disconnected pair holds exactly
+patches such a table after an edge is added, touching only the rows
+and columns whose distances can change.  Every distance caller goes
+through them, except ``moves.evaluate_deviation``, the scalar reference
+that keeps its own BFS.  A disconnected pair holds exactly
 ``UNREACHABLE``.  The sentinel is far below the int64 overflow line, so
-``sentinel + sentinel + 1`` still compares safely; the update clamps its
-results back to exactly ``UNREACHABLE``.  ``apsp`` refuses graphs of more
-than ``APSP_MAX_NODES`` nodes, whose table would pass 800 MB.
+``sentinel + sentinel + 1`` still compares safely, and the update's
+minimum with the old entry keeps every result at most ``UNREACHABLE``.
+``apsp`` refuses graphs of more than ``APSP_MAX_NODES`` nodes, whose
+table would pass 800 MB.
 """
 
 import numpy as np
@@ -67,13 +69,20 @@ def apsp(neighbours, without=None):
 
 
 def apsp_update_add(dist, u, v):
-    """Refresh a distance matrix in place after adding the edge {u,v}.
+    """Refresh a symmetric distance matrix in place after adding the edge {u,v}.
 
-    With unit edge lengths the only new shortest paths route through the
-    new edge once, so two broadcast minima suffice.
+    A new shortest path crosses the new edge once.  Crossing from u to v,
+    d(x, y) can drop to ``d(x, u) + 1 + d(v, y)``, which beats
+    ``d(x, v) + d(v, y) >= d(x, y)`` only in the rows x nearer to u
+    (``d(x, u) + 1 < d(x, v)``) and, by the same argument, only in the
+    columns y nearer to v.  Crossing from v to u changes the same pairs,
+    transposed.  So relaxing the rows nearer to u against ``dist[v]`` and
+    mirroring them into their columns is the whole update, O(n) work per
+    such row (the insertion rule of Ausiello, Italiano, Marchetti-Spaccamela
+    and Nanni, J. Algorithms 1991).  The minimum with the old entry keeps
+    a sum past the sentinel at exactly ``UNREACHABLE``.
     """
-    thru_uv = dist[:, u, None] + (1 + dist[v, None, :])
-    thru_vu = dist[:, v, None] + (1 + dist[u, None, :])
-    np.minimum(dist, thru_uv, out=dist)
-    np.minimum(dist, thru_vu, out=dist)
-    np.minimum(dist, UNREACHABLE, out=dist)
+    rows = np.flatnonzero(dist[:, u] + 1 < dist[:, v])
+    relaxed = np.minimum(dist[rows], dist[rows, u, None] + 1 + dist[v])
+    dist[rows] = relaxed
+    dist[:, rows] = relaxed.T

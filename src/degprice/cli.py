@@ -60,7 +60,11 @@ def _add_game_flags(p):
 
 def _price(text):
     """A price coefficient kept exact: "0.1" and "1/2" become Fractions."""
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        # argparse turns a ValueError, not this, into a usage error
+        raise ValueError(f"zero denominator in {text!r}") from None
     return value.numerator if value.denominator == 1 else value
 
 

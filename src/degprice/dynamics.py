@@ -13,12 +13,17 @@ random process is naturally measured in.
 
 An agent's answer depends only on the graph, so an agent found stuck is
 not priced again until some move is applied; its later wake-ups still
-count as activations.  In add-only games the engine keeps the full
-distance matrix current with unit-edge updates, so a priced activation
-costs O(n^2) array work.  In the other games each priced activation
-builds a fresh distance table of the network without the activated
-agent.  Prices stay exact, as int or Fraction, and a move that leaves
-its agent disconnected costs ``math.inf``.
+count as activations.  The engine keeps every node's degree current
+across moves and computes the game's price constants once, so pricing
+an agent reads them instead of rebuilding them.  In add-only games it
+also keeps the full distance matrix current: an added edge rewrites only
+the rows and columns whose distances it can shorten
+(``_kernels.apsp_update_add``), and a priced activation reads G's rows
+instead of building a table.  In the
+other games each priced activation builds a fresh distance table of the
+network without the activated agent.  Prices stay exact, as int or
+Fraction, and a move that leaves its agent disconnected costs
+``math.inf``.
 """
 
 import itertools
@@ -36,7 +41,9 @@ from degprice.moves import (
     POLICIES,
     AddEdge,
     MoveRecord,
+    _degrees,
     _Pricing,
+    _Tariff,
     apply_move,
     strategy_after,
 )
@@ -164,15 +171,24 @@ def _graph_dict(g):
 
 
 class _Engine:
-    """Finds, prices and applies moves on a private copy of the start graph."""
+    """Finds, prices and applies moves on a private copy of the start graph.
+
+    ``degrees`` (and in add-only games ``dist``) always match ``graph``:
+    ``apply`` updates them for every changed edge.
+    """
 
     def __init__(self, g0, cfg):
         self.graph = g0.copy()
         self.cfg = cfg
+        self.tariff = _Tariff(g0.n, cfg)
+        self.degrees = _degrees(self.graph)
         self.dist = apsp(self.graph._adj) if cfg.add_only else None
 
+    def pricing(self, u):
+        return _Pricing(self.graph, u, self.cfg, self.tariff, self.degrees, self.dist)
+
     def find_move(self, u, policy):
-        return _Pricing(self.graph, u, self.cfg, self.dist).improving_move(policy)
+        return self.pricing(u).improving_move(policy)
 
     def eval_move(self, u, kind):
         g = self.graph
@@ -180,7 +196,7 @@ class _Engine:
             new_strategy = strategy_after(g, u, kind)
         except ValueError as exc:
             raise ScheduleReplayError(f"agent {u}: {exc}") from exc
-        p = _Pricing(g, u, self.cfg, self.dist)
+        p = self.pricing(u)
         if self.cfg.add_only and p.current - new_strategy:
             raise ScheduleReplayError(f"agent {u}: add-only config cannot drop edges")
         bad = new_strategy - p.current - set(p.cands)
@@ -193,8 +209,13 @@ class _Engine:
     def apply(self, u, kind):
         before = self.graph.targets(u)
         apply_move(self.graph, u, kind)
+        after = self.graph.targets(u)
+        added, dropped = sorted(after - before), sorted(before - after)
+        self.degrees[u] += len(added) - len(dropped)
+        self.degrees[added] += 1
+        self.degrees[dropped] -= 1
         if self.dist is not None:
-            for v in sorted(self.graph.targets(u) - before):
+            for v in added:
                 apsp_update_add(self.dist, u, v)
 
 

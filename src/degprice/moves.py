@@ -178,7 +178,7 @@ class EquilibriumReport:
 
 def candidate_targets(g, u, cfg):
     """Nodes u could buy a new edge to under cfg's locality radius."""
-    return set(_Pricing(g, u, cfg).cands)
+    return set(_Pricing.of_graph(g, u, cfg).cands)
 
 
 def evaluate_deviation(g, u, new_targets, cfg):
@@ -247,7 +247,7 @@ def enumerate_single_moves(g, u, cfg):
     NCG variants only.  Disconnecting moves appear with an infinite
     after-cost rather than being filtered.
     """
-    pricing = _Pricing(g, u, cfg)
+    pricing = _Pricing.of_graph(g, u, cfg)
     before = pricing.value(pricing.total(pricing.current))
     return [
         MoveRecord(agent=u, kind=make(v), cost_before=before, cost_after=pricing.value(t))
@@ -264,7 +264,32 @@ def best_response_exact(g, u, cfg):
     edges, then the lexicographically smallest target set.  Raises
     CandidateCapExceeded when the variable universe tops CANDIDATE_CAP.
     """
-    return _Pricing(g, u, cfg).best_response()
+    return _Pricing.of_graph(g, u, cfg).best_response()
+
+
+def _degrees(g):
+    """Every node's degree as an int64 vector, the form ``_Pricing`` reads."""
+    return np.array([len(a) for a in g._adj], dtype=np.int64)
+
+
+class _Tariff:
+    """The price constants of one game on n nodes.
+
+    An edge whose target ends with degree d costs ``b * d + c``: that is
+    ``beta * d + gamma`` times ``scale``, the common denominator of beta
+    and gamma, so Fraction prices stay exact as integers.  Every connected
+    total of an agent stays below ``unreachable``, which is the total of a
+    strategy that leaves the agent disconnected.  Prices are int64 unless
+    ``unreachable`` passes that range; then they are Python ints.
+    """
+
+    def __init__(self, n, cfg):
+        beta, gamma = Fraction(cfg.price_beta), Fraction(cfg.price_gamma)
+        self.scale = math.lcm(beta.denominator, gamma.denominator)
+        self.b, self.c = int(beta * self.scale), int(gamma * self.scale)
+        # above every distance sum (< n^2) plus every spend
+        self.unreachable = n * n * self.scale + n * (abs(self.b) * n + abs(self.c))
+        self.dtype = np.int64 if self.unreachable < 2**62 else object
 
 
 class _Pricing:
@@ -280,39 +305,40 @@ class _Pricing:
     through u again.
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
-    holds it.  Totals are integers scaled by ``scale``, the common
-    denominator of beta and gamma, so Fraction prices stay exact.  Every
-    connected total stays below ``unreachable``, which is the total of a
-    strategy that leaves u disconnected.
+    holds it, scaled as ``tariff`` says.  ``degrees`` is every node's
+    degree in G as an int64 vector: the dynamics engine keeps one current
+    across moves, and the other callers build it with ``_degrees`` (see
+    ``of_graph``).  Neither is copied or changed here.
     """
 
-    def __init__(self, g, u, cfg, dist=None):
+    def __init__(self, g, u, cfg, tariff, degrees, dist=None):
         g._check_node(u)
         self.graph, self.u, self.add_only = g, u, cfg.add_only
+        self.scale, self.unreachable = tariff.scale, tariff.unreachable
         self.current = g.targets(u)
-        n = g.n
         if dist is None:
             self.base = frozenset()
         else:
             self.table, self.base, self.floor = dist, frozenset(self.current), dist[u]
 
-        beta, gamma = Fraction(cfg.price_beta), Fraction(cfg.price_gamma)
-        self.scale = math.lcm(beta.denominator, gamma.denominator)
-        b, c = int(beta * self.scale), int(gamma * self.scale)
-        # above every distance sum (< n^2) plus every spend; past int64 range use Python ints
-        self.unreachable = n * n * self.scale + n * (abs(b) * n + abs(c))
         adjacent = list(g._adj[u])
-        deg = np.array([len(a) for a in g._adj], dtype=np.int64) + 1
+        # an edge from u leaves v with degree deg_{G-u}(v) + 1: a neighbour of u keeps deg(v)
+        deg = degrees + 1
         deg[adjacent] -= 1
-        self.price = deg.astype(np.int64 if self.unreachable < 2**62 else object) * b + c
+        self.price = deg.astype(tariff.dtype) * tariff.b + tariff.c
 
-        eligible = np.ones(n, dtype=bool)
+        eligible = np.ones(g.n, dtype=bool)
         eligible[adjacent] = False
         eligible[u] = False
         if cfg.locality_k is not None:
             row = bfs_distances(g, u) if dist is None else dist[u]
             eligible &= row <= cfg.locality_k
         self.cands = np.flatnonzero(eligible).tolist()
+
+    @classmethod
+    def of_graph(cls, g, u, cfg):
+        """u's pricing for a caller that keeps no tariff or degree vector of its own."""
+        return cls(g, u, cfg, _Tariff(g.n, cfg), _degrees(g))
 
     # The table of G - u is built on first use, so that a best response
     # over too many candidates fails on the cap without paying for it.
@@ -358,7 +384,10 @@ class _Pricing:
 
     def _plus_one(self, kept):
         """Scaled totals of kept | {v} for every candidate v."""
-        merged = np.minimum(self.merged(kept), self.table[self.cands] + 1)
+        # the fancy index already copies the candidate rows, so work in that copy
+        merged = self.table[self.cands]
+        merged += 1
+        np.minimum(merged, self.merged(kept), out=merged)
         return self.totals(merged, self.spend(kept) + self.price[self.cands])
 
     def move_groups(self, adds_only):
@@ -488,8 +517,9 @@ def verify_equilibrium(g, cfg, level=EXACT):
     if level not in policies:
         raise ValueError(f"unknown check level {level!r}")
     notes = _notes_for(cfg, level)
+    tariff, degrees = _Tariff(g.n, cfg), _degrees(g)
     for u in range(g.n):
-        found = _Pricing(g, u, cfg).improving_move(policies[level])
+        found = _Pricing(g, u, cfg, tariff, degrees).improving_move(policies[level])
         if found is not None:
             witness = MoveRecord(u, *found)
             return EquilibriumReport(False, witness, level, notes)

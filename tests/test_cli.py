@@ -1,10 +1,15 @@
 """Command-line behavior: output formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import degprice
 from degprice.cli import main
 from degprice.constructions import build_path, build_star
 from degprice.costs import GameConfig, social_cost
@@ -123,6 +128,20 @@ def test_missing_file_and_bad_flags_are_usage_errors(capsys, star_file):
     with pytest.raises(SystemExit) as exc:
         main(["construct", "star", "--n", "3", "--format", "json"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--beta", "--gamma"])
+def test_zero_denominator_price_is_a_usage_error(star_file, flag):
+    src = Path(degprice.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "degprice.cli", "cost", star_file, flag, "3/0"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert flag in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_candidate_cap_is_a_resource_exit(capsys, path_file):

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from degprice.constructions import build_figure_network
+from degprice.constructions import build_clique, build_figure_network
 from degprice.costs import GameConfig, social_cost
 from degprice.dynamics import (
     BEST_SINGLE_EDGE,
@@ -25,7 +25,7 @@ from degprice.dynamics import (
 )
 from degprice.errors import ScheduleReplayError
 from degprice.graph import OwnedGraph, diameter
-from degprice.moves import AddEdge, SwapEdge, verify_equilibrium
+from degprice.moves import AddEdge, DeleteEdge, ReplaceStrategy, SwapEdge, verify_equilibrium
 
 
 def path(n):
@@ -263,3 +263,40 @@ def test_uniform_random_totals_are_pinned():
     aog = run_dynamics(start, AOG2, ActivationScheme.uniform_random(10000, BEST_SINGLE_EDGE))
     assert aog.outcome == CONVERGED
     assert (aog.activations, len(aog.steps), aog.final_social_cost) == (104, 20, 636)
+
+
+def test_engine_degrees_follow_every_applied_move(monkeypatch):
+    """After each applied move the engine's degree vector is the graph's degree list."""
+    apply = _Engine.apply
+    kinds = set()
+
+    def checked(engine, u, kind):
+        apply(engine, u, kind)
+        kinds.add(type(kind))
+        assert engine.degrees.tolist() == [len(a) for a in engine.graph._adj]
+
+    monkeypatch.setattr(_Engine, "apply", checked)
+    clique, ncg = build_clique(6), GameConfig()
+    # deletions, a swap and additions
+    random_run = run_dynamics(clique, ncg, ActivationScheme.uniform_random(seed=2))
+    # exact best responses that replace whole strategies
+    run_dynamics(clique, ncg, ActivationScheme.round_robin(FULL_BEST_RESPONSE))
+    run_dynamics(path(12), AOG2, ActivationScheme.round_robin())
+    script = [(s.agent, s.kind) for s in random_run.steps]
+    replay = run_dynamics(clique, ncg, ActivationScheme.scripted(script))
+    assert replay.steps == random_run.steps
+    assert kinds == {AddEdge, DeleteEdge, SwapEdge, ReplaceStrategy}
+
+
+def test_long_path_round_robin_is_pinned():
+    """The benchmark's dynamics-path run: aog k=2 best-single-edge on a 150-node path."""
+    trace = run_dynamics(path(150), AOG2, ActivationScheme.round_robin(BEST_SINGLE_EDGE))
+    assert trace.outcome == CONVERGED
+    got = (
+        trace.activations,
+        len(trace.steps),
+        trace.rounds,
+        trace.final_diameter,
+        trace.final_social_cost,
+    )
+    assert got == (1050, 482, 7, 4, 73404)

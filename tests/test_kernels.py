@@ -13,7 +13,7 @@ from degprice.constructions import build_path
 from degprice.costs import GameConfig
 from degprice.errors import ResourceCapExceeded
 from degprice.graph import OwnedGraph
-from degprice.moves import _Pricing
+from degprice.moves import _degrees, _Pricing, _Tariff
 
 
 @settings(max_examples=50, deadline=None)
@@ -69,6 +69,36 @@ def test_incremental_update_matches_recompute(g, data):
     assert np.array_equal(dist, apsp(g._adj))
 
 
+@st.composite
+def several_components(draw):
+    """Two or three owned graphs side by side in one graph."""
+    parts = draw(st.lists(owned_graphs(max_n=6), min_size=2, max_size=3))
+    g = OwnedGraph(sum(p.n for p in parts))
+    offset = 0
+    for p in parts:
+        for a, b in p.owned_edges:
+            g.add_edge(a + offset, b + offset)
+        offset += p.n
+    return g
+
+
+@settings(max_examples=50, deadline=None)
+@given(several_components(), st.data())
+def test_update_chain_matches_recompute(g, data):
+    """Patching after each of 1-5 additions, some joining components, equals a fresh solve."""
+    dist = apsp(g._adj)
+    for _ in range(data.draw(st.integers(1, 5))):
+        non_edges = [
+            (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+        ]
+        if not non_edges:
+            break
+        u, v = data.draw(st.sampled_from(non_edges))
+        g.add_edge(u, v)
+        apsp_update_add(dist, u, v)
+        assert np.array_equal(dist, apsp(g._adj))
+
+
 @settings(max_examples=50)
 @given(owned_graphs(max_n=7))
 def test_addition_row_sums_against_naive(g):
@@ -76,7 +106,7 @@ def test_addition_row_sums_against_naive(g):
     dist = apsp(g._adj)
     free_edges = GameConfig(variant="aog", price_beta=0, price_gamma=0)
     for u in range(g.n):
-        pricing = _Pricing(g, u, free_edges, dist)
+        pricing = _Pricing(g, u, free_edges, _Tariff(g.n, free_edges), _degrees(g), dist)
         _, targets, got = next(pricing.move_groups(adds_only=True))
         assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
         for v, total in zip(targets, got):

@@ -185,7 +185,7 @@ def test_first_improving_search_stops_at_the_first_improving_group(monkeypatch):
         return plus_one(pricing, kept)
 
     monkeypatch.setattr(_Pricing, "_plus_one", recording)
-    found = _Pricing(g, 1, GameConfig()).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
+    found = _Pricing.of_graph(g, 1, GameConfig()).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
     assert found == (AddEdge(3), 12, 11)
     assert calls == [{0, 2}]
 
@@ -233,8 +233,8 @@ def test_best_response_matches_brute_force(g, cfg, agent):
 
 
 def test_huge_denominators_price_with_python_ints():
-    assert _Pricing(path(3), 0, HUGE_DENOMINATOR).price.dtype == object
-    assert _Pricing(path(3), 0, GameConfig()).price.dtype == np.int64
+    assert _Pricing.of_graph(path(3), 0, HUGE_DENOMINATOR).price.dtype == object
+    assert _Pricing.of_graph(path(3), 0, GameConfig()).price.dtype == np.int64
 
 
 def test_candidate_cap_guards_exact_search():
