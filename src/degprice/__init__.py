@@ -9,7 +9,7 @@ variant, and the k-local restriction of either, plus brute-force oracles
 for small instances and an improving-response dynamics engine.
 """
 
-from degprice.graph import OwnedGraph, UNREACHABLE, bfs_distances, degree, ball, diameter
+from degprice.graph import OwnedGraph, UNREACHABLE, bfs_distances, degree, diameter
 from degprice.costs import GameConfig, CostBreakdown, agent_cost, social_cost, rho
 from degprice.moves import (
     candidate_targets,
@@ -24,7 +24,6 @@ __all__ = [
     "UNREACHABLE",
     "bfs_distances",
     "degree",
-    "ball",
     "diameter",
     "GameConfig",
     "CostBreakdown",

@@ -18,10 +18,7 @@ __all__ = [
     "OwnedGraph",
     "bfs_distances",
     "degree",
-    "ball",
     "diameter",
-    "layer_decomposition",
-    "bridges",
     "is_connected",
 ]
 
@@ -156,14 +153,6 @@ def degree(g, v):
     return len(g._adj[v])
 
 
-def ball(g, u, k):
-    """Exactly the nodes at distance k from u (k=0 gives {u})."""
-    if k < 0:
-        raise ValueError("radius must be nonnegative")
-    row = bfs_distances(g, u)
-    return {v for v in range(g.n) if row[v] == k}
-
-
 def diameter(g):
     """Largest finite distance, or UNREACHABLE when disconnected."""
     return int(apsp(g._adj).max())
@@ -171,54 +160,3 @@ def diameter(g):
 
 def is_connected(g):
     return g.n == 1 or int(bfs_distances(g, 0).max()) < UNREACHABLE
-
-
-def layer_decomposition(g, root):
-    """BFS layers L_0={root}, L_1, ... partitioning a connected graph."""
-    row = bfs_distances(g, root)
-    depth = int(row.max())
-    if depth == UNREACHABLE:
-        raise ValueError("layer decomposition needs a connected graph")
-    layers = [set() for _ in range(depth + 1)]
-    for v in range(g.n):
-        layers[int(row[v])].add(v)
-    return layers
-
-
-def bridges(g):
-    """Undirected edges whose removal disconnects their component.
-
-    Iterative low-link search; output is a set of sorted node pairs.
-    """
-    disc = [0] * g.n
-    low = [0] * g.n
-    visited = [False] * g.n
-    out = set()
-    counter = 1
-    for start in range(g.n):
-        if visited[start]:
-            continue
-        stack = [(start, -1, iter(sorted(g._adj[start])))]
-        visited[start] = True
-        disc[start] = low[start] = counter
-        counter += 1
-        while stack:
-            node, parent, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    disc[nxt] = low[nxt] = counter
-                    counter += 1
-                    stack.append((nxt, node, iter(sorted(g._adj[nxt]))))
-                    advanced = True
-                    break
-                if nxt != parent:
-                    low[node] = min(low[node], disc[nxt])
-            if not advanced:
-                stack.pop()
-                if parent >= 0:
-                    low[parent] = min(low[parent], low[node])
-                    if low[node] > disc[parent]:
-                        out.add((min(parent, node), max(parent, node)))
-    return out

@@ -19,14 +19,19 @@ decides each agent once per (edge mask, owned-pair mask) and shares that
 verdict among all the edge mask's ownership labellings.  A state's stage
 is the worst over its agents.  An equilibrium's social cost is the edge
 mask's distance total plus its agents' spends.
+
+Relabelling the nodes changes no stage, social cost or diameter, so the
+census and the optimum walk one edge mask per unlabelled graph (the
+smallest of its orbit under the n! node permutations, ``_classes``) and
+weight its counts by the orbit size.  Visiting those masks in ascending
+order keeps the witnesses of a walk over every edge mask.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -50,16 +55,7 @@ __all__ = [
     "reachable_closure",
     "min_set_cover",
     "min_dominating_set",
-    "worker_count",
 ]
-
-
-def worker_count():
-    """Worker count for census chunking: DEGPRICE_WORKERS, else 1."""
-    value = int(os.environ.get("DEGPRICE_WORKERS") or 1)
-    if value < 1:
-        raise ValueError("DEGPRICE_WORKERS must be >= 1")
-    return value
 
 
 @lru_cache(maxsize=8)
@@ -89,6 +85,30 @@ def _tables(n):
     distsum = dist.sum(axis=2)
     connected = (dist < UNREACHABLE).all(axis=(1, 2))
     return pairs, dist, degs, distsum, connected
+
+
+@lru_cache(maxsize=8)
+def _classes(n):
+    """(masks, orbits): the smallest edge mask of each unlabelled graph on
+    n nodes, in ascending order, and the size of its orbit under the n!
+    node permutations."""
+    pairs = _pairs(n)
+    index = {pair: i for i, pair in enumerate(pairs)}
+    # weight[p, i]: the mask bit that pair i moves to under the p-th permutation
+    weight = np.int64(1) << np.array(
+        [[index[tuple(sorted((p[a], p[b])))] for a, b in pairs] for p in permutations(range(n))],
+        dtype=np.int64,
+    )
+    seen = np.zeros(1 << len(pairs), dtype=bool)
+    masks, orbits = [], []
+    for mask in range(1 << len(pairs)):
+        if not seen[mask]:
+            # no smaller mask has mask in its orbit, so mask is its smallest
+            orbit = set((weight @ (mask >> np.arange(len(pairs)) & 1)).tolist())
+            seen[list(orbit)] = True
+            masks.append(mask)
+            orbits.append(len(orbit))
+    return tuple(masks), tuple(orbits)
 
 
 def _pair_bits(n):
@@ -265,10 +285,25 @@ class EnumerationSummary:
         }
 
 
-def _census_chunk(n, cfg, lo, hi):
-    """Census statistics over the emask range [lo, hi): the stage counts,
-    the first cheapest and first dearest equilibrium as
-    ``(cost, (emask, sub))`` or None, and the largest equilibrium diameter."""
+def equilibrium_census(n, cfg, workers=1):
+    """Filter every state through connectivity and equilibrium checks.
+
+    Every connected state is checked exactly, at any n up to
+    MAX_ENUM_NODES.  Stage, social cost and diameter do not change when
+    the nodes are relabelled, so the census walks one edge mask per
+    unlabelled graph -- the smallest of its orbit, in ascending order --
+    and weights its labellings' stage counts by the orbit size.  The
+    witnesses are the ones a walk over every edge mask picks: if the
+    first cheapest (dearest) equilibrium's mask were not the smallest of
+    its orbit, that smallest mask would hold an equally cheap (dear)
+    equilibrium earlier.  n = 6 takes 0.1-0.4 s per game on one process
+    of a 2-core x86-64 host with Python 3.11, after the 0.6-0.9 s of
+    ``_tables(6)``.  ``workers`` is kept for callers that pass 1.
+    """
+    if n < 2:
+        raise ValueError(f"census needs n >= 2, got {n}")
+    if workers != 1:
+        raise ValueError(f"the census runs on one process, got workers={workers}")
     ev = _StateEvaluator(n, cfg)
     low, high = ev.low, ev.high
     counts = dict.fromkeys(
@@ -276,11 +311,11 @@ def _census_chunk(n, cfg, lo, hi):
     )
     best = worst = None
     diam_max = 0
-    for emask in range(lo, hi):
+    for emask, orbit in zip(*_classes(n)):
         labellings = 1 << bin(emask).count("1")
-        counts["states"] += labellings
+        counts["states"] += orbit * labellings
         if not ev.connected[emask]:
-            counts["disconnected"] += labellings
+            counts["disconnected"] += orbit * labellings
             continue
         # u's verdict per owned-pair mask, shared by every labelling of emask
         verdicts = [{} for _ in range(n)]
@@ -303,56 +338,21 @@ def _census_chunk(n, cfg, lo, hi):
                     failed = stage
                 cost = cost + spend
             if failed == 2:
-                counts["failed_single_move"] += 1
+                counts["failed_single_move"] += orbit
             elif failed == 1:
-                counts["failed_exact"] += 1
+                counts["failed_exact"] += orbit
             else:
-                counts["equilibria"] += 1
+                counts["equilibria"] += orbit
                 if best is None or cost < best[0]:
                     best = (cost, (emask, sub))
                 if worst is None or cost > worst[0]:
                     worst = (cost, (emask, sub))
         if counts["equilibria"] > eq_before:
             diam_max = max(diam_max, int(ev.dist[emask].max()))
-    return counts, best, worst, diam_max
-
-
-def equilibrium_census(n, cfg, workers=None):
-    """Filter every state through connectivity and equilibrium checks.
-
-    Every connected state is checked exactly, at any n up to
-    MAX_ENUM_NODES.  The emask range is cut into ``workers * 4`` chunks,
-    run in worker processes (DEGPRICE_WORKERS) when there are several.
-    Workers pay off at n = 6 (14 348 907 states): ncg global took 14.3 s
-    on one worker and 10.7 s on two of a 2-core x86-64 host with Python
-    3.11.  At n <= 5 they gain little: ``degprice enumerate --n 5`` took
-    0.4-0.5 s either way.
-    """
-    if n < 2:
-        raise ValueError(f"census needs n >= 2, got {n}")
-    workers = worker_count() if workers is None else workers
-    if workers < 1:
-        raise ValueError(f"census needs workers >= 1, got {workers}")
-    pairs = _tables(n)[0]  # built once here, so forked workers inherit the cache
-    bounds = np.linspace(0, 1 << len(pairs), workers * 4 + 1).astype(int).tolist()
-    chunks = len(bounds) - 1
-    jobs = ([n] * chunks, [cfg] * chunks, bounds[:-1], bounds[1:])
-    if workers == 1:
-        parts = list(map(_census_chunk, *jobs))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_census_chunk, *jobs))
-
-    # chunks come in emask order, and min/max keep the first of equal
-    # costs, as the chunks' strict comparisons do
-    chunk_counts, bests, worsts, diams = zip(*parts)
-    counts = {key: sum(c[key] for c in chunk_counts) for key in chunk_counts[0]}
     if counts["equilibria"] == 0:
         raise OracleBudgetExceeded(f"no equilibrium found at n={n}; census degenerate")
-    best_eq_cost, best_state = min((b for b in bests if b), key=lambda b: b[0])
-    worst_eq_cost, worst_state = max((w for w in worsts if w), key=lambda w: w[0])
+    best_eq_cost, best_state = best
+    worst_eq_cost, worst_state = worst
 
     opt_cost, opt_witness = optimal_social_cost(n, cfg)
     return EnumerationSummary(
@@ -368,7 +368,7 @@ def equilibrium_census(n, cfg, workers=None):
         best_witness=_state_to_graph(n, *best_state),
         worst_witness=_state_to_graph(n, *worst_state),
         stage_counts=counts,
-        eq_diameter_max=max(diams),
+        eq_diameter_max=diam_max,
     )
 
 
@@ -379,14 +379,16 @@ def optimal_social_cost(n, cfg):
     each edge's price is minimized independently by orienting it toward
     whichever endpoint is cheaper under the price function.  That yields
     the exact optimum over ownership-labeled states (cross-checked
-    against the plain 3^P enumeration in the test suite).
+    against the plain 3^P enumeration in the test suite).  As in the
+    census, one edge mask per unlabelled graph suffices, and the first
+    cheapest is the one a walk over every edge mask finds.
     """
     ev = _StateEvaluator(n, cfg)
     pairs, price, degs = _pairs(n), ev.price, ev.degs
     best = None
     best_mask = None
     best_orient = None
-    for emask in range(1 << len(pairs)):
+    for emask in _classes(n)[0]:
         if not ev.connected[emask]:
             continue
         total = int(ev.distsum[emask].sum())

@@ -243,6 +243,28 @@ def test_enumerate_census_with_witnesses(capsys, tmp_path):
         assert parse_graph_file((wdir / name).read_text()).n == 3
 
 
+def test_census_past_six_nodes_is_a_resource_exit(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--n", "7")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: enumeration limited")
+
+
+def test_enumerate_six_nodes_with_witnesses(capsys, tmp_path):
+    wdir = tmp_path / "wit"
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--n", "6", "--game", "aog", "--k", "2", "--witness-dir", str(wdir)
+    )
+    assert code == 0
+    assert json.loads(out)["equilibrium_count"] == 13_797_888
+    for name in ("opt.graph", "best-eq.graph", "worst-eq.graph"):
+        assert parse_graph_file((wdir / name).read_text()).n == 6
+    for name in ("best-eq.graph", "worst-eq.graph"):
+        code, _, _ = run_cli(
+            capsys, "verify", str(wdir / name), "--game", "aog", "--k", "2", "--level", "exact"
+        )
+        assert code == 0
+
+
 def test_reduce_round_trip(capsys, tmp_path):
     inst_file = tmp_path / "inst.cover"
     inst_file.write_text("u 8 q 4\n0 1 2 3\n4 5 6 7\n2 3 4 5\n")

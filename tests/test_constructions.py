@@ -23,7 +23,6 @@ from degprice.graph import (
     bfs_distances,
     degree,
     diameter,
-    layer_decomposition,
 )
 from degprice.moves import SwapEdge, best_response_exact, verify_equilibrium
 from degprice.oracle import min_dominating_set, min_set_cover
@@ -114,8 +113,7 @@ class TestFigureNetworks:
 
         h = build_figure_network("fig2d")
         assert h.n == 14
-        sizes = [len(layer) for layer in layer_decomposition(h, 0)]
-        assert sizes == [1, 2, 4, 4, 2, 1]
+        assert np.bincount(bfs_distances(h, 0)).tolist() == [1, 2, 4, 4, 2, 1]
         cfg = GameConfig(variant="aog", locality_k=2)
         assert verify_equilibrium(h, cfg, level="exact").is_equilibrium
 

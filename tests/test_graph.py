@@ -1,4 +1,4 @@
-"""Structural layer: ownership bookkeeping, distances, balls, bridges."""
+"""Structural layer: ownership bookkeeping, distances, connectivity."""
 
 import numpy as np
 import pytest
@@ -9,12 +9,9 @@ from degprice.graph import (
     UNREACHABLE,
     OwnedGraph,
     bfs_distances,
-    ball,
-    bridges,
     degree,
     diameter,
     is_connected,
-    layer_decomposition,
 )
 
 
@@ -78,29 +75,6 @@ def test_bfs_matches_floyd_warshall(g):
         assert np.array_equal(bfs_distances(g, s), expected[s])
 
 
-@settings(max_examples=60)
-@given(owned_graphs())
-def test_bridges_match_disconnection_definition(g):
-    """An edge is a bridge iff removing it separates its endpoints."""
-    naive = set()
-    for u, v in g.owned_edges:
-        h = g.copy()
-        h.remove_edge(u, v)
-        if bfs_distances(h, u)[v] >= UNREACHABLE:
-            naive.add((min(u, v), max(u, v)))
-    assert bridges(g) == naive
-
-
-def test_ball_is_the_exact_distance_shell():
-    g = path(5)
-    assert ball(g, 0, 0) == {0}
-    assert ball(g, 0, 2) == {2}
-    assert ball(g, 2, 1) == {1, 3}
-    assert ball(g, 0, 9) == set()
-    with pytest.raises(ValueError):
-        ball(g, 0, -1)
-
-
 def test_degree_and_diameter():
     g = path(4)
     assert [degree(g, v) for v in range(4)] == [1, 2, 2, 1]
@@ -113,10 +87,5 @@ def test_degree_and_diameter():
 def test_connectivity_and_layers():
     g = path(4)
     assert is_connected(g)
-    assert layer_decomposition(g, 0) == [{0}, {1}, {2}, {3}]
-    assert layer_decomposition(g, 1) == [{1}, {0, 2}, {3}]
-    lonely = OwnedGraph(3, [(0, 1)])
-    assert not is_connected(lonely)
-    with pytest.raises(ValueError, match="connected"):
-        layer_decomposition(lonely, 0)
+    assert not is_connected(OwnedGraph(3, [(0, 1)]))
     assert is_connected(OwnedGraph(1))

@@ -1,10 +1,13 @@
 """Exhaustive small-instance oracles: censuses, optima, closures, covers."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import owned_graphs
 from degprice import oracle
 from degprice.constructions import SetCoverInstance
 from degprice.costs import GameConfig, social_cost
@@ -21,7 +24,6 @@ from degprice.oracle import (
     min_set_cover,
     optimal_social_cost,
     reachable_closure,
-    worker_count,
 )
 
 
@@ -44,6 +46,28 @@ def test_enumeration_cap():
         optimal_social_cost(7, GameConfig())
     with pytest.raises(OracleBudgetExceeded, match="enumeration limited to n <= 6, got 7"):
         equilibrium_census(7, GameConfig())
+
+
+def relabel(g, perm):
+    """g with node v renamed perm[v]; each edge keeps its owner."""
+    return OwnedGraph(g.n, [(perm[u], perm[v]) for u, v in g.owned_edges])
+
+
+def test_class_table_holds_each_unlabelled_graph_once():
+    for n, count in zip(range(1, 7), (1, 2, 4, 11, 34, 156)):  # OEIS A000088
+        masks, orbits = oracle._classes(n)
+        assert len(masks) == len(orbits) == count
+        assert sum(orbits) == 1 << (n * (n - 1) // 2)
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+    for n in range(1, 6):
+        for mask, orbit in zip(*oracle._classes(n)):
+            g = oracle._state_to_graph(n, mask, mask)
+            images = {_graph_to_state(relabel(g, p))[0] for p in permutations(range(n))}
+            assert min(images) == mask and len(images) == orbit
+    cached = oracle._classes.cache_info().currsize
+    with pytest.raises(OracleBudgetExceeded):
+        oracle._classes(7)
+    assert oracle._classes.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("cfg", [GameConfig(), GameConfig(price_beta=3, price_gamma=0)])
@@ -71,11 +95,15 @@ PINNED = {
     ("ncg", None, 3): (20, 8, 8, 10, Fraction(5, 4), 2),
     ("ncg", None, 4): (100, 18, 18, 21, Fraction(7, 6), 2),
     ("ncg", None, 5): (1149, 32, 32, 40, Fraction(5, 4), 2),
+    ("ncg", None, 6): (48341, 50, 50, 62, Fraction(31, 25), 3),
     ("ncg", 2, 4): (196, 18, 18, 23, Fraction(23, 18), 3),
     ("ncg", 2, 5): (2229, 32, 32, 40, Fraction(5, 4), 3),
+    ("ncg", 2, 6): (72461, 50, 50, 64, Fraction(32, 25), 3),
     ("aog", None, 4): (528, 18, 18, 24, Fraction(4, 3), 2),
     ("aog", None, 5): (43728, 32, 32, 50, Fraction(25, 16), 2),
+    ("aog", None, 6): (11759808, 50, 50, 90, Fraction(9, 5), 3),
     ("aog", 2, 5): (54288, 32, 32, 50, Fraction(25, 16), 3),
+    ("aog", 2, 6): (13797888, 50, 50, 90, Fraction(9, 5), 4),
 }
 
 
@@ -111,6 +139,13 @@ STAGES_N5 = {
     ("aog", 2): (59049, 3801, 960, 0, 54288),
 }
 
+STAGES_N6 = {
+    ("ncg", None): (14348907, 366699, 13912321, 21546, 48341),
+    ("ncg", 2): (14348907, 366699, 13861201, 48546, 72461),
+    ("aog", None): (14348907, 366699, 2222400, 0, 11759808),
+    ("aog", 2): (14348907, 366699, 184320, 0, 13797888),
+}
+
 STAGE_FIELDS = ("states", "disconnected", "failed_single_move", "failed_exact", "equilibria")
 
 
@@ -124,6 +159,12 @@ def test_census_stage_counts_n4(key, census):
 def test_census_stage_counts_n5(key, census):
     counts = census.get(*key, 5).stage_counts
     assert tuple(counts[f] for f in STAGE_FIELDS) == STAGES_N5[key]
+
+
+@pytest.mark.parametrize("key", sorted(STAGES_N6, key=str), ids=lambda k: f"{k[0]}-k{k[1]}")
+def test_census_stage_counts_n6(key, census):
+    counts = census.get(*key, 6).stage_counts
+    assert tuple(counts[f] for f in STAGE_FIELDS) == STAGES_N6[key]
 
 
 SMALL_GAMES = [GameConfig(variant=v, locality_k=k) for v in ("ncg", "aog") for k in (None, 2)] + [
@@ -165,6 +206,19 @@ def test_census_matches_a_plain_state_loop(cfg):
         assert s.eq_diameter_max == diam_max
 
 
+@settings(max_examples=60, deadline=None)
+@given(owned_graphs(max_n=5, connected=True), st.data())
+def test_stage_and_cost_survive_relabelling(g, data):
+    """The census weights one edge mask per unlabelled graph by its orbit
+    size, which holds only if relabelling changes no stage and no cost of
+    a connected state (the census decides no other)."""
+    image = relabel(g, data.draw(st.permutations(range(g.n))))
+    for cfg in SMALL_GAMES:
+        ev = _StateEvaluator(g.n, cfg)
+        assert ev.failed_stage(*_graph_to_state(image)) == ev.failed_stage(*_graph_to_state(g))
+        assert social_cost(image, cfg) == social_cost(g, cfg)
+
+
 @pytest.mark.parametrize("cfg", SMALL_GAMES, ids=lambda cfg: cfg.describe())
 def test_verify_agrees_with_oracle_on_every_small_state(cfg):
     """The move engine's verdict at both levels matches the mask oracle's,
@@ -200,28 +254,12 @@ def test_census_counts_what_verify_accepts_under_huge_prices():
     assert equilibrium_census(4, cfg).equilibrium_count == accepted == 100
 
 
-@pytest.mark.parametrize("variant, k", [("ncg", None), ("ncg", 2), ("aog", None), ("aog", 2)])
-def test_parallel_census_matches_serial(variant, k, census):
-    serial = census.get(variant, k, 4)
-    parallel = equilibrium_census(4, GameConfig(variant=variant, locality_k=k), workers=2)
-    assert parallel.as_dict() == serial.as_dict()
-    for witness in ("opt_witness", "best_witness", "worst_witness"):
-        assert getattr(parallel, witness) == getattr(serial, witness)
-
-
 def test_census_needs_a_worker():
-    with pytest.raises(ValueError, match="workers >= 1"):
-        equilibrium_census(4, GameConfig(), workers=0)
-
-
-def test_worker_count_reads_the_environment(monkeypatch):
-    monkeypatch.delenv("DEGPRICE_WORKERS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("DEGPRICE_WORKERS", "2")
-    assert worker_count() == 2
-    monkeypatch.setenv("DEGPRICE_WORKERS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
+    """One process runs every census; the keyword accepts only 1."""
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="one process"):
+            equilibrium_census(4, GameConfig(), workers=workers)
+    assert equilibrium_census(3, GameConfig(), workers=1).equilibrium_count == 20
 
 
 def test_census_ratios_are_exact(census):
