@@ -2,16 +2,26 @@
 
 ``neighbours[v]`` is the set of v's neighbours (``OwnedGraph._adj`` is
 one).  ``bfs_row`` gives the hop distances from one source, ``apsp``
-stacks one row per source into an int64 table, and ``apsp_update_add``
-patches such a table after an edge is added, touching only the rows
-and columns whose distances can change.  Every distance caller goes
-through them, except ``moves.evaluate_deviation``, the scalar reference
-that keeps its own BFS.  A disconnected pair holds exactly
-``UNREACHABLE``.  The sentinel is far below the int64 overflow line, so
-``sentinel + sentinel + 1`` still compares safely, and the update's
-minimum with the old entry keeps every result at most ``UNREACHABLE``.
-``apsp`` refuses graphs of more than ``APSP_MAX_NODES`` nodes, whose
-table would pass 800 MB.
+stacks one row per source into an int64 table, and two kernels derive
+a table from another instead of building it:
+
+- ``apsp_update_add`` patches G's table after an edge is added,
+  touching only the rows and columns whose distances can change;
+- ``apsp_without`` gives the table of G - u from G's table, re-running
+  ``bfs_row`` only for the sources whose row u's removal changes.  Take
+  a source s and d = d(s, u).  Every node at depth d or less keeps its
+  distance, since a path through u reaches only deeper nodes.  A node
+  y at depth d + 1 keeps its distance if it has a neighbour x other
+  than u at depth d, and every deeper node then keeps a path that
+  avoids u by induction.  So row s changes outside column u exactly
+  when some neighbour y of u at depth d + 1 has no such x.
+
+Every distance caller goes through them, except
+``moves.evaluate_deviation``, the scalar reference that keeps its own
+BFS.  A disconnected pair holds exactly ``UNREACHABLE``.  The sentinel
+is far below the int64 overflow line, so ``sentinel + sentinel + 1``
+still compares safely, and the update's minimum with the old entry
+keeps every result at most ``UNREACHABLE``.
 """
 
 import numpy as np
@@ -19,6 +29,12 @@ import numpy as np
 from degprice.errors import ResourceCapExceeded
 
 UNREACHABLE = 10**9
+# ``apsp`` refuses graphs past this many nodes.  An n-node table takes
+# 8 n^2 bytes, 800 MB at the cap.  The ncg dynamics engine holds at most
+# three n x n int64 arrays at once: G's table, the table of G - u that it
+# priced with, and the temporary of the update after a move, which it
+# writes into the latter (``dynamics._Engine.apply``).  Its n x n boolean
+# arrays, G's adjacency matrix and the removal test's, add n^2 bytes each.
 APSP_MAX_NODES = 10_000
 
 
@@ -86,3 +102,31 @@ def apsp_update_add(dist, u, v):
     relaxed = np.minimum(dist[rows], dist[rows, u, None] + 1 + dist[v])
     dist[rows] = relaxed
     dist[:, rows] = relaxed.T
+
+
+def apsp_without(dist, neighbours, u, adjacency):
+    """The table of G - u, derived from G's table ``dist`` (left unchanged).
+
+    ``adjacency`` is G's boolean adjacency matrix.  Row s is re-run with
+    ``bfs_row`` only when a neighbour y of u sits one hop deeper than u
+    from s and has no other neighbour at u's depth (see the module
+    docstring); every other row is copied, with column u cut.  This is
+    the removal counterpart of ``apsp_update_add``, in the spirit of the
+    fully dynamic shortest paths of Demetrescu and Italiano (J. ACM 2004).
+    """
+    table = dist.copy()
+    near = sorted(neighbours[u])
+    depth = dist[:, u, None]
+    level = dist == depth
+    level[:, u] = False
+    # held[s, j]: near[j] has a neighbour other than u at u's depth from s
+    held = level @ adjacency[:, near]
+    # a neighbour of u is at most one hop deeper than u
+    orphaned = (dist[:, near] > depth) & ~held
+    orphaned[u] = False  # row u is cut below
+    for s in orphaned.any(axis=1).nonzero()[0].tolist():
+        table[s] = bfs_row(neighbours, s, without=u)
+    table[u] = UNREACHABLE
+    table[:, u] = UNREACHABLE
+    table[u, u] = 0
+    return table

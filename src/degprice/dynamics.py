@@ -13,16 +13,18 @@ random process is naturally measured in.
 
 An agent's answer depends only on the graph, so an agent found stuck is
 not priced again until some move is applied; its later wake-ups still
-count as activations.  The engine keeps every node's degree current
-across moves and computes the game's price constants once, so pricing
-an agent reads them instead of rebuilding them.  In add-only games it
-also keeps the full distance matrix current: an added edge rewrites only
-the rows and columns whose distances it can shorten
-(``_kernels.apsp_update_add``), and a priced activation reads G's rows
-instead of building a table.  In the
-other games each priced activation builds a fresh distance table of the
-network without the activated agent.  Prices stay exact, as int or
-Fraction, and a move that leaves its agent disconnected costs
+count as activations.  The engine keeps every node's degree and the
+full distance table D of the network current across moves, and
+computes the game's price constants once, so pricing an agent reads
+them instead of rebuilding them.  In add-only games a priced activation
+reads D's rows, and an added edge rewrites only the rows and columns
+whose distances it can shorten (``_kernels.apsp_update_add``).  In the
+other games a priced activation derives the table of the network
+without the activated agent u from D, re-running only the rows that u's
+removal changes (``_kernels.apsp_without``).  After u moves, D becomes
+the minimum of that table and the sums of u's new row with itself,
+since a shortest path crosses u at most once.  Prices stay exact, as
+int or Fraction, and a move that leaves its agent disconnected costs
 ``math.inf``.
 """
 
@@ -30,6 +32,8 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from degprice._kernels import apsp, apsp_update_add
 from degprice.costs import _social_cost_from, plain
@@ -44,7 +48,6 @@ from degprice.moves import (
     _degrees,
     _Pricing,
     _Tariff,
-    apply_move,
     strategy_after,
 )
 
@@ -173,8 +176,11 @@ def _graph_dict(g):
 class _Engine:
     """Finds, prices and applies moves on a private copy of the start graph.
 
-    ``degrees`` (and in add-only games ``dist``) always match ``graph``:
-    ``apply`` updates them for every changed edge.
+    ``degrees``, ``dist`` and, outside add-only games, the boolean
+    ``adjacency`` matrix always match ``graph``: ``apply`` updates them
+    for every applied move.  ``play`` and ``replay`` price one activation
+    and apply its move with the same pricing, so an ncg move turns the
+    table of G - u that priced it into the new ``dist``.
     """
 
     def __init__(self, g0, cfg):
@@ -182,15 +188,27 @@ class _Engine:
         self.cfg = cfg
         self.tariff = _Tariff(g0.n, cfg)
         self.degrees = _degrees(self.graph)
-        self.dist = apsp(self.graph._adj) if cfg.add_only else None
+        self.dist = apsp(self.graph._adj)
+        self.adjacency = None if cfg.add_only else self.graph.adjacency_matrix()
 
     def pricing(self, u):
-        return _Pricing(self.graph, u, self.cfg, self.tariff, self.degrees, self.dist)
+        g, cfg = self.graph, self.cfg
+        return _Pricing(g, u, cfg, self.tariff, self.degrees, self.dist, self.adjacency)
 
     def find_move(self, u, policy):
-        return self.pricing(u).improving_move(policy)
+        """(u's pricing, u's move under policy or None)."""
+        p = self.pricing(u)
+        return p, p.improving_move(policy)
 
-    def eval_move(self, u, kind):
+    def play(self, u, policy):
+        """u's move under policy, applied; None if u is stuck."""
+        p, found = self.find_move(u, policy)
+        if found is not None:
+            self.apply(p, found[0])
+        return found
+
+    def replay(self, u, kind):
+        """u's costs before and after a scripted move, applied only if strictly cheaper."""
         g = self.graph
         try:
             new_strategy = strategy_after(g, u, kind)
@@ -204,19 +222,35 @@ class _Engine:
             raise ScheduleReplayError(
                 f"agent {u}: targets {sorted(bad)} outside the allowed candidates"
             )
-        return p.value(p.total(p.current)), p.value(p.total(new_strategy))
+        before, after = p.value(p.total(p.current)), p.value(p.total(new_strategy))
+        if after < before:
+            self.apply(p, kind)
+        return before, after
 
-    def apply(self, u, kind):
-        before = self.graph.targets(u)
-        apply_move(self.graph, u, kind)
-        after = self.graph.targets(u)
+    def apply(self, p, kind):
+        """Play agent ``p.u``'s move on the graph that ``p`` priced."""
+        u, g = p.u, self.graph
+        before = g.targets(u)
+        after = strategy_after(g, u, kind)
+        if not self.cfg.add_only:
+            # G - u is the same before and after u's move, and a shortest path
+            # crosses u at most once: d(i, j) = min(d_{G-u}(i, j), r[i] + r[j])
+            r = p.merged(after)
+            self.dist = p.table
+            np.minimum(self.dist, r[:, None] + r[None, :], out=self.dist)
+        g.replace_strategy(u, after)
         added, dropped = sorted(after - before), sorted(before - after)
         self.degrees[u] += len(added) - len(dropped)
         self.degrees[added] += 1
         self.degrees[dropped] -= 1
-        if self.dist is not None:
+        if self.cfg.add_only:
             for v in added:
                 apsp_update_add(self.dist, u, v)
+        else:
+            for v in added:
+                self.adjacency[u, v] = self.adjacency[v, u] = True
+            for v in dropped:
+                self.adjacency[u, v] = self.adjacency[v, u] = False
 
 
 def _activation_source(scheme, n):
@@ -276,9 +310,9 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
             # the graph is unchanged since this agent was found stuck
             if agent in stuck:
                 continue
-            found = engine.find_move(agent, scheme.move_policy)
+            found = engine.play(agent, scheme.move_policy)
         else:
-            before, after = engine.eval_move(agent, kind)
+            before, after = engine.replay(agent, kind)
             if not after < before:
                 raise ScheduleReplayError(
                     f"schedule step {activations - 1} (agent {agent}, {kind}): "
@@ -288,7 +322,6 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
         if found is None:
             stuck.add(agent)
             continue
-        engine.apply(agent, found[0])
         steps.append(MoveRecord(agent, *found))
         stuck.clear()
         if seen is not None:
@@ -298,20 +331,19 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
                 break
             seen.add(key)
     else:
-        stable = all(engine.find_move(u, FIRST_IMPROVING_SINGLE_MOVE) is None for u in range(n))
+        stable = all(engine.find_move(u, FIRST_IMPROVING_SINGLE_MOVE)[1] is None for u in range(n))
         metadata["script_exhausted"] = True
         metadata["final_single_move_stable"] = stable
         outcome = CONVERGED if stable else STEP_LIMIT
 
     final = engine.graph.copy()
-    dist = apsp(final._adj) if engine.dist is None else engine.dist
     return DynamicsTrace(
         initial=g0.copy(),
         steps=steps,
         outcome=outcome,
         rounds=activations // n,
-        final_social_cost=_social_cost_from(final, cfg, dist),
-        final_diameter=int(dist.max()),
+        final_social_cost=_social_cost_from(final, cfg, engine.dist),
+        final_diameter=int(engine.dist.max()),
         final=final,
         activations=activations,
         metadata=metadata,

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from degprice._kernels import UNREACHABLE, apsp
+from degprice._kernels import UNREACHABLE, apsp, apsp_without
 from degprice.costs import edge_price, plain
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import bfs_distances
@@ -298,11 +298,16 @@ class _Pricing:
     With ``table`` the hop distances of G - u, u's distance to w under
     strategy S is ``min(floor[w], 1 + table[v, w] for v in S)``, where
     ``floor`` is the same minimum over the agents that bought edges to u
-    (``floor[u] = 0``).  An add-only caller that keeps G's own distance
-    matrix may pass it as ``dist`` instead: the floor is then ``dist[u]``
-    and u's current targets are the ``base`` that every priced strategy
-    keeps.  That is exact too, since a shortest path from u never passes
-    through u again.
+    (``floor[u] = 0``).  A caller that keeps G's own distance table may
+    pass it as ``dist``; ``u``'s locality ball is then read from its row.
+    In ncg the table of G - u is then derived from it by
+    ``_kernels.apsp_without``, which also reads G's boolean
+    ``adjacency`` matrix; with no ``dist`` it is built by ``apsp``.
+    Either way it is built on first use and belongs to this pricing.  In
+    aog ``dist`` itself is the table: the floor is ``dist[u]`` and u's
+    current targets are the ``base`` that every priced strategy keeps.
+    That is exact too, since a shortest path from u never passes through
+    u again.
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
     holds it, scaled as ``tariff`` says.  ``degrees`` is every node's
@@ -311,12 +316,13 @@ class _Pricing:
     ``of_graph``).  Neither is copied or changed here.
     """
 
-    def __init__(self, g, u, cfg, tariff, degrees, dist=None):
+    def __init__(self, g, u, cfg, tariff, degrees, dist=None, adjacency=None):
         g._check_node(u)
         self.graph, self.u, self.add_only = g, u, cfg.add_only
         self.scale, self.unreachable = tariff.scale, tariff.unreachable
         self.current = g.targets(u)
-        if dist is None:
+        self.dist, self.adjacency = dist, adjacency
+        if dist is None or not self.add_only:
             self.base = frozenset()
         else:
             self.table, self.base, self.floor = dist, frozenset(self.current), dist[u]
@@ -344,7 +350,9 @@ class _Pricing:
     # over too many candidates fails on the cap without paying for it.
     @cached_property
     def table(self):
-        return apsp(self.graph._adj, without=self.u)
+        if self.dist is None:
+            return apsp(self.graph._adj, without=self.u)
+        return apsp_without(self.dist, self.graph._adj, self.u, self.adjacency)
 
     @cached_property
     def floor(self):
@@ -367,10 +375,14 @@ class _Pricing:
 
     def totals(self, merged, spend):
         """Scaled totals of distance rows ``merged`` with edge spends ``spend``."""
+        # a connected row sums to less than n^2 <= APSP_MAX_NODES^2 < UNREACHABLE,
+        # and one sentinel entry lifts the sum to UNREACHABLE or more
         dtype = self.price.dtype
-        connected = merged.max(axis=-1) < UNREACHABLE
-        dsum = np.where(connected, merged.sum(axis=-1), 0).astype(dtype)
-        return np.where(connected, dsum * self.scale + spend, np.array(self.unreachable, dtype))
+        dsum = merged.sum(axis=-1)
+        connected = dsum < UNREACHABLE
+        # zeroing the disconnected sums first keeps them from wrapping under the scale
+        scaled = (dsum * connected).astype(dtype, copy=False) * self.scale + spend
+        return np.where(connected, scaled, np.array(self.unreachable, dtype))
 
     def total(self, strategy):
         return self.totals(self.merged(strategy), self.spend(strategy))
@@ -428,7 +440,7 @@ class _Pricing:
         else:
             raise ValueError(f"unknown move policy {policy!r}")
         for make, targets, totals in groups:
-            improving = np.flatnonzero(totals < now)
+            improving = (totals < now).nonzero()[0]
             if improving.size:
                 # argmin takes the smallest target among equally cheap additions
                 i = int(totals.argmin() if policy == BEST_SINGLE_EDGE else improving[0])
@@ -511,15 +523,19 @@ def verify_equilibrium(g, cfg, level=EXACT):
     EXACT searches every allowed strategy per agent (CANDIDATE_CAP permitting);
     SINGLE_MOVE only scans elementary moves and says so in its notes.
     The witness is the first agent's move that improves: its exact best
-    response, or its first improving move in the canonical order.
+    response, or its first improving move in the canonical order.  G's
+    distance table is built once: aog prices every agent from it, and
+    ncg derives each agent's table of G - u from it.
     """
     policies = {EXACT: FULL_BEST_RESPONSE, SINGLE_MOVE: FIRST_IMPROVING_SINGLE_MOVE}
     if level not in policies:
         raise ValueError(f"unknown check level {level!r}")
     notes = _notes_for(cfg, level)
-    tariff, degrees = _Tariff(g.n, cfg), _degrees(g)
+    tariff, degrees, dist = _Tariff(g.n, cfg), _degrees(g), apsp(g._adj)
+    adjacency = None if cfg.add_only else g.adjacency_matrix()
     for u in range(g.n):
-        found = _Pricing(g, u, cfg, tariff, degrees).improving_move(policies[level])
+        pricing = _Pricing(g, u, cfg, tariff, degrees, dist, adjacency)
+        found = pricing.improving_move(policies[level])
         if found is not None:
             witness = MoveRecord(u, *found)
             return EquilibriumReport(False, witness, level, notes)

@@ -3,10 +3,13 @@
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from degprice._kernels import apsp
 from degprice.constructions import build_clique, build_figure_network
 from degprice.costs import GameConfig, social_cost
 from degprice.dynamics import (
@@ -266,14 +269,18 @@ def test_uniform_random_totals_are_pinned():
 
 
 def test_engine_degrees_follow_every_applied_move(monkeypatch):
-    """After each applied move the engine's degree vector is the graph's degree list."""
+    """After each applied move the engine's degrees and distances are the graph's."""
     apply = _Engine.apply
     kinds = set()
 
-    def checked(engine, u, kind):
-        apply(engine, u, kind)
+    def checked(engine, pricing, kind):
+        apply(engine, pricing, kind)
         kinds.add(type(kind))
-        assert engine.degrees.tolist() == [len(a) for a in engine.graph._adj]
+        g = engine.graph
+        assert engine.degrees.tolist() == [len(a) for a in g._adj]
+        assert np.array_equal(engine.dist, apsp(g._adj))
+        if engine.adjacency is not None:
+            assert np.array_equal(engine.adjacency, g.adjacency_matrix())
 
     monkeypatch.setattr(_Engine, "apply", checked)
     clique, ncg = build_clique(6), GameConfig()
@@ -300,3 +307,26 @@ def test_long_path_round_robin_is_pinned():
         trace.final_social_cost,
     )
     assert got == (1050, 482, 7, 4, 73404)
+
+
+@pytest.mark.parametrize(
+    "n, k, policy, expected, kinds",
+    [
+        (120, 2, BEST_SINGLE_EDGE, (720, 346, 6, 4, 45698), {"add": 346}),
+        (60, None, FIRST_IMPROVING_SINGLE_MOVE, (660, 346, 11, 3, 8769),
+         {"add": 225, "delete": 83, "swap": 38}),
+    ],
+)  # fmt: skip
+def test_long_path_ncg_round_robin_is_pinned(n, k, policy, expected, kinds):
+    """ncg runs from a path whose time goes mostly to tables of G - u."""
+    trace = run_dynamics(path(n), GameConfig(locality_k=k), ActivationScheme.round_robin(policy))
+    assert trace.outcome == CONVERGED
+    got = (
+        trace.activations,
+        len(trace.steps),
+        trace.rounds,
+        trace.final_diameter,
+        trace.final_social_cost,
+    )
+    assert got == expected
+    assert Counter(step.kind.type for step in trace.steps) == kinds

@@ -1,19 +1,24 @@
 """Distance kernels and the row-min sums priced from them, against reference answers."""
 
+import math
 import tracemalloc
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import floyd_warshall, owned_graphs
-from degprice._kernels import APSP_MAX_NODES, UNREACHABLE, apsp, apsp_update_add
+from degprice import _kernels
+from degprice._kernels import APSP_MAX_NODES, UNREACHABLE, apsp, apsp_update_add, apsp_without
 from degprice.constructions import build_path
 from degprice.costs import GameConfig
+from degprice.dynamics import BEST_SINGLE_EDGE, _Engine
 from degprice.errors import ResourceCapExceeded
 from degprice.graph import OwnedGraph
-from degprice.moves import _degrees, _Pricing, _Tariff
+from degprice.moves import _degrees, _Pricing, _Tariff, evaluate_deviation, strategy_after
 
 
 @settings(max_examples=50, deadline=None)
@@ -97,6 +102,97 @@ def test_update_chain_matches_recompute(g, data):
         g.add_edge(u, v)
         apsp_update_add(dist, u, v)
         assert np.array_equal(dist, apsp(g._adj))
+
+
+def assert_removals_match_recompute(g):
+    """Every G - u from G's table equals a fresh solve, and only changed rows are re-run."""
+    dist = apsp(g._adj)
+    kept = dist.copy()
+    adjacency = g.adjacency_matrix()
+    for u in range(g.n):
+        fresh = apsp(g._adj, without=u)
+        with mock.patch.object(_kernels, "bfs_row", wraps=_kernels.bfs_row) as bfs:
+            table = apsp_without(dist, g._adj, u, adjacency)
+        assert np.array_equal(table, fresh)
+        rerun = [c.args[1] for c in bfs.call_args_list]
+        changed = [
+            s
+            for s in range(g.n)
+            if s != u and not np.array_equal(np.delete(fresh[s], u), np.delete(dist[s], u))
+        ]
+        assert rerun == changed
+    assert np.array_equal(dist, kept)
+
+
+# path 0-1-2-3 with isolated 4 and the edge 5-6: node 4 is isolated, 0 a
+# leaf, 1 a cut vertex, and the sources 5 and 6 lie in another component
+SHAPES = OwnedGraph(7, [(0, 1), (1, 2), (3, 2), (5, 6)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(owned_graphs())
+@example(SHAPES)
+def test_removal_matches_recompute(g):
+    assert_removals_match_recompute(g)
+
+
+@settings(max_examples=50, deadline=None)
+@given(several_components())
+@example(SHAPES)
+def test_removal_across_components_matches_recompute(g):
+    assert_removals_match_recompute(g)
+
+
+def test_one_ncg_step_holds_at_most_two_more_tables():
+    """Pricing and moving one agent allocates the table of G - u and the update's temporary."""
+    engine = _Engine(build_path(300), GameConfig(locality_k=2))
+    tracemalloc.start()
+    try:
+        found = engine.play(0, BEST_SINGLE_EDGE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is not None
+    assert np.array_equal(engine.dist, apsp(engine.graph._adj))
+    assert peak <= 2.3 * engine.dist.nbytes
+
+
+@pytest.mark.parametrize("beta", [1, Fraction(1, 10**15), Fraction(1, 10**17)])
+@pytest.mark.parametrize("split", [15, 10])
+def test_totals_read_disconnection_from_the_row_sum(beta, split):
+    """Rows holding UNREACHABLE or UNREACHABLE + 1 entries total exactly ``unreachable``.
+
+    Nodes ``split``..15 form a second component, so u's rows miss one or
+    several nodes.  beta = 1/10^15 scales int64 prices near the int64
+    limit, and 1/10^17 needs Python ints.
+    """
+    g = OwnedGraph(16, [(i, i + 1) for i in range(15) if i != split - 1])
+    cfg = GameConfig(price_beta=beta, price_gamma=0)
+    # a discarded lane that wrapped under the scale would raise here
+    with np.errstate(over="raise"):
+        for u in (0, 4, split):
+            check_totals(g, u, cfg)
+
+
+def check_totals(g, u, cfg):
+    p = _Pricing.of_graph(g, u, cfg)
+    assert p.price.dtype == (object if cfg.price_beta == Fraction(1, 10**17) else np.int64)
+    for make, targets, totals in p.move_groups(adds_only=False):
+        for v, total in zip(targets, totals):
+            expected = evaluate_deviation(g, u, strategy_after(g, u, make(v)), cfg)
+            if expected == math.inf:
+                assert total == p.unreachable
+            else:
+                assert p.value(total) == expected
+    assert p.total(p.current) == p.unreachable
+    rows = np.tile(np.arange(16, dtype=np.int64), (5, 1))
+    rows[1, 5] = UNREACHABLE
+    rows[2, 3:9] = UNREACHABLE
+    rows[3, 7] = UNREACHABLE + 1
+    rows[4, 1:] = UNREACHABLE + 1
+    got = p.totals(rows, p.spend(p.current))
+    assert got[0] == 120 * p.scale + p.spend(p.current)
+    assert got[1:].tolist() == [p.unreachable] * 4
 
 
 @settings(max_examples=50)
