@@ -33,8 +33,9 @@ UNREACHABLE = 10**9
 # 8 n^2 bytes, 800 MB at the cap.  The ncg dynamics engine holds at most
 # three n x n int64 arrays at once: G's table, the table of G - u that it
 # priced with, and the temporary of the update after a move, which it
-# writes into the latter (``dynamics._Engine.apply``).  Its n x n boolean
-# arrays, G's adjacency matrix and the removal test's, add n^2 bytes each.
+# writes into the latter (``dynamics._Engine.apply``).  It keeps no n x n
+# adjacency matrix: the removal test's n x n ``level`` array in
+# ``apsp_without``, n^2 bytes, is the only boolean one left.
 APSP_MAX_NODES = 10_000
 
 
@@ -67,11 +68,10 @@ def bfs_row(neighbours, source, without=None):
     return row
 
 
-def apsp(neighbours, without=None):
+def apsp(neighbours):
     """All-pairs hop distances, one ``bfs_row`` per source, as an int64 table.
 
-    With ``without`` set, the table is that of the graph with that node's
-    edges removed.  O(n * (n + edges)) time.
+    O(n * (n + edges)) time.
     """
     n = len(neighbours)
     if n > APSP_MAX_NODES:
@@ -80,7 +80,7 @@ def apsp(neighbours, without=None):
         )
     dist = np.empty((n, n), dtype=np.int64)
     for s in range(n):
-        dist[s] = bfs_row(neighbours, s, without)
+        dist[s] = bfs_row(neighbours, s)
     return dist
 
 
@@ -104,25 +104,28 @@ def apsp_update_add(dist, u, v):
     dist[:, rows] = relaxed.T
 
 
-def apsp_without(dist, neighbours, u, adjacency):
+def apsp_without(dist, neighbours, u):
     """The table of G - u, derived from G's table ``dist`` (left unchanged).
 
-    ``adjacency`` is G's boolean adjacency matrix.  Row s is re-run with
-    ``bfs_row`` only when a neighbour y of u sits one hop deeper than u
-    from s and has no other neighbour at u's depth (see the module
-    docstring); every other row is copied, with column u cut.  This is
-    the removal counterpart of ``apsp_update_add``, in the spirit of the
-    fully dynamic shortest paths of Demetrescu and Italiano (J. ACM 2004).
+    Row s is re-run with ``bfs_row`` only when a neighbour y of u sits
+    one hop deeper than u from s and has no other neighbour at u's depth
+    (see the module docstring); every other row is copied, with column u
+    cut.  By symmetry, x neighbours y exactly when ``dist[x, y] == 1``,
+    so u's neighbour columns of ``dist`` also give G's adjacency there.
+    This is the removal counterpart of ``apsp_update_add``, in the spirit
+    of the fully dynamic shortest paths of Demetrescu and Italiano
+    (J. ACM 2004).
     """
     table = dist.copy()
     near = sorted(neighbours[u])
     depth = dist[:, u, None]
     level = dist == depth
     level[:, u] = False
+    columns = dist[:, near]
     # held[s, j]: near[j] has a neighbour other than u at u's depth from s
-    held = level @ adjacency[:, near]
+    held = level @ (columns == 1)
     # a neighbour of u is at most one hop deeper than u
-    orphaned = (dist[:, near] > depth) & ~held
+    orphaned = (columns > depth) & ~held
     orphaned[u] = False  # row u is cut below
     for s in orphaned.any(axis=1).nonzero()[0].tolist():
         table[s] = bfs_row(neighbours, s, without=u)

@@ -13,12 +13,13 @@ random process is naturally measured in.
 
 An agent's answer depends only on the graph, so an agent found stuck is
 not priced again until some move is applied; its later wake-ups still
-count as activations.  The engine keeps every node's degree and the
-full distance table D of the network current across moves, and
-computes the game's price constants once, so pricing an agent reads
-them instead of rebuilding them.  In add-only games a priced activation
-reads D's rows, and an added edge rewrites only the rows and columns
-whose distances it can shorten (``_kernels.apsp_update_add``).  In the
+count as activations.  The engine is the network's pricing position
+(``moves._Position``): it keeps every node's degree and the full
+distance table D of the network current across moves, and computes the
+game's price constants once, so pricing an agent reads them instead of
+rebuilding them.  In add-only games a priced activation reads D's rows,
+and an added edge rewrites only the rows and columns whose distances
+it can shorten (``_kernels.apsp_update_add``).  In the
 other games a priced activation derives the table of the network
 without the activated agent u from D, re-running only the rows that u's
 removal changes (``_kernels.apsp_without``).  After u moves, D becomes
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from degprice._kernels import apsp, apsp_update_add
+from degprice._kernels import apsp_update_add
 from degprice.costs import _social_cost_from, plain
 from degprice.errors import ScheduleReplayError
 from degprice.moves import (
@@ -45,9 +46,7 @@ from degprice.moves import (
     POLICIES,
     AddEdge,
     MoveRecord,
-    _degrees,
-    _Pricing,
-    _Tariff,
+    _Position,
     strategy_after,
 )
 
@@ -173,27 +172,17 @@ def _graph_dict(g):
     return {"n": g.n, "edges": [list(e) for e in sorted(g.owned_edges)]}
 
 
-class _Engine:
-    """Finds, prices and applies moves on a private copy of the start graph.
+class _Engine(_Position):
+    """A position on a private copy of the start graph that also applies moves.
 
-    ``degrees``, ``dist`` and, outside add-only games, the boolean
-    ``adjacency`` matrix always match ``graph``: ``apply`` updates them
-    for every applied move.  ``play`` and ``replay`` price one activation
-    and apply its move with the same pricing, so an ncg move turns the
-    table of G - u that priced it into the new ``dist``.
+    ``degrees`` and ``dist`` always match ``graph``: ``apply`` updates
+    them for every applied move.  ``play`` and ``replay`` price one
+    activation and apply its move with the same pricing, so an ncg move
+    turns the table of G - u that priced it into the new ``dist``.
     """
 
     def __init__(self, g0, cfg):
-        self.graph = g0.copy()
-        self.cfg = cfg
-        self.tariff = _Tariff(g0.n, cfg)
-        self.degrees = _degrees(self.graph)
-        self.dist = apsp(self.graph._adj)
-        self.adjacency = None if cfg.add_only else self.graph.adjacency_matrix()
-
-    def pricing(self, u):
-        g, cfg = self.graph, self.cfg
-        return _Pricing(g, u, cfg, self.tariff, self.degrees, self.dist, self.adjacency)
+        super().__init__(g0.copy(), cfg)
 
     def find_move(self, u, policy):
         """(u's pricing, u's move under policy or None)."""
@@ -246,11 +235,6 @@ class _Engine:
         if self.cfg.add_only:
             for v in added:
                 apsp_update_add(self.dist, u, v)
-        else:
-            for v in added:
-                self.adjacency[u, v] = self.adjacency[v, u] = True
-            for v in dropped:
-                self.adjacency[u, v] = self.adjacency[v, u] = False
 
 
 def _activation_source(scheme, n):

@@ -1,14 +1,17 @@
 """Moves, best responses, and the one search for an improving move.
 
 Every fast path prices a deviation of agent u through one private core,
-``_Pricing``.  Taking u out of the network fixes everyone else's
-distances, so one all-pairs table of G - u prices any strategy S of u:
-u's distance to w is 1 + the minimum of d_{G-u}(v, w) over the targets
-v in S and the agents that bought edges to u.  An edge's price depends
-only on its target, not on the rest of S.  Single moves are vectorised
-rows of that table, and the exact best response is a subset-min DP over
-it.  Prices stay exact, as int or Fraction; a deviation that leaves u
-disconnected costs ``math.inf``.
+``_Pricing``, made by a ``_Position`` that holds the price constants,
+the degrees and the distance table of one graph G.  Taking u out of the
+network fixes everyone else's distances, so in ncg one all-pairs table
+of G - u, derived from G's table, prices any strategy S of u: u's
+distance to w is 1 + the minimum of d_{G-u}(v, w) over the targets v in
+S and the agents that bought edges to u.  In aog every strategy keeps
+u's current edges, and G's table itself prices it.  An edge's price
+depends only on its target, not on the rest of S.  Single moves are
+vectorised rows of that table, and the exact best response is a
+subset-min DP over it.  Prices stay exact, as int or Fraction; a
+deviation that leaves u disconnected costs ``math.inf``.
 
 ``_Pricing.improving_move`` answers "can u strictly improve, and how?"
 under one of three move policies.  ``verify_equilibrium`` asks it of
@@ -31,7 +34,6 @@ import numpy as np
 from degprice._kernels import UNREACHABLE, apsp, apsp_without
 from degprice.costs import edge_price, plain
 from degprice.errors import CandidateCapExceeded
-from degprice.graph import bfs_distances
 
 EXACT = "exact"
 SINGLE_MOVE = "single-move"
@@ -178,7 +180,7 @@ class EquilibriumReport:
 
 def candidate_targets(g, u, cfg):
     """Nodes u could buy a new edge to under cfg's locality radius."""
-    return set(_Pricing.of_graph(g, u, cfg).cands)
+    return set(_Position(g, cfg).pricing(u).cands)
 
 
 def evaluate_deviation(g, u, new_targets, cfg):
@@ -247,7 +249,7 @@ def enumerate_single_moves(g, u, cfg):
     NCG variants only.  Disconnecting moves appear with an infinite
     after-cost rather than being filtered.
     """
-    pricing = _Pricing.of_graph(g, u, cfg)
+    pricing = _Position(g, cfg).pricing(u)
     before = pricing.value(pricing.total(pricing.current))
     return [
         MoveRecord(agent=u, kind=make(v), cost_before=before, cost_after=pricing.value(t))
@@ -262,18 +264,15 @@ def best_response_exact(g, u, cfg):
     NCG: any subset of candidates plus current targets.  AOG: current
     targets plus any subset of candidates.  Ties break toward fewer
     edges, then the lexicographically smallest target set.  Raises
-    CandidateCapExceeded when the variable universe tops CANDIDATE_CAP.
+    CandidateCapExceeded when the variable universe tops CANDIDATE_CAP:
+    in ncg before any distance table is built, in aog only after G's
+    table, which aog prices from, is built.
     """
-    return _Pricing.of_graph(g, u, cfg).best_response()
+    return _Position(g, cfg).pricing(u).best_response()
 
 
-def _degrees(g):
-    """Every node's degree as an int64 vector, the form ``_Pricing`` reads."""
-    return np.array([len(a) for a in g._adj], dtype=np.int64)
-
-
-class _Tariff:
-    """The price constants of one game on n nodes.
+class _Position:
+    """What pricing any agent of graph G reads: prices, degrees, G's table.
 
     An edge whose target ends with degree d costs ``b * d + c``: that is
     ``beta * d + gamma`` times ``scale``, the common denominator of beta
@@ -281,15 +280,29 @@ class _Tariff:
     total of an agent stays below ``unreachable``, which is the total of a
     strategy that leaves the agent disconnected.  Prices are int64 unless
     ``unreachable`` passes that range; then they are Python ints.
+
+    ``degrees`` is every node's degree as an int64 vector and ``dist`` is
+    G's distance table, built on first use like ``_Pricing.table``.
+    ``pricing(u)`` is the one way to price u's deviations.
     """
 
-    def __init__(self, n, cfg):
+    def __init__(self, g, cfg):
+        self.graph, self.cfg = g, cfg
         beta, gamma = Fraction(cfg.price_beta), Fraction(cfg.price_gamma)
         self.scale = math.lcm(beta.denominator, gamma.denominator)
         self.b, self.c = int(beta * self.scale), int(gamma * self.scale)
+        n = g.n
         # above every distance sum (< n^2) plus every spend
         self.unreachable = n * n * self.scale + n * (abs(self.b) * n + abs(self.c))
         self.dtype = np.int64 if self.unreachable < 2**62 else object
+        self.degrees = np.array([len(a) for a in g._adj], dtype=np.int64)
+
+    @cached_property
+    def dist(self):
+        return apsp(self.graph._adj)
+
+    def pricing(self, u):
+        return _Pricing(self, u)
 
 
 class _Pricing:
@@ -298,61 +311,48 @@ class _Pricing:
     With ``table`` the hop distances of G - u, u's distance to w under
     strategy S is ``min(floor[w], 1 + table[v, w] for v in S)``, where
     ``floor`` is the same minimum over the agents that bought edges to u
-    (``floor[u] = 0``).  A caller that keeps G's own distance table may
-    pass it as ``dist``; ``u``'s locality ball is then read from its row.
-    In ncg the table of G - u is then derived from it by
-    ``_kernels.apsp_without``, which also reads G's boolean
-    ``adjacency`` matrix; with no ``dist`` it is built by ``apsp``.
-    Either way it is built on first use and belongs to this pricing.  In
-    aog ``dist`` itself is the table: the floor is ``dist[u]`` and u's
-    current targets are the ``base`` that every priced strategy keeps.
-    That is exact too, since a shortest path from u never passes through
-    u again.
+    (``floor[u] = 0``).  In ncg the table of G - u is derived on first
+    use from the position's table of G by ``_kernels.apsp_without`` and
+    belongs to this pricing.  In aog G's table itself is the table: the
+    floor is ``dist[u]`` and u's current targets are the ``base`` that
+    every priced strategy keeps.  That is exact too, since a shortest
+    path from u never passes through u again.
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
-    holds it, scaled as ``tariff`` says.  ``degrees`` is every node's
-    degree in G as an int64 vector: the dynamics engine keeps one current
-    across moves, and the other callers build it with ``_degrees`` (see
-    ``of_graph``).  Neither is copied or changed here.
+    holds it, scaled as the position says.  The position's degree vector
+    and table are read, never copied or changed here.
     """
 
-    def __init__(self, g, u, cfg, tariff, degrees, dist=None, adjacency=None):
+    def __init__(self, position, u):
+        g, cfg = position.graph, position.cfg
         g._check_node(u)
-        self.graph, self.u, self.add_only = g, u, cfg.add_only
-        self.scale, self.unreachable = tariff.scale, tariff.unreachable
+        self.position, self.graph, self.u, self.add_only = position, g, u, cfg.add_only
+        self.scale, self.unreachable = position.scale, position.unreachable
         self.current = g.targets(u)
-        self.dist, self.adjacency = dist, adjacency
-        if dist is None or not self.add_only:
-            self.base = frozenset()
-        else:
+        if self.add_only:
+            dist = position.dist
             self.table, self.base, self.floor = dist, frozenset(self.current), dist[u]
+        else:
+            self.base = frozenset()
 
         adjacent = list(g._adj[u])
         # an edge from u leaves v with degree deg_{G-u}(v) + 1: a neighbour of u keeps deg(v)
-        deg = degrees + 1
+        deg = position.degrees + 1
         deg[adjacent] -= 1
-        self.price = deg.astype(tariff.dtype) * tariff.b + tariff.c
+        self.price = deg.astype(position.dtype) * position.b + position.c
 
         eligible = np.ones(g.n, dtype=bool)
         eligible[adjacent] = False
         eligible[u] = False
         if cfg.locality_k is not None:
-            row = bfs_distances(g, u) if dist is None else dist[u]
-            eligible &= row <= cfg.locality_k
+            eligible &= position.dist[u] <= cfg.locality_k
         self.cands = np.flatnonzero(eligible).tolist()
 
-    @classmethod
-    def of_graph(cls, g, u, cfg):
-        """u's pricing for a caller that keeps no tariff or degree vector of its own."""
-        return cls(g, u, cfg, _Tariff(g.n, cfg), _degrees(g))
-
-    # The table of G - u is built on first use, so that a best response
+    # ncg's table of G - u is built on first use, so that a best response
     # over too many candidates fails on the cap without paying for it.
     @cached_property
     def table(self):
-        if self.dist is None:
-            return apsp(self.graph._adj, without=self.u)
-        return apsp_without(self.dist, self.graph._adj, self.u, self.adjacency)
+        return apsp_without(self.position.dist, self.graph._adj, self.u)
 
     @cached_property
     def floor(self):
@@ -426,10 +426,10 @@ class _Pricing:
         plays the first improving move in the canonical order of
         ``move_groups``, and prices no group after the one that holds it.
         """
-        now = self.total(self.current)
-        before = self.value(now)
         if policy == FULL_BEST_RESPONSE:
+            # searched first, so that a hit cap raises before any table is built
             strategy, cost = self.best_response()
+            before = self.value(self.total(self.current))
             if cost < before:
                 return _classify_deviation(self.current, strategy), before, cost
             return None
@@ -439,6 +439,8 @@ class _Pricing:
             groups = self.move_groups(self.add_only)
         else:
             raise ValueError(f"unknown move policy {policy!r}")
+        now = self.total(self.current)
+        before = self.value(now)
         for make, targets, totals in groups:
             improving = (totals < now).nonzero()[0]
             if improving.size:
@@ -523,19 +525,18 @@ def verify_equilibrium(g, cfg, level=EXACT):
     EXACT searches every allowed strategy per agent (CANDIDATE_CAP permitting);
     SINGLE_MOVE only scans elementary moves and says so in its notes.
     The witness is the first agent's move that improves: its exact best
-    response, or its first improving move in the canonical order.  G's
-    distance table is built once: aog prices every agent from it, and
-    ncg derives each agent's table of G - u from it.
+    response, or its first improving move in the canonical order.  Every
+    agent is priced from one position, so G's distance table is built at
+    most once: aog prices every agent from it, and ncg derives each
+    agent's table of G - u from it.
     """
     policies = {EXACT: FULL_BEST_RESPONSE, SINGLE_MOVE: FIRST_IMPROVING_SINGLE_MOVE}
     if level not in policies:
         raise ValueError(f"unknown check level {level!r}")
     notes = _notes_for(cfg, level)
-    tariff, degrees, dist = _Tariff(g.n, cfg), _degrees(g), apsp(g._adj)
-    adjacency = None if cfg.add_only else g.adjacency_matrix()
+    position = _Position(g, cfg)
     for u in range(g.n):
-        pricing = _Pricing(g, u, cfg, tariff, degrees, dist, adjacency)
-        found = pricing.improving_move(policies[level])
+        found = position.pricing(u).improving_move(policies[level])
         if found is not None:
             witness = MoveRecord(u, *found)
             return EquilibriumReport(False, witness, level, notes)

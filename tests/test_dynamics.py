@@ -279,8 +279,6 @@ def test_engine_degrees_follow_every_applied_move(monkeypatch):
         g = engine.graph
         assert engine.degrees.tolist() == [len(a) for a in g._adj]
         assert np.array_equal(engine.dist, apsp(g._adj))
-        if engine.adjacency is not None:
-            assert np.array_equal(engine.adjacency, g.adjacency_matrix())
 
     monkeypatch.setattr(_Engine, "apply", checked)
     clique, ncg = build_clique(6), GameConfig()

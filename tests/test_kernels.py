@@ -18,7 +18,12 @@ from degprice.costs import GameConfig
 from degprice.dynamics import BEST_SINGLE_EDGE, _Engine
 from degprice.errors import ResourceCapExceeded
 from degprice.graph import OwnedGraph
-from degprice.moves import _degrees, _Pricing, _Tariff, evaluate_deviation, strategy_after
+from degprice.moves import _Position, evaluate_deviation, strategy_after
+
+
+def without(g, u):
+    """g with all of u's edges deleted: G - u on the same node ids."""
+    return OwnedGraph(g.n, [(a, b) for a, b in g.owned_edges if u not in (a, b)])
 
 
 @settings(max_examples=50, deadline=None)
@@ -26,9 +31,8 @@ from degprice.moves import _degrees, _Pricing, _Tariff, evaluate_deviation, stra
 def test_apsp_matches_floyd_warshall(g):
     assert np.array_equal(apsp(g._adj), floyd_warshall(g))
     for u in range(g.n):
-        # taking u out is the same as deleting all of u's edges
-        rest = OwnedGraph(g.n, [(a, b) for a, b in g.owned_edges if u not in (a, b)])
-        assert np.array_equal(apsp(g._adj, without=u), floyd_warshall(rest))
+        rest = without(g, u)
+        assert np.array_equal(apsp(rest._adj), floyd_warshall(rest))
 
 
 def test_apsp_reaches_the_far_end_of_a_long_path():
@@ -108,11 +112,10 @@ def assert_removals_match_recompute(g):
     """Every G - u from G's table equals a fresh solve, and only changed rows are re-run."""
     dist = apsp(g._adj)
     kept = dist.copy()
-    adjacency = g.adjacency_matrix()
     for u in range(g.n):
-        fresh = apsp(g._adj, without=u)
+        fresh = apsp(without(g, u)._adj)
         with mock.patch.object(_kernels, "bfs_row", wraps=_kernels.bfs_row) as bfs:
-            table = apsp_without(dist, g._adj, u, adjacency)
+            table = apsp_without(dist, g._adj, u)
         assert np.array_equal(table, fresh)
         rerun = [c.args[1] for c in bfs.call_args_list]
         changed = [
@@ -146,6 +149,7 @@ def test_removal_across_components_matches_recompute(g):
 def test_one_ncg_step_holds_at_most_two_more_tables():
     """Pricing and moving one agent allocates the table of G - u and the update's temporary."""
     engine = _Engine(build_path(300), GameConfig(locality_k=2))
+    engine.dist  # G's table is built on first use and is not part of the step
     tracemalloc.start()
     try:
         found = engine.play(0, BEST_SINGLE_EDGE)
@@ -175,7 +179,7 @@ def test_totals_read_disconnection_from_the_row_sum(beta, split):
 
 
 def check_totals(g, u, cfg):
-    p = _Pricing.of_graph(g, u, cfg)
+    p = _Position(g, cfg).pricing(u)
     assert p.price.dtype == (object if cfg.price_beta == Fraction(1, 10**17) else np.int64)
     for make, targets, totals in p.move_groups(adds_only=False):
         for v, total in zip(targets, totals):
@@ -200,9 +204,10 @@ def check_totals(g, u, cfg):
 def test_addition_row_sums_against_naive(g):
     """Add-only pricing on G's own matrix sums min(dist[u], 1 + dist[v]) per addition."""
     dist = apsp(g._adj)
-    free_edges = GameConfig(variant="aog", price_beta=0, price_gamma=0)
+    position = _Position(g, GameConfig(variant="aog", price_beta=0, price_gamma=0))
     for u in range(g.n):
-        pricing = _Pricing(g, u, free_edges, _Tariff(g.n, free_edges), _degrees(g), dist)
+        pricing = position.pricing(u)
+        assert pricing.table is position.dist
         _, targets, got = next(pricing.move_groups(adds_only=True))
         assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
         for v, total in zip(targets, got):

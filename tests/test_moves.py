@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import owned_graphs
+from degprice import _kernels
 from degprice.costs import GameConfig, agent_cost
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import OwnedGraph
@@ -21,6 +23,7 @@ from degprice.moves import (
     DeleteEdge,
     ReplaceStrategy,
     SwapEdge,
+    _Position,
     _Pricing,
     apply_move,
     best_response_exact,
@@ -185,7 +188,7 @@ def test_first_improving_search_stops_at_the_first_improving_group(monkeypatch):
         return plus_one(pricing, kept)
 
     monkeypatch.setattr(_Pricing, "_plus_one", recording)
-    found = _Pricing.of_graph(g, 1, GameConfig()).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
+    found = _Position(g, GameConfig()).pricing(1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
     assert found == (AddEdge(3), 12, 11)
     assert calls == [{0, 2}]
 
@@ -233,8 +236,8 @@ def test_best_response_matches_brute_force(g, cfg, agent):
 
 
 def test_huge_denominators_price_with_python_ints():
-    assert _Pricing.of_graph(path(3), 0, HUGE_DENOMINATOR).price.dtype == object
-    assert _Pricing.of_graph(path(3), 0, GameConfig()).price.dtype == np.int64
+    assert _Position(path(3), HUGE_DENOMINATOR).pricing(0).price.dtype == object
+    assert _Position(path(3), GameConfig()).pricing(0).price.dtype == np.int64
 
 
 def test_candidate_cap_guards_exact_search():
@@ -245,9 +248,13 @@ def test_candidate_cap_guards_exact_search():
     assert exc.value.universe_size == 24  # 23 candidates plus the owned target
     with pytest.raises(CandidateCapExceeded):
         verify_equilibrium(g, GameConfig(), level=EXACT)
-    # a hit cap fails before the distance table of a large graph is built
-    with pytest.raises(CandidateCapExceeded):
-        best_response_exact(path(2000), 0, GameConfig())
+    # in ncg a hit cap fails before any distance row of a large graph is built
+    with mock.patch.object(_kernels, "bfs_row", wraps=_kernels.bfs_row) as bfs:
+        with pytest.raises(CandidateCapExceeded):
+            best_response_exact(path(2000), 0, GameConfig())
+        with pytest.raises(CandidateCapExceeded):
+            verify_equilibrium(path(2000), GameConfig(), level=EXACT)
+    assert bfs.call_count == 0
     # a wider cap or a locality radius makes the same call feasible
     verify_equilibrium(g, GameConfig(locality_k=2), level=SINGLE_MOVE)
     strategy, _ = best_response_exact(g, 0, GameConfig(locality_k=2))
