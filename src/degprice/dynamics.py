@@ -17,16 +17,17 @@ count as activations.  The engine is the network's pricing position
 (``moves._Position``): it keeps every node's degree and the full
 distance table D of the network current across moves, and computes the
 game's price constants once, so pricing an agent reads them instead of
-rebuilding them.  In add-only games a priced activation reads D's rows,
-and an added edge rewrites only the rows and columns whose distances
-it can shorten (``_kernels.apsp_update_add``).  In the
-other games a priced activation derives the table of the network
-without the activated agent u from D, re-running only the rows that u's
-removal changes (``_kernels.apsp_without``).  After u moves, D becomes
-the minimum of that table and the sums of u's new row with itself,
-since a shortest path crosses u at most once.  Prices stay exact, as
-int or Fraction, and a move that leaves its agent disconnected costs
-``math.inf``.
+rebuilding them.  In either game, D's rows price every strategy that
+keeps the activated agent u's current edges, additions among them.
+Only a strategy that drops an edge needs the table of the network
+without u, derived from D by re-running only the rows that u's removal
+changes (``_kernels.apsp_without``).  A move that drops nothing
+rewrites only the rows and columns of D that its new edges can shorten
+(``_kernels.apsp_update_add``).  After a move that drops an edge, D
+becomes the minimum of the table without u and the sums of u's new row
+with itself, since a shortest path crosses u at most once.  Prices
+stay exact, as int or Fraction, and a move that leaves its agent
+disconnected costs ``math.inf``.
 """
 
 import itertools
@@ -177,8 +178,9 @@ class _Engine(_Position):
 
     ``degrees`` and ``dist`` always match ``graph``: ``apply`` updates
     them for every applied move.  ``play`` and ``replay`` price one
-    activation and apply its move with the same pricing, so an ncg move
-    turns the table of G - u that priced it into the new ``dist``.
+    activation and apply its move with the same pricing, so a move that
+    drops an edge turns the table of G - u that priced it into the new
+    ``dist``.
     """
 
     def __init__(self, g0, cfg):
@@ -221,20 +223,20 @@ class _Engine(_Position):
         u, g = p.u, self.graph
         before = g.targets(u)
         after = strategy_after(g, u, kind)
-        if not self.cfg.add_only:
+        added, dropped = sorted(after - before), sorted(before - after)
+        if dropped:
             # G - u is the same before and after u's move, and a shortest path
             # crosses u at most once: d(i, j) = min(d_{G-u}(i, j), r[i] + r[j])
             r = p.merged(after)
             self.dist = p.table
             np.minimum(self.dist, r[:, None] + r[None, :], out=self.dist)
+        else:
+            for v in added:
+                apsp_update_add(self.dist, u, v)
         g.replace_strategy(u, after)
-        added, dropped = sorted(after - before), sorted(before - after)
         self.degrees[u] += len(added) - len(dropped)
         self.degrees[added] += 1
         self.degrees[dropped] -= 1
-        if self.cfg.add_only:
-            for v in added:
-                apsp_update_add(self.dist, u, v)
 
 
 def _activation_source(scheme, n):

@@ -2,16 +2,19 @@
 
 Every fast path prices a deviation of agent u through one private core,
 ``_Pricing``, made by a ``_Position`` that holds the price constants,
-the degrees and the distance table of one graph G.  Taking u out of the
-network fixes everyone else's distances, so in ncg one all-pairs table
-of G - u, derived from G's table, prices any strategy S of u: u's
-distance to w is 1 + the minimum of d_{G-u}(v, w) over the targets v in
-S and the agents that bought edges to u.  In aog every strategy keeps
-u's current edges, and G's table itself prices it.  An edge's price
-depends only on its target, not on the rest of S.  Single moves are
-vectorised rows of that table, and the exact best response is a
-subset-min DP over it.  Prices stay exact, as int or Fraction; a
-deviation that leaves u disconnected costs ``math.inf``.
+the degrees and the distance table of one graph G.  A strategy S that
+keeps all of u's current edges reads G's table: u's distance to w is
+the minimum of d_G(u, w) and 1 + d_G(v, w) over the new targets v.
+That prices every addition, u's current cost, and every strategy in
+aog.  Only a strategy that drops an edge needs more: taking u out of
+the network fixes everyone else's distances, so the all-pairs table of
+G - u, derived from G's table, prices it, with u's distance to w
+1 + the minimum of d_{G-u}(v, w) over the targets v in S and the
+agents that bought edges to u.  An edge's price depends only on its
+target, not on the rest of S.  Single moves are vectorised rows of a
+table, and the exact best response is a subset-min DP over one.
+Prices stay exact, as int or Fraction; a deviation that leaves u
+disconnected costs ``math.inf``.
 
 ``_Pricing.improving_move`` answers "can u strictly improve, and how?"
 under one of three move policies.  ``verify_equilibrium`` asks it of
@@ -264,9 +267,9 @@ def best_response_exact(g, u, cfg):
     NCG: any subset of candidates plus current targets.  AOG: current
     targets plus any subset of candidates.  Ties break toward fewer
     edges, then the lexicographically smallest target set.  Raises
-    CandidateCapExceeded when the variable universe tops CANDIDATE_CAP:
-    in ncg before any distance table is built, in aog only after G's
-    table, which aog prices from, is built.
+    CandidateCapExceeded when the variable universe tops CANDIDATE_CAP,
+    before any distance table is built in either game; under a locality
+    radius only G's table, which lists the candidates, is built first.
     """
     return _Position(g, cfg).pricing(u).best_response()
 
@@ -282,8 +285,10 @@ class _Position:
     ``unreachable`` passes that range; then they are Python ints.
 
     ``degrees`` is every node's degree as an int64 vector and ``dist`` is
-    G's distance table, built on first use like ``_Pricing.table``.
-    ``pricing(u)`` is the one way to price u's deviations.
+    G's distance table, built on first use like ``_Pricing.table``.  It
+    prices every strategy that keeps an agent's current edges, and each
+    table of G - u is derived from it.  ``pricing(u)`` is the one way to
+    price u's deviations.
     """
 
     def __init__(self, g, cfg):
@@ -306,17 +311,24 @@ class _Position:
 
 
 class _Pricing:
-    """Exact cost of every strategy of agent u, from one distance table.
+    """Exact cost of every strategy of agent u, from one of two tables.
 
-    With ``table`` the hop distances of G - u, u's distance to w under
-    strategy S is ``min(floor[w], 1 + table[v, w] for v in S)``, where
-    ``floor`` is the same minimum over the agents that bought edges to u
-    (``floor[u] = 0``).  In ncg the table of G - u is derived on first
-    use from the position's table of G by ``_kernels.apsp_without`` and
-    belongs to this pricing.  In aog G's table itself is the table: the
-    floor is ``dist[u]`` and u's current targets are the ``base`` that
-    every priced strategy keeps.  That is exact too, since a shortest
-    path from u never passes through u again.
+    A strategy that keeps all of u's current edges reads the position's
+    table of G: u's distance to w under S is ``min(dist[u, w], 1 + dist[v, w]
+    for v in S - current)``.  That is exact since a shortest path from u
+    never passes through u again, and a new target v is no neighbour of u:
+    a shortest path from v through u has length at least 2 + d(u, w), so
+    ``1 + dist[v, w]`` cannot undercut ``dist[u, w]`` by that path.  Every
+    addition, u's cost before moving, and every strategy of aog read G's
+    table.
+
+    A strategy that drops an edge reads ``table``, the hop distances of
+    G - u, derived on first use from G's table by ``_kernels.apsp_without``
+    and owned by this pricing.  Then u's distance to w is ``min(floor[w],
+    1 + table[v, w] for v in S)``, where ``floor`` is the same minimum over
+    the agents that bought edges to u (``floor[u] = 0``).  Only deletions,
+    swaps and ncg's exact best response of an agent that owns an edge
+    build it.
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
     holds it, scaled as the position says.  The position's degree vector
@@ -329,11 +341,6 @@ class _Pricing:
         self.position, self.graph, self.u, self.add_only = position, g, u, cfg.add_only
         self.scale, self.unreachable = position.scale, position.unreachable
         self.current = g.targets(u)
-        if self.add_only:
-            dist = position.dist
-            self.table, self.base, self.floor = dist, frozenset(self.current), dist[u]
-        else:
-            self.base = frozenset()
 
         adjacent = list(g._adj[u])
         # an edge from u leaves v with degree deg_{G-u}(v) + 1: a neighbour of u keeps deg(v)
@@ -348,8 +355,9 @@ class _Pricing:
             eligible &= position.dist[u] <= cfg.locality_k
         self.cands = np.flatnonzero(eligible).tolist()
 
-    # ncg's table of G - u is built on first use, so that a best response
-    # over too many candidates fails on the cap without paying for it.
+    # the table of G - u is built on first use: an activation that finds an
+    # addition never pays for it, and a best response over too many
+    # candidates fails on the cap first
     @cached_property
     def table(self):
         return apsp_without(self.position.dist, self.graph._adj, self.u)
@@ -363,12 +371,25 @@ class _Pricing:
         floor[self.u] = 0
         return floor
 
+    def reading(self, kept):
+        """(table, floor, base) that price the strategies holding ``kept``.
+
+        G's table, u's row of it and u's current targets when ``kept``
+        keeps every current edge; else the table of G - u, its floor and
+        no base.
+        """
+        if self.current <= kept:
+            dist = self.position.dist
+            return dist, dist[self.u], self.current
+        return self.table, self.floor, frozenset()
+
     def merged(self, strategy):
-        """u's distance row under a strategy that keeps the base."""
-        extra = sorted(strategy - self.base)
+        """u's distance row under strategy."""
+        table, floor, base = self.reading(strategy)
+        extra = sorted(strategy - base)
         if not extra:
-            return self.floor
-        return np.minimum(self.floor, self.table[extra].min(axis=0) + 1)
+            return floor
+        return np.minimum(floor, table[extra].min(axis=0) + 1)
 
     def spend(self, strategy):
         return int(sum(self.price[v] for v in strategy))
@@ -397,7 +418,7 @@ class _Pricing:
     def _plus_one(self, kept):
         """Scaled totals of kept | {v} for every candidate v."""
         # the fancy index already copies the candidate rows, so work in that copy
-        merged = self.table[self.cands]
+        merged = self.reading(kept)[0][self.cands]
         merged += 1
         np.minimum(merged, self.merged(kept), out=merged)
         return self.totals(merged, self.spend(kept) + self.price[self.cands])
@@ -427,7 +448,8 @@ class _Pricing:
         ``move_groups``, and prices no group after the one that holds it.
         """
         if policy == FULL_BEST_RESPONSE:
-            # searched first, so that a hit cap raises before any table is built
+            # searched first, so that a hit cap raises before any table is
+            # built; under a radius only G's table, for the candidates, exists
             strategy, cost = self.best_response()
             before = self.value(self.total(self.current))
             if cost < before:
@@ -462,6 +484,7 @@ class _Pricing:
             kept, variable = set(), sorted(set(self.cands) | self.current)
         if len(variable) > CANDIDATE_CAP:
             raise CandidateCapExceeded(self.u, len(variable), CANDIDATE_CAP)
+        table = self.reading(kept)[0]
         # variable i sits at bit V-1-i, so among equal costs and sizes the
         # larger mask is the lexicographically smaller target tuple
         bits = variable[::-1]
@@ -473,7 +496,7 @@ class _Pricing:
         count = np.zeros(size, dtype=np.int64)
         for j, v in enumerate(low):
             h = 1 << j
-            np.minimum(rows[:h], self.table[v] + 1, out=rows[h : 2 * h])
+            np.minimum(rows[:h], table[v] + 1, out=rows[h : 2 * h])
             spend[h : 2 * h] = spend[:h] + self.price[v]
             count[h : 2 * h] = count[:h] + 1
         spend += self.spend(kept)
@@ -483,7 +506,7 @@ class _Pricing:
             picked = [v for t, v in enumerate(high) if hi >> t & 1]
             block = rows
             if picked:
-                block = np.minimum(rows, self.table[picked].min(axis=0) + 1)
+                block = np.minimum(rows, table[picked].min(axis=0) + 1)
             totals = self.totals(block, spend + self.spend(picked))
             cost = totals.min()
             tie = totals == cost

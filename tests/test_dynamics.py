@@ -313,10 +313,11 @@ def test_long_path_round_robin_is_pinned():
         (120, 2, BEST_SINGLE_EDGE, (720, 346, 6, 4, 45698), {"add": 346}),
         (60, None, FIRST_IMPROVING_SINGLE_MOVE, (660, 346, 11, 3, 8769),
          {"add": 225, "delete": 83, "swap": 38}),
+        (200, None, BEST_SINGLE_EDGE, (2400, 588, 12, 3, 114689), {"add": 588}),
     ],
 )  # fmt: skip
 def test_long_path_ncg_round_robin_is_pinned(n, k, policy, expected, kinds):
-    """ncg runs from a path whose time goes mostly to tables of G - u."""
+    """ncg runs from a path: best-single-edge reads only G's table, first-improving also G - u's."""
     trace = run_dynamics(path(n), GameConfig(locality_k=k), ActivationScheme.round_robin(policy))
     assert trace.outcome == CONVERGED
     got = (

@@ -201,21 +201,26 @@ def check_totals(g, u, cfg):
 
 @settings(max_examples=50)
 @given(owned_graphs(max_n=7))
+@example(OwnedGraph(6, [(0, 1), (2, 1), (3, 4)]))
 def test_addition_row_sums_against_naive(g):
-    """Add-only pricing on G's own matrix sums min(dist[u], 1 + dist[v]) per addition."""
+    """Additions in ncg and aog sum min(dist[u], 1 + dist[v]) over G's own table.
+
+    Pricing them builds no table of G - u in either game.
+    """
     dist = apsp(g._adj)
-    position = _Position(g, GameConfig(variant="aog", price_beta=0, price_gamma=0))
-    for u in range(g.n):
-        pricing = position.pricing(u)
-        assert pricing.table is position.dist
-        _, targets, got = next(pricing.move_groups(adds_only=True))
-        assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
-        for v, total in zip(targets, got):
-            merged = [min(dist[u, w], 1 + dist[v, w]) for w in range(g.n)]
-            if max(merged) >= UNREACHABLE:
-                assert total == pricing.unreachable
-            else:
-                assert total == sum(merged)
+    for variant in ("ncg", "aog"):
+        position = _Position(g, GameConfig(variant=variant, price_beta=0, price_gamma=0))
+        for u in range(g.n):
+            pricing = position.pricing(u)
+            _, targets, got = next(pricing.move_groups(adds_only=True))
+            assert "table" not in vars(pricing)
+            assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
+            for v, total in zip(targets, got):
+                merged = [min(dist[u, w], 1 + dist[v, w]) for w in range(g.n)]
+                if max(merged) >= UNREACHABLE:
+                    assert total == pricing.unreachable
+                else:
+                    assert total == sum(merged)
 
 
 def test_sentinel_rows_never_overflow():

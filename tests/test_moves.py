@@ -11,11 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import owned_graphs
-from degprice import _kernels
+from degprice import _kernels, dynamics, moves
 from degprice.costs import GameConfig, agent_cost
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import OwnedGraph
 from degprice.moves import (
+    BEST_SINGLE_EDGE,
     EXACT,
     FIRST_IMPROVING_SINGLE_MOVE,
     SINGLE_MOVE,
@@ -191,6 +192,25 @@ def test_first_improving_search_stops_at_the_first_improving_group(monkeypatch):
     found = _Position(g, GameConfig()).pricing(1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
     assert found == (AddEdge(3), 12, 11)
     assert calls == [{0, 2}]
+
+
+def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
+    """Additions read G's table in ncg too; G - u is built once, and only to drop an edge."""
+    with mock.patch.object(moves, "apsp_without", wraps=moves.apsp_without) as without:
+        # best-single-edge dynamics price additions only
+        scheme = dynamics.ActivationScheme.round_robin(BEST_SINGLE_EDGE)
+        trace = dynamics.run_dynamics(path(30), GameConfig(), scheme)
+        assert trace.outcome == dynamics.CONVERGED and trace.steps
+        assert without.call_count == 0
+        # the first improving group is the additions
+        g = OwnedGraph(6, [(1, 0), (1, 2), (2, 3), (3, 4), (4, 5)])
+        found = _Position(g, GameConfig()).pricing(1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
+        assert found == (AddEdge(3), 12, 11)
+        assert without.call_count == 0
+        # only the center of a star owns edges, and it is stuck
+        star = OwnedGraph(6, [(0, leaf) for leaf in range(1, 6)])
+        assert verify_equilibrium(star, GameConfig(), level=SINGLE_MOVE).is_equilibrium
+        assert without.call_args_list == [mock.call(mock.ANY, mock.ANY, 0)]
 
 
 @settings(max_examples=40, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import owned_graphs
-from degprice import oracle
+from degprice import moves, oracle
 from degprice.constructions import SetCoverInstance
 from degprice.costs import GameConfig, social_cost
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
@@ -290,6 +290,29 @@ def test_reachable_closure_from_tiny_paths(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_CLOSURE_STATES", 2)
     with pytest.raises(OracleBudgetExceeded):
         reachable_closure(path(5), cfg)
+
+
+@pytest.mark.parametrize(
+    "variant, k, successors, closure",
+    [
+        ("aog", None, 48, (360, 284, 55, [(0, 1), (1, 2), (2, 3), (2, 5), (3, 4), (4, 0), (4, 5)])),
+        ("aog", 2, 4, (16, 7, 63, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5)])),
+        ("ncg", None, 48, None),
+        ("ncg", 2, 4, None),
+    ],
+)  # fmt: skip
+def test_closure_of_path6_is_pinned(monkeypatch, variant, k, successors, closure):
+    """The closure lists each agent's candidates itself, without a pricing position."""
+    monkeypatch.setattr(moves, "_Position", None)
+    cfg = GameConfig(variant=variant, locality_k=k)
+    assert len(oracle._improving_successors(path(6), cfg)) == successors
+    if closure is None:
+        with pytest.raises(ValueError, match="add-only"):
+            best_reachable(path(6), cfg)
+        return
+    states = reachable_closure(path(6), cfg)
+    best, witness = best_reachable(path(6), cfg)
+    assert (len(states), sum(t for _, t in states), best, sorted(witness.owned_edges)) == closure
 
 
 def _brute_min_cover(inst):
