@@ -21,13 +21,15 @@ rebuilding them.  In either game, D's rows price every strategy that
 keeps the activated agent u's current edges, additions among them.
 Only a strategy that drops an edge needs the table of the network
 without u, derived from D by re-running only the rows that u's removal
-changes (``_kernels.apsp_without``).  A move that drops nothing
-rewrites only the rows and columns of D that its new edges can shorten
-(``_kernels.apsp_update_add``).  After a move that drops an edge, D
-becomes the minimum of the table without u and the sums of u's new row
-with itself, since a shortest path crosses u at most once.  Prices
-stay exact, as int or Fraction, and a move that leaves its agent
-disconnected costs ``math.inf``.
+changes (``_kernels.apsp_without``).  A first-improving activation that
+finds no improving addition first bounds u's deletions and swaps from
+D, and derives that table only if some drop may improve.  A move that
+drops nothing rewrites only the rows and columns of D that its new
+edges can shorten (``_kernels.apsp_update_add``).  After a move that
+drops an edge, D becomes the minimum of the table without u and the
+sums of u's new row with itself, since a shortest path crosses u at
+most once.  Prices stay exact, as int or Fraction, and a move that
+leaves its agent disconnected costs ``math.inf``.
 """
 
 import itertools

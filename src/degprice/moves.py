@@ -18,7 +18,10 @@ disconnected costs ``math.inf``.
 
 ``_Pricing.improving_move`` answers "can u strictly improve, and how?"
 under one of three move policies.  ``verify_equilibrium`` asks it of
-every agent, and the dynamics ask it of each activated agent.
+every agent, and the dynamics ask it of each activated agent.  When
+the first improving single move is sought in ncg and no addition
+improves, a lower bound read from G's table screens u's deletions and
+swaps first: G - u is built only when some drop may improve.
 
 Each move kind declares its JSON ``type``; ``as_dict`` and
 ``parse_schedule`` derive the rest from the kind's fields.
@@ -328,7 +331,9 @@ class _Pricing:
     1 + table[v, w] for v in S)``, where ``floor`` is the same minimum over
     the agents that bought edges to u (``floor[u] = 0``).  Only deletions,
     swaps and ncg's exact best response of an agent that owns an edge
-    build it.
+    build it, and the first-improving search prices deletions and swaps
+    only when ``drops_cannot_improve``, a lower bound from G's table,
+    fails to rule them all out.
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
     holds it, scaled as the position says.  The position's degree vector
@@ -438,6 +443,30 @@ class _Pricing:
             for old, s in zip(owned, kept):
                 yield partial(SwapEdge, old), self.cands, self._plus_one(s)
 
+    def drops_cannot_improve(self, now, adds):
+        """True when no deletion and no swap of u can cost less than ``now``.
+
+        ``adds`` are the totals of u's additions, none below ``now``.  Reads
+        G's table, the prices and ``adds`` only; the bound is in
+        ``improving_move``.
+        """
+        owned = sorted(self.current)
+        # a disconnected u stays so after a deletion, and after a swap to v
+        # whenever adding v leaves it so, as every addition did
+        if not owned or now == self.unreachable:
+            return True
+        dist = self.position.dist
+        du = dist[self.u]
+        incoming = sorted(self.graph._adj[self.u] - self.current)
+        via = dist[owned + incoming] == du - 1
+        only = via[: len(owned)] & (via.sum(axis=0) == 1)
+        price = self.price[owned]
+        if (self.scale * only.sum(axis=1) < price).any():
+            return False
+        farther = dist[self.cands] + 1 > du
+        swaps = adds - price[:, None] + self.scale * (only.astype(np.int64) @ farther.T)
+        return bool((swaps >= now).all())
+
     def improving_move(self, policy):
         """(kind, before, after) of u's move under policy, or None if u is stuck.
 
@@ -446,6 +475,23 @@ class _Pricing:
         addition, the smallest target among equals.  FIRST_IMPROVING_SINGLE_MOVE
         plays the first improving move in the canonical order of
         ``move_groups``, and prices no group after the one that holds it.
+
+        In ncg, when no addition improves, first-improving asks
+        ``drops_cannot_improve`` before it prices a drop, and if that holds
+        u is stuck and the table of G - u is never built.  The screen is a
+        lower bound from G's table.  Write du = dist[u]; a neighbour x of u,
+        owned or incoming, is a via for w when ``dist[x, w] == du[w] - 1``,
+        and ``only[o, w]`` says o is w's sole via.  Every other neighbour x
+        then has d(x, w) >= du[w], and dropping uo shortens no distance, so
+        deleting o leaves u at least ``du[w] + only[o, w]`` from w: the
+        total is at least ``now - price[o] + scale * |only[o]|``.  After swapping o for v, a shortest
+        path from u either starts with uv, of length at least 1 + dist[v, w],
+        or lies in G - uo.  So u's row is at least ``min(du + only[o], 1 +
+        dist[v])``, which is v's addition row plus ``only[o] & (1 + dist[v]
+        > du)``, and the total is at least ``adds[v] - price[o] + scale *
+        (only @ farther.T)[o, v]``.  A disconnected u has no improving
+        addition only if every addition leaves it disconnected, and then so
+        does every drop.
         """
         if policy == FULL_BEST_RESPONSE:
             # searched first, so that a hit cap raises before any table is
@@ -456,19 +502,21 @@ class _Pricing:
                 return _classify_deviation(self.current, strategy), before, cost
             return None
         if policy == BEST_SINGLE_EDGE:
-            groups = self.move_groups(adds_only=True)
+            adds_only = True
         elif policy == FIRST_IMPROVING_SINGLE_MOVE:
-            groups = self.move_groups(self.add_only)
+            adds_only = self.add_only
         else:
             raise ValueError(f"unknown move policy {policy!r}")
         now = self.total(self.current)
         before = self.value(now)
-        for make, targets, totals in groups:
+        for make, targets, totals in self.move_groups(adds_only):
             improving = (totals < now).nonzero()[0]
             if improving.size:
                 # argmin takes the smallest target among equally cheap additions
                 i = int(totals.argmin() if policy == BEST_SINGLE_EDGE else improving[0])
                 return make(targets[i]), before, self.value(totals[i])
+            if make is AddEdge and (adds_only or self.drops_cannot_improve(now, totals)):
+                return None
         return None
 
     def best_response(self):
@@ -550,8 +598,11 @@ def verify_equilibrium(g, cfg, level=EXACT):
     The witness is the first agent's move that improves: its exact best
     response, or its first improving move in the canonical order.  Every
     agent is priced from one position, so G's distance table is built at
-    most once: aog prices every agent from it, and ncg derives each
-    agent's table of G - u from it.
+    most once: aog prices every agent from it.  ncg derives an agent's
+    table of G - u from it only to price drops: for the exact best
+    response of an agent that owns an edge, and at SINGLE_MOVE only when
+    no addition improves and the drop screen cannot rule out a deletion
+    or swap.
     """
     policies = {EXACT: FULL_BEST_RESPONSE, SINGLE_MOVE: FIRST_IMPROVING_SINGLE_MOVE}
     if level not in policies:

@@ -5,10 +5,12 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from degprice import moves
 from degprice._kernels import apsp
 from degprice.constructions import build_clique, build_figure_network
 from degprice.costs import GameConfig, social_cost
@@ -255,10 +257,13 @@ def test_no_agent_is_priced_twice_on_one_graph(monkeypatch, start, variant, poli
 def test_uniform_random_totals_are_pinned():
     """Skipped wake-ups still count: the benchmark's setup, seeds 10000-10007."""
     ncg, start = GameConfig(variant="ncg"), path(16)
-    traces = [
-        run_dynamics(start, ncg, ActivationScheme.uniform_random(s, FIRST_IMPROVING_SINGLE_MOVE))
-        for s in range(10000, 10008)
-    ]
+    with mock.patch.object(moves, "apsp_without", wraps=moves.apsp_without) as without:
+        traces = [
+            run_dynamics(start, ncg, ActivationScheme.uniform_random(s, FIRST_IMPROVING_SINGLE_MOVE))
+            for s in range(10000, 10008)
+        ]
+    # tables of G - u: 405 before the drop screen kept the provably stuck agents off them
+    assert without.call_count == 171
     assert all(t.outcome == CONVERGED for t in traces)
     assert sum(t.activations for t in traces) == 924
     assert sum(len(t.steps) for t in traces) == 262
@@ -310,15 +315,22 @@ def test_long_path_round_robin_is_pinned():
 @pytest.mark.parametrize(
     "n, k, policy, expected, kinds",
     [
-        (120, 2, BEST_SINGLE_EDGE, (720, 346, 6, 4, 45698), {"add": 346}),
-        (60, None, FIRST_IMPROVING_SINGLE_MOVE, (660, 346, 11, 3, 8769),
+        (120, 2, BEST_SINGLE_EDGE, (720, 346, 6, 4, 45698, 0), {"add": 346}),
+        (60, None, FIRST_IMPROVING_SINGLE_MOVE, (660, 346, 11, 3, 8769, 240),
          {"add": 225, "delete": 83, "swap": 38}),
-        (200, None, BEST_SINGLE_EDGE, (2400, 588, 12, 3, 114689), {"add": 588}),
+        (200, None, BEST_SINGLE_EDGE, (2400, 588, 12, 3, 114689, 0), {"add": 588}),
     ],
 )  # fmt: skip
 def test_long_path_ncg_round_robin_is_pinned(n, k, policy, expected, kinds):
-    """ncg runs from a path: best-single-edge reads only G's table, first-improving also G - u's."""
-    trace = run_dynamics(path(n), GameConfig(locality_k=k), ActivationScheme.round_robin(policy))
+    """ncg runs from a path: best-single-edge reads only G's table, first-improving also G - u's.
+
+    The last pinned value counts the tables of G - u.  First-improving
+    builds one only when the drop screen cannot rule out an improving
+    deletion or swap: 240 on path(60), against 405 without the screen.
+    """
+    scheme = ActivationScheme.round_robin(policy)
+    with mock.patch.object(moves, "apsp_without", wraps=moves.apsp_without) as without:
+        trace = run_dynamics(path(n), GameConfig(locality_k=k), scheme)
     assert trace.outcome == CONVERGED
     got = (
         trace.activations,
@@ -326,6 +338,7 @@ def test_long_path_ncg_round_robin_is_pinned(n, k, policy, expected, kinds):
         trace.rounds,
         trace.final_diameter,
         trace.final_social_cost,
+        without.call_count,
     )
     assert got == expected
     assert Counter(step.kind.type for step in trace.steps) == kinds

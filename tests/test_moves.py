@@ -35,6 +35,7 @@ from degprice.moves import (
     strategy_after,
     verify_equilibrium,
 )
+from degprice.oracle import enumerate_states
 
 
 def path(n):
@@ -207,10 +208,72 @@ def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
         found = _Position(g, GameConfig()).pricing(1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
         assert found == (AddEdge(3), 12, 11)
         assert without.call_count == 0
-        # only the center of a star owns edges, and it is stuck
+        # only the center of a star owns edges, and the drop screen finds it stuck
         star = OwnedGraph(6, [(0, leaf) for leaf in range(1, 6)])
         assert verify_equilibrium(star, GameConfig(), level=SINGLE_MOVE).is_equilibrium
+        assert without.call_count == 0
+        # agent 0 is stuck too, but each of its edges is the sole via to
+        # only one node, so the screen cannot clear it
+        g = OwnedGraph(5, [(0, 3), (0, 4), (3, 1), (3, 2), (4, 1), (4, 2)])
+        assert verify_equilibrium(g, GameConfig(), level=SINGLE_MOVE).is_equilibrium
         assert without.call_args_list == [mock.call(mock.ANY, mock.ANY, 0)]
+
+
+# the drop screen's configs: the unit game, a radius, Fraction, object-dtype and zero-beta prices
+SCREEN_CONFIGS = [
+    GameConfig(),
+    GameConfig(locality_k=2),
+    FRACTION_PRICES,
+    HUGE_DENOMINATOR,
+    HUGE_PRICES,
+    GameConfig(price_beta=0, price_gamma=3),
+]
+
+
+def _screened_agents(g, cfg):
+    """Agents with no improving addition whose drops the screen clears.
+
+    Asserts for each that ``enumerate_single_moves`` lists no improving
+    deletion or swap, so the screen never hides a move.
+    """
+    position = _Position(g, cfg)
+    cleared = []
+    for u in range(g.n):
+        pricing = position.pricing(u)
+        now = pricing.total(pricing.current)
+        adds = pricing._plus_one(pricing.current)
+        if (adds < now).any() or not pricing.drops_cannot_improve(now, adds):
+            continue
+        cleared.append(u)
+        for record in enumerate_single_moves(g, u, cfg):
+            assert not (record.improving and isinstance(record.kind, (DeleteEdge, SwapEdge)))
+    return cleared
+
+
+@settings(max_examples=60, deadline=None)
+@given(owned_graphs(max_n=8), st.sampled_from(SCREEN_CONFIGS))
+# agent 7's swap 8 -> 2 improves with 1 + dist[2, w] == du[w] for a w whose sole via is 8
+@example(
+    OwnedGraph(
+        9,
+        [(0, 7), (1, 2), (3, 4), (3, 6), (4, 7), (5, 1), (5, 7), (5, 8), (6, 2), (7, 8), (8, 6)],
+    ),
+    GameConfig(price_gamma=-1),
+)
+def test_drop_screen_clears_only_agents_without_an_improving_drop(g, cfg):
+    _screened_agents(g, cfg)
+
+
+def test_drop_screen_is_sound_on_every_small_graph():
+    for n in range(1, 5):
+        for g in enumerate_states(n):
+            for cfg in SCREEN_CONFIGS:
+                _screened_agents(g, cfg)
+    # not vacuous: the screen clears the star center and every agent of a cycle
+    star = OwnedGraph(6, [(0, leaf) for leaf in range(1, 6)])
+    assert _screened_agents(star, GameConfig()) == list(range(6))
+    cycle = OwnedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
+    assert _screened_agents(cycle, GameConfig()) == list(range(5))
 
 
 @settings(max_examples=40, deadline=None)
