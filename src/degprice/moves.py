@@ -446,13 +446,23 @@ class _Pricing:
     def drops_cannot_improve(self, now, adds):
         """True when no deletion and no swap of u can cost less than ``now``.
 
-        ``adds`` are the totals of u's additions, none below ``now``.  Reads
-        G's table, the prices and ``adds`` only; the bound is in
-        ``improving_move``.
+        ``adds`` are the totals of u's additions, none below ``now``.  The
+        bound reads G's table, the prices and ``adds`` only.  Write du =
+        dist[u]; a neighbour x of u, owned or incoming, is a via for w when
+        ``dist[x, w] == du[w] - 1``, and ``only[o, w]`` says o is w's sole
+        via.  Every other neighbour x then has d(x, w) >= du[w], and
+        dropping uo shortens no distance, so deleting o leaves u at least
+        ``du[w] + only[o, w]`` from w: the total is at least ``now -
+        price[o] + scale * |only[o]|``.  After swapping o for v, a shortest
+        path from u either starts with uv, of length at least 1 + dist[v,
+        w], or lies in G - uo.  So u's row is at least ``min(du + only[o],
+        1 + dist[v])``, which is v's addition row plus ``only[o] & (1 +
+        dist[v] > du)``, and the total is at least ``adds[v] - price[o] +
+        scale * (only @ farther.T)[o, v]``.  A disconnected u has no
+        improving addition only if every addition leaves it disconnected,
+        and then so does every drop.
         """
         owned = sorted(self.current)
-        # a disconnected u stays so after a deletion, and after a swap to v
-        # whenever adding v leaves it so, as every addition did
         if not owned or now == self.unreachable:
             return True
         dist = self.position.dist
@@ -460,12 +470,13 @@ class _Pricing:
         incoming = sorted(self.graph._adj[self.u] - self.current)
         via = dist[owned + incoming] == du - 1
         only = via[: len(owned)] & (via.sum(axis=0) == 1)
-        price = self.price[owned]
-        if (self.scale * only.sum(axis=1) < price).any():
+        # cast before scaling, as totals does, so a scale past int64 stays exact
+        dtype, price = self.price.dtype, self.price[owned]
+        if (only.sum(axis=1).astype(dtype) * self.scale < price).any():
             return False
         farther = dist[self.cands] + 1 > du
-        swaps = adds - price[:, None] + self.scale * (only.astype(np.int64) @ farther.T)
-        return bool((swaps >= now).all())
+        steps = (only.astype(np.int64) @ farther.T).astype(dtype) * self.scale
+        return bool((adds - price[:, None] + steps >= now).all())
 
     def improving_move(self, policy):
         """(kind, before, after) of u's move under policy, or None if u is stuck.
@@ -477,21 +488,8 @@ class _Pricing:
         ``move_groups``, and prices no group after the one that holds it.
 
         In ncg, when no addition improves, first-improving asks
-        ``drops_cannot_improve`` before it prices a drop, and if that holds
-        u is stuck and the table of G - u is never built.  The screen is a
-        lower bound from G's table.  Write du = dist[u]; a neighbour x of u,
-        owned or incoming, is a via for w when ``dist[x, w] == du[w] - 1``,
-        and ``only[o, w]`` says o is w's sole via.  Every other neighbour x
-        then has d(x, w) >= du[w], and dropping uo shortens no distance, so
-        deleting o leaves u at least ``du[w] + only[o, w]`` from w: the
-        total is at least ``now - price[o] + scale * |only[o]|``.  After swapping o for v, a shortest
-        path from u either starts with uv, of length at least 1 + dist[v, w],
-        or lies in G - uo.  So u's row is at least ``min(du + only[o], 1 +
-        dist[v])``, which is v's addition row plus ``only[o] & (1 + dist[v]
-        > du)``, and the total is at least ``adds[v] - price[o] + scale *
-        (only @ farther.T)[o, v]``.  A disconnected u has no improving
-        addition only if every addition leaves it disconnected, and then so
-        does every drop.
+        ``drops_cannot_improve`` before it prices a drop; if that holds, u
+        is stuck and the table of G - u is never built.
         """
         if policy == FULL_BEST_RESPONSE:
             # searched first, so that a hit cap raises before any table is

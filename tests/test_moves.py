@@ -46,6 +46,8 @@ def path(n):
 FRACTION_PRICES = GameConfig(price_beta=Fraction(1, 2), price_gamma=Fraction(-4, 3))
 # scaled to a common denominator, these totals outgrow int64
 HUGE_DENOMINATOR = GameConfig(price_gamma=Fraction(-1, 10**18))
+# the scale itself is past int64, so int64 counts must not meet it uncast
+DENOMINATOR_PAST_INT64 = GameConfig(price_gamma=Fraction(-1, 10**19))
 # one edge costs more than the old 10^9 stand-in for "disconnected"
 HUGE_PRICES = GameConfig(price_beta=10**9, price_gamma=0)
 
@@ -225,6 +227,7 @@ SCREEN_CONFIGS = [
     GameConfig(locality_k=2),
     FRACTION_PRICES,
     HUGE_DENOMINATOR,
+    DENOMINATOR_PAST_INT64,
     HUGE_PRICES,
     GameConfig(price_beta=0, price_gamma=3),
 ]
@@ -258,7 +261,7 @@ def _screened_agents(g, cfg):
         9,
         [(0, 7), (1, 2), (3, 4), (3, 6), (4, 7), (5, 1), (5, 7), (5, 8), (6, 2), (7, 8), (8, 6)],
     ),
-    GameConfig(price_gamma=-1),
+    GameConfig(),
 )
 def test_drop_screen_clears_only_agents_without_an_improving_drop(g, cfg):
     _screened_agents(g, cfg)
@@ -271,9 +274,12 @@ def test_drop_screen_is_sound_on_every_small_graph():
                 _screened_agents(g, cfg)
     # not vacuous: the screen clears the star center and every agent of a cycle
     star = OwnedGraph(6, [(0, leaf) for leaf in range(1, 6)])
-    assert _screened_agents(star, GameConfig()) == list(range(6))
     cycle = OwnedGraph(5, [(i, (i + 1) % 5) for i in range(5)])
-    assert _screened_agents(cycle, GameConfig()) == list(range(5))
+    for cfg in (GameConfig(), DENOMINATOR_PAST_INT64):
+        assert _screened_agents(star, cfg) == list(range(6))
+        assert _screened_agents(cycle, cfg) == list(range(5))
+    # and the star's equilibrium holds with a scale past int64
+    assert verify_equilibrium(star, DENOMINATOR_PAST_INT64, level=SINGLE_MOVE).is_equilibrium
 
 
 @settings(max_examples=40, deadline=None)
