@@ -30,28 +30,19 @@ from degprice.errors import ResourceCapExceeded
 
 UNREACHABLE = 10**9
 # ``apsp`` refuses graphs past this many nodes.  An n-node table takes
-# 8 n^2 bytes, 800 MB at the cap.  The ncg dynamics engine holds at most
-# three n x n int64 arrays at once: G's table, the table of G - u that it
-# priced with, and the temporary of the update after a move, which it
-# writes into the latter (``dynamics._Engine.apply``).  It keeps no n x n
-# adjacency matrix: the removal test's n x n ``level`` array in
+# 8 n^2 bytes, 800 MB at the cap.  A pricing position that plays an ncg
+# move holds at most three n x n int64 arrays at once: G's table, the
+# table of G - u that priced the move, and the temporary of the update,
+# which it writes into the latter (``moves._Position.apply``).  It keeps
+# no n x n adjacency matrix: the removal test's n x n ``level`` array in
 # ``apsp_without``, n^2 bytes, is the only boolean one left.
 APSP_MAX_NODES = 10_000
 
 
-def bfs_row(neighbours, source, without=None):
-    """Hop distances from source as a list, with node ``without`` taken out.
-
-    ``without`` loses all its edges: no path passes through it, and from
-    itself it reaches nothing.
-    """
+def bfs_row(neighbours, source):
+    """Hop distances from source as a list."""
     row = [UNREACHABLE] * len(neighbours)
     row[source] = 0
-    if source == without:
-        return row
-    if without is not None:
-        # a temporary non-sentinel value marks it as visited, so no path enters it
-        row[without] = -1
     frontier = [source]
     d = 0
     while frontier:
@@ -63,8 +54,6 @@ def bfs_row(neighbours, source, without=None):
                     row[y] = d
                     reached.append(y)
         frontier = reached
-    if without is not None:
-        row[without] = UNREACHABLE
     return row
 
 
@@ -127,8 +116,12 @@ def apsp_without(dist, neighbours, u):
     # a neighbour of u is at most one hop deeper than u
     orphaned = (columns > depth) & ~held
     orphaned[u] = False  # row u is cut below
+    # u keeps its edges in but has none out, so no path passes through it;
+    # column u is cut below
+    cut = list(neighbours)
+    cut[u] = ()
     for s in orphaned.any(axis=1).nonzero()[0].tolist():
-        table[s] = bfs_row(neighbours, s, without=u)
+        table[s] = bfs_row(cut, s)
     table[u] = UNREACHABLE
     table[:, u] = UNREACHABLE
     table[u, u] = 0

@@ -294,9 +294,9 @@ def _preset_adversarial_convergence():
     for n in (16, 20):
         for k in (2, None):
             cfg = GameConfig(variant="aog", locality_k=k)
-            schedule = adversarial_schedule(n, cfg)
+            scheme = adversarial_schedule(n, cfg)
             g = constructions.build_path(n)
-            trace = run_dynamics(g, cfg, ActivationScheme.scripted(schedule))
+            trace = run_dynamics(g, cfg, scheme)
             entry = {
                 "n": n,
                 "config": cfg.describe(),
@@ -305,7 +305,7 @@ def _preset_adversarial_convergence():
                 "final_diameter": trace.final_diameter,
             }
             checks.append(entry)
-            ok = ok and len(trace.steps) == len(schedule) and trace.final_diameter == 3
+            ok = ok and len(trace.steps) == len(scheme.schedule) and trace.final_diameter == 3
     return checks, ok
 
 
@@ -316,8 +316,8 @@ def _preset_linear_equilibria():
         (DEGAOG_NE, 13, GameConfig(variant="aog")),
         (DEG2AOG_2NE, 12, GameConfig(variant="aog", locality_k=2)),
     ):
-        schedule = scripted_linear_sequences(n, which)
-        trace = run_dynamics(constructions.build_path(n), cfg, ActivationScheme.scripted(schedule))
+        scheme = scripted_linear_sequences(n, which)
+        trace = run_dynamics(constructions.build_path(n), cfg, scheme)
         rep = verify_equilibrium(trace.final, cfg, level="exact")
         checks.append(
             {

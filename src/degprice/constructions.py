@@ -176,9 +176,7 @@ class GadgetLayout:
     """Node bookkeeping for the set-cover best-response gadget.
 
     ``role_map`` labels each node as agent / hub / set / element /
-    padding; ``index_map`` gives the instance index behind the label
-    (set nodes map to their set index, padding nodes to an
-    ``(element, copy)`` pair).
+    padding.
     """
 
     graph: OwnedGraph
@@ -189,7 +187,6 @@ class GadgetLayout:
     element_nodes: tuple
     padding_nodes: tuple
     role_map: dict = field(repr=False)
-    index_map: dict = field(repr=False)
 
     def cover_from_targets(self, targets):
         """Translate a strategy for the agent into chosen set indices."""
@@ -197,7 +194,7 @@ class GadgetLayout:
         for t in sorted(targets):
             if self.role_map.get(t) != "set":
                 raise ValueError(f"target {t} is not a set node")
-            chosen.append(self.index_map[t])
+            chosen.append(self.set_nodes.index(t))
         return tuple(chosen)
 
     def as_dict(self):
@@ -238,28 +235,22 @@ def set_cover_to_best_response_gadget(inst):
     g = OwnedGraph(agent + 1)
 
     role_map = {}
-    index_map = {}
     padding_nodes = []
     for i in element_nodes:
         role_map[i] = "element"
-        index_map[i] = i
         for r in range(pads_per_element):
             p = pad_base + i * pads_per_element + r
             role_map[p] = "padding"
-            index_map[p] = (i, r)
             padding_nodes.append(p)
             g.add_edge(i, p)
     set_nodes = tuple(set_base + j for j in range(num_sets))
     for j, a in enumerate(set_nodes):
         role_map[a] = "set"
-        index_map[a] = j
         for i in inst.sets[j]:
             g.add_edge(i, a)
         g.add_edge(a, hub)
     role_map[hub] = "hub"
-    index_map[hub] = 0
     role_map[agent] = "agent"
-    index_map[agent] = 0
     g.add_edge(hub, agent)
 
     dist = bfs_distances(g, agent)
@@ -278,5 +269,4 @@ def set_cover_to_best_response_gadget(inst):
         element_nodes=element_nodes,
         padding_nodes=tuple(padding_nodes),
         role_map=role_map,
-        index_map=index_map,
     )

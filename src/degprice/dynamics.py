@@ -1,6 +1,6 @@
 """Improving-response dynamics: activation schemes, replay, traces.
 
-The engine activates one agent at a time.  An activation either applies
+A run activates one agent at a time.  An activation either applies
 that agent's move or records that the agent is currently stuck.  Each
 scheme is a source of activations: round-robin and uniform-random wake
 agents who look for their own move under the scheme's move policy
@@ -13,23 +13,11 @@ random process is naturally measured in.
 
 An agent's answer depends only on the graph, so an agent found stuck is
 not priced again until some move is applied; its later wake-ups still
-count as activations.  The engine is the network's pricing position
-(``moves._Position``): it keeps every node's degree and the full
-distance table D of the network current across moves, and computes the
-game's price constants once, so pricing an agent reads them instead of
-rebuilding them.  In either game, D's rows price every strategy that
-keeps the activated agent u's current edges, additions among them.
-Only a strategy that drops an edge needs the table of the network
-without u, derived from D by re-running only the rows that u's removal
-changes (``_kernels.apsp_without``).  A first-improving activation that
-finds no improving addition first bounds u's deletions and swaps from
-D, and derives that table only if some drop may improve.  A move that
-drops nothing rewrites only the rows and columns of D that its new
-edges can shorten (``_kernels.apsp_update_add``).  After a move that
-drops an edge, D becomes the minimum of the table without u and the
-sums of u's new row with itself, since a shortest path crosses u at
-most once.  Prices stay exact, as int or Fraction, and a move that
-leaves its agent disconnected costs ``math.inf``.
+count as activations.  A run prices and plays every activation on one
+pricing position (``moves._Position``) over a private copy of the start
+graph; ``_Position.apply`` keeps its distance table current across
+moves.  Prices stay exact, as int or Fraction, and a move that leaves
+its agent disconnected costs ``math.inf``.
 """
 
 import itertools
@@ -37,9 +25,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from degprice._kernels import apsp_update_add
 from degprice.costs import _social_cost_from, plain
 from degprice.errors import ScheduleReplayError
 from degprice.moves import (
@@ -175,70 +160,24 @@ def _graph_dict(g):
     return {"n": g.n, "edges": [list(e) for e in sorted(g.owned_edges)]}
 
 
-class _Engine(_Position):
-    """A position on a private copy of the start graph that also applies moves.
-
-    ``degrees`` and ``dist`` always match ``graph``: ``apply`` updates
-    them for every applied move.  ``play`` and ``replay`` price one
-    activation and apply its move with the same pricing, so a move that
-    drops an edge turns the table of G - u that priced it into the new
-    ``dist``.
-    """
-
-    def __init__(self, g0, cfg):
-        super().__init__(g0.copy(), cfg)
-
-    def find_move(self, u, policy):
-        """(u's pricing, u's move under policy or None)."""
-        p = self.pricing(u)
-        return p, p.improving_move(policy)
-
-    def play(self, u, policy):
-        """u's move under policy, applied; None if u is stuck."""
-        p, found = self.find_move(u, policy)
-        if found is not None:
-            self.apply(p, found[0])
-        return found
-
-    def replay(self, u, kind):
-        """u's costs before and after a scripted move, applied only if strictly cheaper."""
-        g = self.graph
-        try:
-            new_strategy = strategy_after(g, u, kind)
-        except ValueError as exc:
-            raise ScheduleReplayError(f"agent {u}: {exc}") from exc
-        p = self.pricing(u)
-        if self.cfg.add_only and p.current - new_strategy:
-            raise ScheduleReplayError(f"agent {u}: add-only config cannot drop edges")
-        bad = new_strategy - p.current - set(p.cands)
-        if bad:
-            raise ScheduleReplayError(
-                f"agent {u}: targets {sorted(bad)} outside the allowed candidates"
-            )
-        before, after = p.value(p.total(p.current)), p.value(p.total(new_strategy))
-        if after < before:
-            self.apply(p, kind)
-        return before, after
-
-    def apply(self, p, kind):
-        """Play agent ``p.u``'s move on the graph that ``p`` priced."""
-        u, g = p.u, self.graph
-        before = g.targets(u)
-        after = strategy_after(g, u, kind)
-        added, dropped = sorted(after - before), sorted(before - after)
-        if dropped:
-            # G - u is the same before and after u's move, and a shortest path
-            # crosses u at most once: d(i, j) = min(d_{G-u}(i, j), r[i] + r[j])
-            r = p.merged(after)
-            self.dist = p.table
-            np.minimum(self.dist, r[:, None] + r[None, :], out=self.dist)
-        else:
-            for v in added:
-                apsp_update_add(self.dist, u, v)
-        g.replace_strategy(u, after)
-        self.degrees[u] += len(added) - len(dropped)
-        self.degrees[added] += 1
-        self.degrees[dropped] -= 1
+def _replay(position, u, kind):
+    """u's costs before and after a scripted move, applied only if strictly cheaper."""
+    try:
+        new_strategy = strategy_after(position.graph, u, kind)
+    except ValueError as exc:
+        raise ScheduleReplayError(f"agent {u}: {exc}") from exc
+    p = position.pricing(u)
+    if position.cfg.add_only and p.current - new_strategy:
+        raise ScheduleReplayError(f"agent {u}: add-only config cannot drop edges")
+    bad = new_strategy - p.current - set(p.cands)
+    if bad:
+        raise ScheduleReplayError(
+            f"agent {u}: targets {sorted(bad)} outside the allowed candidates"
+        )
+    before, after = p.value(p.total(p.current)), p.value(p.total(new_strategy))
+    if after < before:
+        position.apply(p, kind)
+    return before, after
 
 
 def _activation_source(scheme, n):
@@ -270,8 +209,8 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     """
     if max_steps <= 0:
         raise ValueError("max_steps must be positive")
-    engine = _Engine(g0, cfg)
-    g = engine.graph
+    position = _Position(g0.copy(), cfg)
+    g = position.graph
     n = g.n
     steps = []
     activations = 0
@@ -298,9 +237,12 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
             # the graph is unchanged since this agent was found stuck
             if agent in stuck:
                 continue
-            found = engine.play(agent, scheme.move_policy)
+            p = position.pricing(agent)
+            found = p.improving_move(scheme.move_policy)
+            if found is not None:
+                position.apply(p, found[0])
         else:
-            before, after = engine.replay(agent, kind)
+            before, after = _replay(position, agent, kind)
             if not after < before:
                 raise ScheduleReplayError(
                     f"schedule step {activations - 1} (agent {agent}, {kind}): "
@@ -319,19 +261,19 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
                 break
             seen.add(key)
     else:
-        stable = all(engine.find_move(u, FIRST_IMPROVING_SINGLE_MOVE)[1] is None for u in range(n))
+        stable = position.witness(FIRST_IMPROVING_SINGLE_MOVE) is None
         metadata["script_exhausted"] = True
         metadata["final_single_move_stable"] = stable
         outcome = CONVERGED if stable else STEP_LIMIT
 
-    final = engine.graph.copy()
+    final = g.copy()
     return DynamicsTrace(
         initial=g0.copy(),
         steps=steps,
         outcome=outcome,
         rounds=activations // n,
-        final_social_cost=_social_cost_from(final, cfg, engine.dist),
-        final_diameter=int(engine.dist.max()),
+        final_social_cost=_social_cost_from(final, cfg, position.dist),
+        final_diameter=int(position.dist.max()),
         final=final,
         activations=activations,
         metadata=metadata,

@@ -17,8 +17,10 @@ Prices stay exact, as int or Fraction; a deviation that leaves u
 disconnected costs ``math.inf``.
 
 ``_Pricing.improving_move`` answers "can u strictly improve, and how?"
-under one of three move policies.  ``verify_equilibrium`` asks it of
-every agent, and the dynamics ask it of each activated agent.  When
+under one of three move policies.  ``_Position.witness`` asks it of
+every agent in turn, for ``verify_equilibrium`` and for the dynamics'
+final check; the dynamics ask it of each activated agent and play the
+answer with ``_Position.apply``, which keeps G's table current.  When
 the first improving single move is sought in ncg and no addition
 improves, a lower bound read from G's table screens u's deletions and
 swaps first: G - u is built only when some drop may improve.
@@ -37,7 +39,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from degprice._kernels import UNREACHABLE, apsp, apsp_without
+from degprice._kernels import UNREACHABLE, apsp, apsp_update_add, apsp_without
 from degprice.costs import edge_price, plain
 from degprice.errors import CandidateCapExceeded
 
@@ -291,7 +293,8 @@ class _Position:
     G's distance table, built on first use like ``_Pricing.table``.  It
     prices every strategy that keeps an agent's current edges, and each
     table of G - u is derived from it.  ``pricing(u)`` is the one way to
-    price u's deviations.
+    price u's deviations, ``witness`` is the one scan for an agent that
+    can improve, and ``apply`` plays a priced move and keeps both current.
     """
 
     def __init__(self, g, cfg):
@@ -311,6 +314,47 @@ class _Position:
 
     def pricing(self, u):
         return _Pricing(self, u)
+
+    def witness(self, policy):
+        """(agent, (kind, before, after)) of the first agent that improves, or None."""
+        for u in range(self.graph.n):
+            found = self.pricing(u).improving_move(policy)
+            if found is not None:
+                return u, found
+        return None
+
+    def apply(self, p, kind):
+        """Play agent ``p.u``'s move on ``graph``, the graph that ``p`` priced.
+
+        This mutates ``graph``, so ``run_dynamics`` builds its position on
+        a private copy of the start graph.  ``degrees`` and G's table D
+        stay current: ``apsp`` builds D once, on first use, and every move
+        played here updates it.  A move that drops nothing rewrites only
+        the rows and columns of D that its new edges can shorten
+        (``_kernels.apsp_update_add``).  A move that drops an edge was
+        priced from ``p.table``, the table of G - u that
+        ``_kernels.apsp_without`` derived from D by re-running only the
+        rows that u's removal changes.  G - u is the same before and after
+        u's move, and a shortest path crosses u at most once, so the new D
+        is the minimum of that table and the sums of u's new row with
+        itself, written into ``p.table`` in place.
+        """
+        u, g = p.u, self.graph
+        before = g.targets(u)
+        after = strategy_after(g, u, kind)
+        added, dropped = sorted(after - before), sorted(before - after)
+        if dropped:
+            # d(i, j) = min(d_{G-u}(i, j), r[i] + r[j])
+            r = p.merged(after)
+            self.dist = p.table
+            np.minimum(self.dist, r[:, None] + r[None, :], out=self.dist)
+        else:
+            for v in added:
+                apsp_update_add(self.dist, u, v)
+        g.replace_strategy(u, after)
+        self.degrees[u] += len(added) - len(dropped)
+        self.degrees[added] += 1
+        self.degrees[dropped] -= 1
 
 
 class _Pricing:
@@ -593,23 +637,18 @@ def verify_equilibrium(g, cfg, level=EXACT):
 
     EXACT searches every allowed strategy per agent (CANDIDATE_CAP permitting);
     SINGLE_MOVE only scans elementary moves and says so in its notes.
-    The witness is the first agent's move that improves: its exact best
-    response, or its first improving move in the canonical order.  Every
-    agent is priced from one position, so G's distance table is built at
-    most once: aog prices every agent from it.  ncg derives an agent's
-    table of G - u from it only to price drops: for the exact best
-    response of an agent that owns an edge, and at SINGLE_MOVE only when
-    no addition improves and the drop screen cannot rule out a deletion
-    or swap.
+    The witness is the first agent's move that improves
+    (``_Position.witness``): its exact best response, or its first
+    improving move in the canonical order.  Every agent is priced from
+    one position, so G's distance table is built at most once: aog
+    prices every agent from it.  ncg derives an agent's table of G - u
+    from it only to price drops: for the exact best response of an agent
+    that owns an edge, and at SINGLE_MOVE only when no addition improves
+    and the drop screen cannot rule out a deletion or swap.
     """
     policies = {EXACT: FULL_BEST_RESPONSE, SINGLE_MOVE: FIRST_IMPROVING_SINGLE_MOVE}
     if level not in policies:
         raise ValueError(f"unknown check level {level!r}")
-    notes = _notes_for(cfg, level)
-    position = _Position(g, cfg)
-    for u in range(g.n):
-        found = position.pricing(u).improving_move(policies[level])
-        if found is not None:
-            witness = MoveRecord(u, *found)
-            return EquilibriumReport(False, witness, level, notes)
-    return EquilibriumReport(True, None, level, notes)
+    found = _Position(g, cfg).witness(policies[level])
+    witness = None if found is None else MoveRecord(found[0], *found[1])
+    return EquilibriumReport(found is None, witness, level, _notes_for(cfg, level))

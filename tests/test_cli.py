@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import degprice
+from degprice import cli
 from degprice.cli import main
 from degprice.constructions import build_path, build_star
 from degprice.costs import GameConfig, social_cost
@@ -296,6 +297,15 @@ def test_preset_runs_and_reports(capsys):
     assert data["passed"] is True
     assert data["preset"] == "star-optimal"
     assert all(c["opt_cost"] == c["expected"] for c in data["checks"])
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_every_preset_passes(capsys, name):
+    code, out, _ = run_cli(capsys, "preset", name)
+    assert code == 0
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert data["preset"] == name
 
 
 SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]

@@ -24,13 +24,20 @@ from degprice.dynamics import (
     POLICIES,
     STEP_LIMIT,
     ActivationScheme,
-    _Engine,
     run_dynamics,
     scripted_linear_sequences,
 )
 from degprice.errors import ScheduleReplayError
 from degprice.graph import OwnedGraph, diameter
-from degprice.moves import AddEdge, DeleteEdge, ReplaceStrategy, SwapEdge, verify_equilibrium
+from degprice.moves import (
+    AddEdge,
+    DeleteEdge,
+    ReplaceStrategy,
+    SwapEdge,
+    _Position,
+    _Pricing,
+    verify_equilibrium,
+)
 
 
 def path(n):
@@ -239,13 +246,13 @@ def random_connected(n, seed):
 def test_no_agent_is_priced_twice_on_one_graph(monkeypatch, start, variant, policy):
     """A stuck agent's answer cannot change until a move is applied."""
     priced = []
-    find_move = _Engine.find_move
+    improving_move = _Pricing.improving_move
 
-    def recording(engine, u, move_policy):
-        priced.append((u, engine.graph.state_key()))
-        return find_move(engine, u, move_policy)
+    def recording(pricing, move_policy):
+        priced.append((pricing.u, pricing.graph.state_key()))
+        return improving_move(pricing, move_policy)
 
-    monkeypatch.setattr(_Engine, "find_move", recording)
+    monkeypatch.setattr(_Pricing, "improving_move", recording)
     cfg = GameConfig(variant=variant)
     for seed in range(3):
         priced.clear()
@@ -274,18 +281,18 @@ def test_uniform_random_totals_are_pinned():
 
 
 def test_engine_degrees_follow_every_applied_move(monkeypatch):
-    """After each applied move the engine's degrees and distances are the graph's."""
-    apply = _Engine.apply
+    """After each applied move the position's degrees and distances are the graph's."""
+    apply = _Position.apply
     kinds = set()
 
-    def checked(engine, pricing, kind):
-        apply(engine, pricing, kind)
+    def checked(position, pricing, kind):
+        apply(position, pricing, kind)
         kinds.add(type(kind))
-        g = engine.graph
-        assert engine.degrees.tolist() == [len(a) for a in g._adj]
-        assert np.array_equal(engine.dist, apsp(g._adj))
+        g = position.graph
+        assert position.degrees.tolist() == [len(a) for a in g._adj]
+        assert np.array_equal(position.dist, apsp(g._adj))
 
-    monkeypatch.setattr(_Engine, "apply", checked)
+    monkeypatch.setattr(_Position, "apply", checked)
     clique, ncg = build_clique(6), GameConfig()
     # deletions, a swap and additions
     random_run = run_dynamics(clique, ncg, ActivationScheme.uniform_random(seed=2))

@@ -15,10 +15,9 @@ from degprice import _kernels
 from degprice._kernels import APSP_MAX_NODES, UNREACHABLE, apsp, apsp_update_add, apsp_without
 from degprice.constructions import build_path
 from degprice.costs import GameConfig
-from degprice.dynamics import BEST_SINGLE_EDGE, _Engine
 from degprice.errors import ResourceCapExceeded
 from degprice.graph import OwnedGraph
-from degprice.moves import _Position, evaluate_deviation, strategy_after
+from degprice.moves import BEST_SINGLE_EDGE, _Position, evaluate_deviation, strategy_after
 
 
 def without(g, u):
@@ -148,17 +147,20 @@ def test_removal_across_components_matches_recompute(g):
 
 def test_one_ncg_step_holds_at_most_two_more_tables():
     """Pricing and moving one agent allocates the table of G - u and the update's temporary."""
-    engine = _Engine(build_path(300), GameConfig(locality_k=2))
-    engine.dist  # G's table is built on first use and is not part of the step
+    position = _Position(build_path(300), GameConfig(locality_k=2))
+    position.dist  # G's table is built on first use and is not part of the step
     tracemalloc.start()
     try:
-        found = engine.play(0, BEST_SINGLE_EDGE)
+        pricing = position.pricing(0)
+        found = pricing.improving_move(BEST_SINGLE_EDGE)
+        if found is not None:
+            position.apply(pricing, found[0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert found is not None
-    assert np.array_equal(engine.dist, apsp(engine.graph._adj))
-    assert peak <= 2.3 * engine.dist.nbytes
+    assert np.array_equal(position.dist, apsp(position.graph._adj))
+    assert peak <= 2.3 * position.dist.nbytes
 
 
 @pytest.mark.parametrize("beta", [1, Fraction(1, 10**15), Fraction(1, 10**17)])
