@@ -16,12 +16,14 @@ a table from another instead of building it:
   avoids u by induction.  So row s changes outside column u exactly
   when some neighbour y of u at depth d + 1 has no such x.
 
-Every distance caller goes through them, except
-``moves.evaluate_deviation``, the scalar reference that keeps its own
-BFS.  A disconnected pair holds exactly ``UNREACHABLE``.  The sentinel
-is far below the int64 overflow line, so ``sentinel + sentinel + 1``
-still compares safely, and the update's minimum with the old entry
-keeps every result at most ``UNREACHABLE``.
+Every distance caller goes through them, except two references kept
+apart on purpose: ``moves.evaluate_deviation``, the scalar reference
+with its own BFS, and the census tables of ``oracle._tables``, built by
+one batched BFS over every edge mask.  A disconnected pair holds
+exactly ``UNREACHABLE``.  The sentinel is far below the int64 overflow
+line, so ``sentinel + sentinel + 1`` still compares safely, and the
+update's minimum with the old entry keeps every result at most
+``UNREACHABLE``.
 """
 
 import numpy as np

@@ -276,7 +276,7 @@ def _preset_small_census():
 
 
 def _preset_figure_cycle():
-    g = constructions.build_figure_network(constructions.FIG3_G1)
+    g = constructions.build_figure_network("fig3-g1")
     cfg = GameConfig(variant="ncg")
     schedule = [
         (4, SwapEdge(7, 8)), (1, SwapEdge(8, 7)), (9, SwapEdge(8, 7)),

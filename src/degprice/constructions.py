@@ -11,45 +11,24 @@ element keeps ``q + 2`` nodes one hop further away than they need to be.
 from dataclasses import dataclass, field
 from importlib import resources
 
-from degprice.errors import InfeasibleInstanceError
-from degprice.graph import OwnedGraph, bfs_distances, degree
-
-FIG2A = "fig2a"
-FIG2B = "fig2b"
-FIG2C = "fig2c"
-FIG2D = "fig2d"
-FIG3_G1 = "fig3-g1"
-FIG3_G2 = "fig3-g2"
-FIG3_G3 = "fig3-g3"
-FIG3_G4 = "fig3-g4"
-FIG3_G5 = "fig3-g5"
-FIG3_G6 = "fig3-g6"
+from degprice.errors import InfeasibleInstanceError, ResourceCapExceeded
+from degprice.graph import MAX_EDGES, OwnedGraph, bfs_distances, degree
 
 FIGURE_NAMES = (
-    FIG2A,
-    FIG2B,
-    FIG2C,
-    FIG2D,
-    FIG3_G1,
-    FIG3_G2,
-    FIG3_G3,
-    FIG3_G4,
-    FIG3_G5,
-    FIG3_G6,
+    "fig2a",
+    "fig2b",
+    "fig2c",
+    "fig2d",
+    "fig3-g1",
+    "fig3-g2",
+    "fig3-g3",
+    "fig3-g4",
+    "fig3-g5",
+    "fig3-g6",
 )
 
 __all__ = [
     "FIGURE_NAMES",
-    "FIG2A",
-    "FIG2B",
-    "FIG2C",
-    "FIG2D",
-    "FIG3_G1",
-    "FIG3_G2",
-    "FIG3_G3",
-    "FIG3_G4",
-    "FIG3_G5",
-    "FIG3_G6",
     "SetCoverInstance",
     "GadgetLayout",
     "build_star",
@@ -96,6 +75,8 @@ def build_clique(n):
     """Complete graph on ``n`` nodes; the lower-indexed endpoint buys."""
     if n < 2:
         raise ValueError(f"clique needs at least 2 nodes, got {n}")
+    if n * (n - 1) // 2 > MAX_EDGES:
+        raise ResourceCapExceeded(f"graphs limited to {MAX_EDGES} edges, clique({n}) has more")
     g = OwnedGraph(n)
     for a in range(n):
         for b in range(a + 1, n):

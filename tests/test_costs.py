@@ -12,6 +12,7 @@ from degprice.costs import (
     UNREACHABLE,
     agent_cost,
     edge_price,
+    plain,
     rho,
     social_cost,
 )
@@ -77,6 +78,12 @@ def test_disconnection_is_sentinel_not_a_big_number():
     assert agent_cost(g, 0, cfg).total == math.inf
     with pytest.raises(ValueError, match="disconnected"):
         rho(g, 8, cfg)
+
+
+def test_plain_prints_exactly_a_cost_no_float_holds():
+    assert plain(Fraction(19, 2)) == 9.5 and plain(Fraction(6, 3)) == 2
+    assert plain(Fraction(10**400, 3)) == f"{10**400}/3"
+    assert plain(Fraction(-(10**400), 3)) == f"-{10**400}/3"
 
 
 def test_rho_is_exact_fraction():

@@ -66,6 +66,11 @@ def test_scheme_validation():
         run_dynamics(path(3), AOG2, ActivationScheme.round_robin(), max_steps=0)
 
 
+def test_unknown_linear_sequence_is_rejected():
+    with pytest.raises(ValueError, match="unknown sequence 'degaog-2ne'"):
+        scripted_linear_sequences(13, "degaog-2ne")
+
+
 def test_stable_start_converges_without_moves():
     star = OwnedGraph(5, [(0, v) for v in range(1, 5)])
     trace = run_dynamics(star, GameConfig(), ActivationScheme.round_robin())

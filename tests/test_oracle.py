@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import owned_graphs
-from degprice import moves, oracle
+from conftest import floyd_warshall, owned_graphs
+from degprice import _kernels, moves, oracle
 from degprice.constructions import SetCoverInstance
 from degprice.costs import GameConfig, social_cost
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
-from degprice.graph import OwnedGraph, diameter, is_connected
+from degprice.graph import OwnedGraph, degree, diameter, is_connected
 from degprice.moves import verify_equilibrium
 from degprice.oracle import (
     _graph_to_state,
@@ -29,6 +29,23 @@ from degprice.oracle import (
 
 def path(n):
     return OwnedGraph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_census_tables_share_no_kernel_with_the_engine(monkeypatch):
+    """The census's tables come from its own search: they build with the
+    engine's BFS broken and match Floyd-Warshall on every edge mask."""
+
+    def broken(*args):
+        raise AssertionError("the census tables called the engine's bfs_row")
+
+    monkeypatch.setattr(_kernels, "bfs_row", broken)
+    oracle._tables.cache_clear()
+    for n in range(1, 6):
+        _, dist, degs, _, _ = oracle._tables(n)
+        for emask in range(len(dist)):
+            g = oracle._state_to_graph(n, emask, emask)
+            assert (dist[emask] == floyd_warshall(g)).all()
+            assert degs[emask].tolist() == [degree(g, v) for v in range(n)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
