@@ -11,12 +11,8 @@ for small instances and an improving-response dynamics engine.
 
 from degprice.graph import OwnedGraph, UNREACHABLE, bfs_distances, degree, diameter
 from degprice.costs import GameConfig, CostBreakdown, agent_cost, social_cost, rho
-from degprice.moves import (
-    candidate_targets,
-    enumerate_single_moves,
-    best_response_exact,
-    verify_equilibrium,
-)
+from degprice.costs import candidate_targets
+from degprice.moves import enumerate_single_moves, best_response_exact, verify_equilibrium
 from degprice.dynamics import ActivationScheme, run_dynamics
 
 __all__ = [

@@ -17,8 +17,8 @@ a table from another instead of building it:
   when some neighbour y of u at depth d + 1 has no such x.
 
 Every distance caller goes through them, except two references kept
-apart on purpose: ``moves.evaluate_deviation``, the scalar reference
-with its own BFS, and the census tables of ``oracle._tables``, built by
+apart on purpose: the scalar reference in ``costs``, with its own BFS
+over node sets, and the census tables of ``oracle._tables``, built by
 one batched BFS over every edge mask.  A disconnected pair holds
 exactly ``UNREACHABLE``.  The sentinel is far below the int64 overflow
 line, so ``sentinel + sentinel + 1`` still compares safely, and the

@@ -165,7 +165,11 @@ def _load_schedule(spec_text, g, cfg):
         return adversarial_schedule(g.n, cfg)
     if spec_text in (DEGAOG_NE, DEG2AOG_2NE):
         return scripted_linear_sequences(g.n, spec_text)
-    entries = json.loads(pathlib.Path(spec_text).read_text())
+    text = pathlib.Path(spec_text).read_text()
+    try:
+        entries = json.loads(text)
+    except RecursionError:
+        raise ValueError(f"schedule file {spec_text} nests too deeply") from None
     return ActivationScheme.scripted(parse_schedule(entries))
 
 

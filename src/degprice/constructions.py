@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from degprice.errors import InfeasibleInstanceError, ResourceCapExceeded
-from degprice.graph import MAX_EDGES, OwnedGraph, bfs_distances, degree
+from degprice.graph import MAX_EDGES, MAX_NODES, OwnedGraph, bfs_distances, degree
 
 FIGURE_NAMES = (
     "fig2a",
@@ -196,8 +196,12 @@ def set_cover_to_best_response_gadget(inst):
     Requires q >= 4 so that covering an element (q + 2 nodes pulled one
     hop closer) always beats its price (q per set) with room to spare,
     and every element must appear in some set or the network would be
-    disconnected.
+    disconnected.  The node count is checked against ``MAX_NODES`` first,
+    so a huge universe exits on the cap before anything is built.
     """
+    nodes = inst.universe_size * (inst.q + 2) + inst.num_sets + 2
+    if nodes > MAX_NODES:
+        raise ResourceCapExceeded(f"gadget needs {nodes} nodes; graphs limited to n <= {MAX_NODES}")
     if inst.q < 4:
         raise ValueError(f"gadget requires set size q >= 4, got q={inst.q}")
     missing = sorted(set(range(inst.universe_size)) - inst.covered(range(inst.num_sets)))

@@ -7,6 +7,10 @@ degree not counting the edge itself.  On top of edge prices every agent
 pays the sum of her hop distances to all other agents, ``math.inf``
 when the network is disconnected.
 
+``agent_cost``, ``evaluate_deviation`` and ``candidate_targets`` are the
+scalar reference that the tests and ``oracle``'s closure hold ``moves``
+to: their own BFS over node sets, sharing no code with ``_kernels``.
+
 All arithmetic is exact: integers under integer pricing, fractions.Fraction
 otherwise.  Nothing here ever rounds.  ``plain`` is the one rule for
 printing a cost.
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from degprice._kernels import UNREACHABLE, apsp
-from degprice.graph import bfs_distances, degree
+from degprice.graph import degree
 
 NCG = "ncg"
 AOG = "aog"
@@ -31,6 +35,8 @@ __all__ = [
     "CostBreakdown",
     "edge_price",
     "agent_cost",
+    "evaluate_deviation",
+    "candidate_targets",
     "social_cost",
     "rho",
     "plain",
@@ -101,10 +107,55 @@ def edge_price(cfg, target_degree):
 
 def agent_cost(g, u, cfg):
     """Edge prices of u's owned edges plus u's distance sum."""
-    edge = sum((edge_price(cfg, degree(g, v)) for v in g.targets(u)), 0)
-    row = bfs_distances(g, u)
-    d = math.inf if int(row.max()) == UNREACHABLE else int(row.sum())
-    return CostBreakdown(edge_cost=edge, distance_cost=d, total=edge + d)
+    return CostBreakdown(*_deviation(g, u, g.targets(u), cfg))
+
+
+def evaluate_deviation(g, u, new_targets, cfg):
+    """Total cost of u if u switched to new_targets, everyone else fixed;
+    math.inf when that leaves u disconnected."""
+    return _deviation(g, u, new_targets, cfg)[2]
+
+
+def _deviation(g, u, new_targets, cfg):
+    """(edge prices, distance sum, total) of u under new_targets, by a BFS
+    over node sets that starts at u's neighbours and never enters u."""
+    g._check_node(u)
+    new_targets = set(new_targets)
+    for v in new_targets:
+        g._check_node(v)
+        if v == u:
+            raise ValueError(f"self-loop at node {u}")
+    owned = g._targets[u]
+    incoming = g._adj[u] - owned
+    clash = new_targets & incoming
+    if clash:
+        raise ValueError(f"targets {sorted(clash)} already own edges to {u}")
+    # a new edge adds one to its target's degree
+    edge = sum((edge_price(cfg, len(g._adj[v]) + (v not in owned)) for v in new_targets), 0)
+
+    frontier = new_targets | incoming
+    seen = frontier | {u}
+    total, depth = 0, 1
+    while frontier:
+        total += depth * len(frontier)
+        frontier = {y for x in frontier for y in g._adj[x]} - seen
+        seen |= frontier
+        depth += 1
+    if len(seen) < g.n:  # inf + a huge int price would overflow
+        return edge, math.inf, math.inf
+    return edge, total, edge + total
+
+
+def candidate_targets(g, u, cfg):
+    """Nodes u could buy a new edge to: its non-neighbours, within cfg's
+    locality radius of u if it has one."""
+    g._check_node(u)
+    ball = frontier = set(range(g.n)) if cfg.locality_k is None else {u}
+    # no shortest path has n or more edges
+    for _ in range(min(cfg.locality_k or 0, g.n)):
+        frontier = {y for x in frontier for y in g._adj[x]} - ball
+        ball |= frontier
+    return ball - g._adj[u] - {u}
 
 
 def social_cost(g, cfg):

@@ -28,8 +28,8 @@ swaps first: G - u is built only when some drop may improve.
 Each move kind declares its JSON ``type``; ``as_dict`` and
 ``parse_schedule`` derive the rest from the kind's fields.
 
-``evaluate_deviation`` prices one strategy by its own BFS.  It is the
-scalar reference that the tests and the brute-force oracle use.
+The tests hold this engine to the scalar reference of ``costs``:
+``agent_cost``, ``evaluate_deviation`` and ``candidate_targets``.
 """
 
 import math
@@ -40,7 +40,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from degprice._kernels import UNREACHABLE, apsp, apsp_update_add, apsp_without
-from degprice.costs import edge_price, plain
+from degprice.costs import plain
 from degprice.errors import CandidateCapExceeded
 
 EXACT = "exact"
@@ -77,8 +77,6 @@ __all__ = [
     "parse_schedule",
     "MoveRecord",
     "EquilibriumReport",
-    "candidate_targets",
-    "evaluate_deviation",
     "strategy_after",
     "apply_move",
     "enumerate_single_moves",
@@ -184,43 +182,6 @@ class EquilibriumReport:
             "check_level": self.check_level,
             "notes": list(self.notes),
         }
-
-
-def candidate_targets(g, u, cfg):
-    """Nodes u could buy a new edge to under cfg's locality radius."""
-    return set(_Position(g, cfg).pricing(u).cands)
-
-
-def evaluate_deviation(g, u, new_targets, cfg):
-    """Total cost of u if u switched to new_targets, everyone else fixed.
-
-    Returns math.inf when the deviation leaves u disconnected.
-    """
-    new_targets = set(new_targets)
-    old_targets = g._targets[u]
-    incoming = g._adj[u] - old_targets
-    clash = new_targets & incoming
-    if clash:
-        raise ValueError(f"targets {sorted(clash)} already own edges to {u}")
-
-    edge = 0
-    for v in new_targets:
-        d = len(g._adj[v])
-        if v not in old_targets:
-            d += 1
-        edge = edge + edge_price(cfg, d)
-
-    frontier = new_targets | incoming
-    seen = frontier | {u}
-    total, depth = 0, 1
-    while frontier:
-        total += depth * len(frontier)
-        frontier = {y for x in frontier for y in g._adj[x]} - seen
-        seen |= frontier
-        depth += 1
-    if len(seen) < g.n:
-        return math.inf
-    return edge + total
 
 
 def strategy_after(g, u, kind):

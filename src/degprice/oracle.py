@@ -5,9 +5,9 @@ deliberately independent of the move engine: states are edge bitmasks,
 costs come from precomputed distance tables, and deviations are
 re-derived from scratch.  Census results can therefore cross-check the
 engine rather than inherit its bugs.  The improving-response closure
-(``reachable_closure``, ``best_reachable``) is the exception: it lists
-each agent's candidates itself but prices its deviations with the
-scalar references ``moves.evaluate_deviation`` and ``costs.agent_cost``.
+(``reachable_closure``, ``best_reachable``) works on graphs instead, and
+lists and prices each agent's deviations with the scalar reference of
+``costs``: ``candidate_targets``, ``evaluate_deviation`` and ``agent_cost``.
 
 A state packs an undirected graph into an integer mask over the node
 pairs (bit set = edge present) plus an ownership submask (bit set = the
@@ -37,10 +37,9 @@ from itertools import combinations, permutations
 import numpy as np
 
 from degprice._kernels import UNREACHABLE
-from degprice.costs import agent_cost, plain, social_cost
+from degprice.costs import agent_cost, candidate_targets, evaluate_deviation, plain
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
-from degprice.graph import OwnedGraph, bfs_distances
-from degprice.moves import evaluate_deviation
+from degprice.graph import OwnedGraph
 
 MAX_ENUM_NODES = 6
 MAX_COVER_SETS = 20
@@ -438,20 +437,11 @@ def reachable_closure(g0, cfg):
     return order
 
 
-def _candidates(g, u, cfg):
-    """u's non-neighbours, within cfg's locality radius of u if it has one."""
-    if cfg.locality_k is None:
-        near = range(g.n)
-    else:
-        near = np.flatnonzero(bfs_distances(g, u) <= cfg.locality_k).tolist()
-    return [v for v in near if v != u and v not in g._adj[u]]
-
-
 def _improving_successors(g, cfg):
     out = []
     for u in range(g.n):
         current = agent_cost(g, u, cfg).total
-        cands = _candidates(g, u, cfg)
+        cands = sorted(candidate_targets(g, u, cfg))
         base = g.targets(u)
         for r in range(1, len(cands) + 1):
             for picked in combinations(cands, r):
@@ -469,7 +459,7 @@ def best_reachable(g0, cfg):
     best = None
     witness = None
     for g, _terminal in reachable_closure(g0, cfg):
-        cost = social_cost(g, cfg)
+        cost = sum(agent_cost(g, u, cfg).total for u in range(g.n))
         if cost != math.inf and (best is None or cost < best):
             best, witness = cost, g
     return best, witness

@@ -430,6 +430,38 @@ def test_malformed_input_is_one_error_line(
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, text, code, named",
+    [
+        # json.dumps cannot write this file, and json.loads recurses on it
+        pytest.param(SCHEDULE_RUN, "[" * 200_000, 2, "input.txt nests", id="deep-schedule"),
+        pytest.param(
+            ["reduce", "set-cover-to-gadget", "--instance", "{sched}"],
+            "u 4 q 0\n",
+            2,
+            "set size must be at least 1",
+            id="set-size-0",
+        ),
+        pytest.param(
+            ["reduce", "set-cover-to-gadget", "--instance", "{sched}"],
+            "u 1000000000 q 4\n0 1 2 3\n",
+            3,
+            "6000000003 nodes",
+            id="gadget-past-max-nodes",
+        ),
+    ],
+)
+def test_raw_input_file_is_one_error_line(capsys, tmp_path, path_file, argv, text, code, named):
+    """An input file written as raw text exits with its code and one error line."""
+    raw = tmp_path / "input.txt"
+    raw.write_text(text)
+    paths = {"graph": path_file(5), "sched": str(raw)}
+    code_seen, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+    assert code_seen == code
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_text_witness_prints_costs_like_json(capsys, tmp_path, path_file):
     split = tmp_path / "split.graph"
     split.write_text("n 3\n0 1\n")

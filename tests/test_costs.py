@@ -12,6 +12,7 @@ from degprice.costs import (
     UNREACHABLE,
     agent_cost,
     edge_price,
+    evaluate_deviation,
     plain,
     rho,
     social_cost,
@@ -78,6 +79,29 @@ def test_disconnection_is_sentinel_not_a_big_number():
     assert agent_cost(g, 0, cfg).total == math.inf
     with pytest.raises(ValueError, match="disconnected"):
         rho(g, 8, cfg)
+
+
+def test_disconnection_outweighs_a_price_no_float_holds():
+    g = OwnedGraph(3, [(0, 1)])
+    cfg = GameConfig(price_beta=10**400)
+    assert agent_cost(g, 0, cfg).total == math.inf
+    assert agent_cost(g, 0, cfg).edge_cost == 10**400 - 1
+    assert evaluate_deviation(g, 0, {1}, cfg) == math.inf
+
+
+def test_deviation_refuses_bad_node_ids():
+    """An id out of range, u as its own target and a target that already
+    bought an edge to u are refused, never priced."""
+    g = OwnedGraph(4, [(0, 1), (1, 2), (2, 3)])
+    cfg = GameConfig()
+    for u, targets in ((-1, set()), (7, set()), (0, {-2}), (0, {1, 4})):
+        with pytest.raises(ValueError, match="out of range"):
+            evaluate_deviation(g, u, targets, cfg)
+    with pytest.raises(ValueError, match="self-loop"):
+        evaluate_deviation(g, 0, {0}, cfg)
+    with pytest.raises(ValueError, match=r"targets \[0\] already own edges to 1"):
+        evaluate_deviation(g, 1, {0, 2}, cfg)
+    assert evaluate_deviation(g, 1, {2, 3}, cfg) == 5
 
 
 def test_plain_prints_exactly_a_cost_no_float_holds():

@@ -14,10 +14,10 @@ from conftest import floyd_warshall, owned_graphs
 from degprice import _kernels
 from degprice._kernels import APSP_MAX_NODES, UNREACHABLE, apsp, apsp_update_add, apsp_without
 from degprice.constructions import build_path
-from degprice.costs import GameConfig
+from degprice.costs import GameConfig, evaluate_deviation
 from degprice.errors import ResourceCapExceeded
 from degprice.graph import OwnedGraph
-from degprice.moves import BEST_SINGLE_EDGE, _Position, evaluate_deviation, strategy_after
+from degprice.moves import BEST_SINGLE_EDGE, _Position, strategy_after
 
 
 def without(g, u):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import owned_graphs
 from degprice import _kernels, dynamics, moves
-from degprice.costs import GameConfig, agent_cost
+from degprice.costs import GameConfig, agent_cost, candidate_targets, evaluate_deviation
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import OwnedGraph
 from degprice.moves import (
@@ -28,10 +28,8 @@ from degprice.moves import (
     _Pricing,
     apply_move,
     best_response_exact,
-    candidate_targets,
     enumerate_single_moves,
     parse_schedule,
-    evaluate_deviation,
     strategy_after,
     verify_equilibrium,
 )
@@ -72,6 +70,11 @@ def _brute_best_response(g, u, cfg):
             if best is None or key < best:
                 best = key
     return set(best[2]), best[0]
+
+
+def test_unknown_move_policy_is_refused():
+    with pytest.raises(ValueError, match="unknown move policy 'bogus'"):
+        _Position(path(3), GameConfig()).pricing(0).improving_move("bogus")
 
 
 def test_candidate_targets_respect_locality():

@@ -1,7 +1,10 @@
 """Exhaustive small-instance oracles: censuses, optima, closures, covers."""
 
+import ast
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,14 @@ from hypothesis import strategies as st
 
 from conftest import floyd_warshall, owned_graphs
 from degprice import _kernels, moves, oracle
-from degprice.constructions import SetCoverInstance
-from degprice.costs import GameConfig, social_cost
+from degprice.constructions import SetCoverInstance, build_figure_network
+from degprice.costs import (
+    GameConfig,
+    agent_cost,
+    candidate_targets,
+    evaluate_deviation,
+    social_cost,
+)
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
 from degprice.graph import OwnedGraph, degree, diameter, is_connected
 from degprice.moves import verify_equilibrium
@@ -277,6 +286,68 @@ def test_census_needs_a_worker():
         with pytest.raises(ValueError, match="one process"):
             equilibrium_census(4, GameConfig(), workers=workers)
     assert equilibrium_census(3, GameConfig(), workers=1).equilibrium_count == 20
+
+
+def test_scalar_reference_shares_no_kernel_with_the_engine(monkeypatch):
+    """With bfs_row and apsp broken wherever a degprice module binds them,
+    the costs reference and the closure still give their pinned values."""
+
+    def broken(*args):
+        raise AssertionError("the scalar reference called the engine's kernel")
+
+    kernels = {id(_kernels.bfs_row), id(_kernels.apsp)}
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "degprice":
+            for attr, value in list(vars(module).items()):
+                if id(value) in kernels:
+                    monkeypatch.setattr(module, attr, broken)
+                    patched.add(f"{name.removeprefix('degprice.')}.{attr}")
+    kernel_names = {"_kernels.bfs_row", "_kernels.apsp", "graph.bfs_row", "graph.apsp"}
+    assert kernel_names | {"costs.apsp", "moves.apsp"} <= patched
+
+    g = build_figure_network("fig2b")
+    cfg = GameConfig()
+    totals = [agent_cost(g, u, cfg).total for u in range(g.n)]
+    assert totals == [43, 34, 43, 40, 37, 43, 40, 40, 43, 40, 37, 43, 40, 40, 34, 46, 40, 37, 40]
+    assert evaluate_deviation(g, 0, {1, 2, 3}, cfg) == 49
+    assert evaluate_deviation(g, 0, (), cfg) == 54
+    ball = candidate_targets(g, 0, GameConfig(locality_k=2))
+    assert ball == {1, 3, 5, 6, 7, 8, 9, 12, 14, 15, 17, 18}
+    k2 = (16, 7, 63, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5)])
+    everywhere = (28, 19, 35, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    for start, cfg, closure in (
+        (path(6), GameConfig(variant="aog", locality_k=2), k2),
+        (path(5), GameConfig(variant="aog"), everywhere),
+    ):
+        states = reachable_closure(start, cfg)
+        best, witness = best_reachable(start, cfg)
+        edges = sorted(witness.owned_edges)
+        assert (len(states), sum(t for _, t in states), best, edges) == closure
+
+
+def _imports(path):
+    """The dotted name of everything a source file imports."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            # a relative import names the package's own modules
+            base = [p for p in ("degprice" if node.level else "", node.module) if p]
+            out |= {".".join([*base, a.name]) for a in node.names}
+    return out
+
+
+def test_references_import_no_engine():
+    """costs and oracle import neither the move engine nor the dynamics, and
+    the oracle takes only the UNREACHABLE sentinel from the kernels."""
+    src = Path(oracle.__file__).parent
+    for name in ("costs", "oracle"):
+        imported = _imports(src / f"{name}.py")
+        assert not [m for m in imported if m.startswith(("degprice.moves", "degprice.dynamics"))]
+    kernels = {m for m in _imports(src / "oracle.py") if m.startswith("degprice._kernels")}
+    assert kernels == {"degprice._kernels.UNREACHABLE"}
 
 
 def test_census_ratios_are_exact(census):
