@@ -5,8 +5,10 @@ one).  ``bfs_row`` gives the hop distances from one source, ``apsp``
 stacks one row per source into an int64 table, and two kernels derive
 a table from another instead of building it:
 
-- ``apsp_update_add`` patches G's table after an edge is added,
-  touching only the rows and columns whose distances can change;
+- ``apsp_update_add`` patches a table after a node u gains edges,
+  touching only the rows and columns whose distances can change.  Every
+  move is one: u gains its new targets on G's table, or all its new
+  neighbours on the table of G - u;
 - ``apsp_without`` gives the table of G - u from G's table, re-running
   ``bfs_row`` only for the sources whose row u's removal changes.  Take
   a source s and d = d(s, u).  Every node at depth d or less keeps its
@@ -32,12 +34,10 @@ from degprice.errors import ResourceCapExceeded
 
 UNREACHABLE = 10**9
 # ``apsp`` refuses graphs past this many nodes.  An n-node table takes
-# 8 n^2 bytes, 800 MB at the cap.  A pricing position that plays an ncg
-# move holds at most three n x n int64 arrays at once: G's table, the
-# table of G - u that priced the move, and the temporary of the update,
-# which it writes into the latter (``moves._Position.apply``).  It keeps
-# no n x n adjacency matrix: the removal test's n x n ``level`` array in
-# ``apsp_without``, n^2 bytes, is the only boolean one left.
+# 8 n^2 bytes, 800 MB at the cap.  Pricing and playing one move on
+# path(300) allocates 0.02 tables beyond G's for an add, 1.1 to 1.25
+# for the drops and the aog replace of ``tests/test_kernels.py``, and
+# 2.1 for a drop whose new neighbours join two components of G - u.
 APSP_MAX_NODES = 10_000
 
 
@@ -75,22 +75,41 @@ def apsp(neighbours):
     return dist
 
 
-def apsp_update_add(dist, u, v):
-    """Refresh a symmetric distance matrix in place after adding the edge {u,v}.
+def row_with(row, near):
+    """u's row after it gains edges: ``min(row, 1 + near.min(axis=0))``.
 
-    A new shortest path crosses the new edge once.  Crossing from u to v,
-    d(x, y) can drop to ``d(x, u) + 1 + d(v, y)``, which beats
-    ``d(x, v) + d(v, y) >= d(x, y)`` only in the rows x nearer to u
-    (``d(x, u) + 1 < d(x, v)``) and, by the same argument, only in the
-    columns y nearer to v.  Crossing from v to u changes the same pairs,
-    transposed.  So relaxing the rows nearer to u against ``dist[v]`` and
-    mirroring them into their columns is the whole update, O(n) work per
-    such row (the insertion rule of Ausiello, Italiano, Marchetti-Spaccamela
-    and Nanni, J. Algorithms 1991).  The minimum with the old entry keeps
-    a sum past the sentinel at exactly ``UNREACHABLE``.
+    ``row`` is u's row and ``near`` stacks the rows of its new
+    neighbours.  A shortest path from u uses at most one new edge, its
+    first.
     """
-    rows = np.flatnonzero(dist[:, u] + 1 < dist[:, v])
-    relaxed = np.minimum(dist[rows], dist[rows, u, None] + 1 + dist[v])
+    return np.minimum(row, near.min(axis=0) + 1)
+
+
+def apsp_update_add(dist, u, targets):
+    """Refresh a symmetric distance table in place after u gains edges to ``targets``.
+
+    Each new edge ends at u, so with r = ``row_with(dist[u], dist[targets])``
+    a pair (x, y) gets ``min(d, r[x] + r[y])``.  If it drops, its new
+    shortest path runs x .. u, v .. y for a target v (else read it from
+    y), and its part up to v is new and shorter than the old d(x, v), or
+    the old path to v would already reach y.  So relaxing the rows x with
+    ``r[x] + 1 < d(x, v)`` for some target v, mirrored into their columns,
+    is the whole update: for one edge, the insertion rule of Ausiello,
+    Italiano, Marchetti-Spaccamela and Nanni (J. Algorithms 1991).  The
+    minimum with the old entry keeps a sum past the sentinel at exactly
+    ``UNREACHABLE``.
+    """
+    if not targets:
+        return
+    near = dist.take(targets, axis=0)
+    r = row_with(dist[u], near)
+    rows = (r + 1 < near.max(axis=0)).nonzero()[0]
+    # one temporary of the changed rows: min(d - r[x], r[y]) + r[x]
+    shift = r.take(rows)[:, None]
+    relaxed = dist.take(rows, axis=0)
+    relaxed -= shift
+    np.minimum(relaxed, r, out=relaxed)
+    relaxed += shift
     dist[rows] = relaxed
     dist[:, rows] = relaxed.T
 

@@ -16,19 +16,30 @@ from fractions import Fraction
 
 from degprice import constructions
 from degprice import textio
-from degprice.costs import GameConfig, agent_cost, plain, social_cost
+from degprice.costs import AOG, NCG, GameConfig, agent_cost, plain, social_cost
 from degprice.dynamics import (
-    ActivationScheme,
     BEST_SINGLE_EDGE,
+    CONVERGED,
+    CYCLE_DETECTED,
     DEG2AOG_2NE,
     DEGAOG_NE,
     POLICIES,
+    ROUND_ROBIN,
+    UNIFORM_RANDOM,
+    ActivationScheme,
     adversarial_schedule,
     run_dynamics,
     scripted_linear_sequences,
 )
 from degprice.errors import DegpriceError, GraphFormatError, ResourceCapExceeded
-from degprice.moves import SwapEdge, best_response_exact, parse_schedule, verify_equilibrium
+from degprice.moves import (
+    EXACT,
+    SINGLE_MOVE,
+    SwapEdge,
+    best_response_exact,
+    parse_schedule,
+    verify_equilibrium,
+)
 from degprice.oracle import equilibrium_census, min_set_cover, optimal_social_cost
 
 EXIT_OK = 0
@@ -52,7 +63,7 @@ FAMILIES = {
 
 
 def _add_game_flags(p):
-    p.add_argument("--game", choices=("ncg", "aog"), default="ncg")
+    p.add_argument("--game", choices=(NCG, AOG), default=NCG)
     p.add_argument("--k", default="global", help="locality radius, integer or 'global'")
     p.add_argument("--beta", type=_price, default=1)
     p.add_argument("--gamma", type=_price, default=-1)
@@ -174,16 +185,22 @@ def _load_schedule(spec_text, g, cfg):
 
 
 def _cmd_dynamics(args):
+    # --scheme and --policy default to None, so that a flag given is a flag seen
+    kind, policy = args.scheme or ROUND_ROBIN, args.policy or BEST_SINGLE_EDGE
+    if args.schedule is not None and (args.scheme or args.policy or args.seed is not None):
+        raise ValueError("--schedule replays its moves as given; drop --scheme, --seed, --policy")
+    if args.seed is not None and kind != UNIFORM_RANDOM:
+        raise ValueError("--seed applies only to --scheme uniform-random")
+    if kind == UNIFORM_RANDOM and args.seed is None:
+        raise ValueError("--scheme uniform-random requires --seed")
     g = _read_graph(args.graph)
     cfg = _config_from(args)
     if args.schedule is not None:
         scheme = _load_schedule(args.schedule, g, cfg)
-    elif args.scheme == "uniform-random":
-        if args.seed is None:
-            raise ValueError("--scheme uniform-random requires --seed")
-        scheme = ActivationScheme.uniform_random(args.seed, move_policy=args.policy)
+    elif kind == UNIFORM_RANDOM:
+        scheme = ActivationScheme.uniform_random(args.seed, move_policy=policy)
     else:
-        scheme = ActivationScheme.round_robin(move_policy=args.policy)
+        scheme = ActivationScheme.round_robin(move_policy=policy)
     trace = run_dynamics(g, cfg, scheme, max_steps=args.max_steps)
     if args.format == "csv":
         header = ("n", "steps", "rounds", "diameter", "social_cost")
@@ -242,10 +259,10 @@ def _preset_star_equilibrium():
     checks = []
     for n in range(3, 9):
         g = constructions.build_star(n)
-        for variant in ("ncg", "aog"):
+        for variant in (NCG, AOG):
             for k in (None, 2):
                 cfg = GameConfig(variant=variant, locality_k=k)
-                rep = verify_equilibrium(g, cfg, level="exact")
+                rep = verify_equilibrium(g, cfg, level=EXACT)
                 checks.append(
                     {"n": n, "config": cfg.describe(), "is_equilibrium": rep.is_equilibrium}
                 )
@@ -255,14 +272,14 @@ def _preset_star_equilibrium():
 def _preset_star_optimal():
     checks = []
     for n in range(2, 6):
-        cost, witness = optimal_social_cost(n, GameConfig(variant="ncg"))
+        cost, witness = optimal_social_cost(n, GameConfig(variant=NCG))
         checks.append({"n": n, "opt_cost": cost, "expected": 2 * (n - 1) ** 2})
     return checks, all(c["opt_cost"] == c["expected"] for c in checks)
 
 
 def _preset_small_census():
     checks = []
-    for variant in ("ncg", "aog"):
+    for variant in (NCG, AOG):
         for k in (None, 2):
             cfg = GameConfig(variant=variant, locality_k=k)
             for n in (3, 4):
@@ -281,14 +298,14 @@ def _preset_small_census():
 
 def _preset_figure_cycle():
     g = constructions.build_figure_network("fig3-g1")
-    cfg = GameConfig(variant="ncg")
+    cfg = GameConfig(variant=NCG)
     schedule = [
         (4, SwapEdge(7, 8)), (1, SwapEdge(8, 7)), (9, SwapEdge(8, 7)),
         (4, SwapEdge(8, 7)), (1, SwapEdge(7, 8)), (9, SwapEdge(7, 8)),
     ]
     trace = run_dynamics(g, cfg, ActivationScheme.scripted(schedule))
     deltas = [[r.cost_before, r.cost_after] for r in trace.steps]
-    ok = trace.outcome == "cycle-detected" and trace.final == g
+    ok = trace.outcome == CYCLE_DETECTED and trace.final == g
     return [{"outcome": trace.outcome, "costs": deltas}], ok
 
 
@@ -297,7 +314,7 @@ def _preset_adversarial_convergence():
     ok = True
     for n in (16, 20):
         for k in (2, None):
-            cfg = GameConfig(variant="aog", locality_k=k)
+            cfg = GameConfig(variant=AOG, locality_k=k)
             scheme = adversarial_schedule(n, cfg)
             g = constructions.build_path(n)
             trace = run_dynamics(g, cfg, scheme)
@@ -317,12 +334,12 @@ def _preset_linear_equilibria():
     checks = []
     ok = True
     for which, n, cfg in (
-        (DEGAOG_NE, 13, GameConfig(variant="aog")),
-        (DEG2AOG_2NE, 12, GameConfig(variant="aog", locality_k=2)),
+        (DEGAOG_NE, 13, GameConfig(variant=AOG)),
+        (DEG2AOG_2NE, 12, GameConfig(variant=AOG, locality_k=2)),
     ):
         scheme = scripted_linear_sequences(n, which)
         trace = run_dynamics(constructions.build_path(n), cfg, scheme)
-        rep = verify_equilibrium(trace.final, cfg, level="exact")
+        rep = verify_equilibrium(trace.final, cfg, level=EXACT)
         checks.append(
             {
                 "sequence": which,
@@ -331,7 +348,7 @@ def _preset_linear_equilibria():
                 "final_is_equilibrium": rep.is_equilibrium,
             }
         )
-        ok = ok and trace.outcome == "converged" and rep.is_equilibrium
+        ok = ok and trace.outcome == CONVERGED and rep.is_equilibrium
     return checks, ok
 
 
@@ -340,7 +357,7 @@ def _preset_set_cover_gadget():
         universe_size=8, sets=((0, 1, 2, 3), (4, 5, 6, 7), (2, 3, 4, 5)), q=4
     )
     layout = constructions.set_cover_to_best_response_gadget(inst)
-    cfg = GameConfig(variant="ncg", locality_k=2)
+    cfg = GameConfig(variant=NCG, locality_k=2)
     strategy, _ = best_response_exact(layout.graph, layout.agent, cfg)
     cover = layout.cover_from_targets(strategy)
     size, _ = min_set_cover(inst)
@@ -395,15 +412,15 @@ def build_parser():
 
     p = sub.add_parser("verify", help="equilibrium check (exit 1 if not an equilibrium)")
     p.add_argument("graph")
-    p.add_argument("--level", choices=("exact", "single-move"), default="single-move")
+    p.add_argument("--level", choices=(EXACT, SINGLE_MOVE), default=SINGLE_MOVE)
     _add_game_flags(p)
     _add_out_flags(p, "json", "text")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("dynamics", help="run improving-response dynamics")
     p.add_argument("graph")
-    p.add_argument("--scheme", choices=("round-robin", "uniform-random"), default="round-robin")
-    p.add_argument("--policy", choices=POLICIES, default=BEST_SINGLE_EDGE)
+    p.add_argument("--scheme", choices=(ROUND_ROBIN, UNIFORM_RANDOM), default=None)
+    p.add_argument("--policy", choices=POLICIES, default=None)
     p.add_argument(
         "--schedule",
         default=None,

@@ -39,7 +39,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from degprice._kernels import UNREACHABLE, apsp, apsp_update_add, apsp_without
+from degprice._kernels import UNREACHABLE, apsp, apsp_update_add, apsp_without, row_with
 from degprice.costs import plain
 from degprice.errors import CandidateCapExceeded
 
@@ -288,34 +288,25 @@ class _Position:
         """Play agent ``p.u``'s move on ``graph``, the graph that ``p`` priced.
 
         This mutates ``graph``, so ``run_dynamics`` builds its position on
-        a private copy of the start graph.  ``degrees`` and G's table D
-        stay current: ``apsp`` builds D once, on first use, and every move
-        played here updates it.  A move that drops nothing rewrites only
-        the rows and columns of D that its new edges can shorten
-        (``_kernels.apsp_update_add``).  A move that drops an edge was
-        priced from ``p.table``, the table of G - u that
-        ``_kernels.apsp_without`` derived from D by re-running only the
-        rows that u's removal changes.  G - u is the same before and after
-        u's move, and a shortest path crosses u at most once, so the new D
-        is the minimum of that table and the sums of u's new row with
-        itself, written into ``p.table`` in place.
+        a private copy of the start graph.  ``degrees`` and G's table stay
+        current: u gains its new neighbours on the table that priced the
+        move (``_Pricing.reading``), by the rule of
+        ``_kernels.apsp_update_add``.
         """
         u, g = p.u, self.graph
         before = g.targets(u)
         after = strategy_after(g, u, kind)
         added, dropped = sorted(after - before), sorted(before - after)
-        if dropped:
-            # d(i, j) = min(d_{G-u}(i, j), r[i] + r[j])
-            r = p.merged(after)
-            self.dist = p.table
-            np.minimum(self.dist, r[:, None] + r[None, :], out=self.dist)
-        else:
-            for v in added:
-                apsp_update_add(self.dist, u, v)
+        table, held = p.reading(after)
+        apsp_update_add(table, u, sorted((after | p.incoming) - held))
+        self.dist = table
         g.replace_strategy(u, after)
+        # scalar steps: indexing with a short list costs more than this loop
         self.degrees[u] += len(added) - len(dropped)
-        self.degrees[added] += 1
-        self.degrees[dropped] -= 1
+        for v in added:
+            self.degrees[v] += 1
+        for v in dropped:
+            self.degrees[v] -= 1
 
 
 class _Pricing:
@@ -332,13 +323,12 @@ class _Pricing:
 
     A strategy that drops an edge reads ``table``, the hop distances of
     G - u, derived on first use from G's table by ``_kernels.apsp_without``
-    and owned by this pricing.  Then u's distance to w is ``min(floor[w],
-    1 + table[v, w] for v in S)``, where ``floor`` is the same minimum over
-    the agents that bought edges to u (``floor[u] = 0``).  Only deletions,
-    swaps and ncg's exact best response of an agent that owns an edge
-    build it, and the first-improving search prices deletions and swaps
-    only when ``drops_cannot_improve``, a lower bound from G's table,
-    fails to rule them all out.
+    and owned by this pricing, where u gains S and ``incoming``, the
+    agents that bought edges to u: ``merged`` is ``_kernels.row_with``
+    either way.  Only deletions, swaps and ncg's exact best response of
+    an agent that owns an edge build it, and the first-improving search
+    prices deletions and swaps only when ``drops_cannot_improve``, a
+    lower bound from G's table, fails to rule them all out.
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
     holds it, scaled as the position says.  The position's degree vector
@@ -351,6 +341,7 @@ class _Pricing:
         self.position, self.graph, self.u, self.add_only = position, g, u, cfg.add_only
         self.scale, self.unreachable = position.scale, position.unreachable
         self.current = g.targets(u)
+        self.incoming = g._adj[u] - self.current
 
         adjacent = list(g._adj[u])
         # an edge from u leaves v with degree deg_{G-u}(v) + 1: a neighbour of u keeps deg(v)
@@ -372,34 +363,21 @@ class _Pricing:
     def table(self):
         return apsp_without(self.position.dist, self.graph._adj, self.u)
 
-    @cached_property
-    def floor(self):
-        incoming = sorted(self.graph._adj[self.u] - self.current)
-        floor = np.full(self.graph.n, UNREACHABLE, dtype=np.int64)
-        if incoming:
-            floor = self.table[incoming].min(axis=0) + 1
-        floor[self.u] = 0
-        return floor
-
     def reading(self, kept):
-        """(table, floor, base) that price the strategies holding ``kept``.
+        """(table, held) that price the strategies holding ``kept``.
 
-        G's table, u's row of it and u's current targets when ``kept``
-        keeps every current edge; else the table of G - u, its floor and
-        no base.
+        G's table and u's neighbours when ``kept`` keeps every current
+        edge; else the table of G - u and no neighbours.
         """
         if self.current <= kept:
-            dist = self.position.dist
-            return dist, dist[self.u], self.current
-        return self.table, self.floor, frozenset()
+            return self.position.dist, self.graph._adj[self.u]
+        return self.table, frozenset()
 
     def merged(self, strategy):
         """u's distance row under strategy."""
-        table, floor, base = self.reading(strategy)
-        extra = sorted(strategy - base)
-        if not extra:
-            return floor
-        return np.minimum(floor, table[extra].min(axis=0) + 1)
+        table, held = self.reading(strategy)
+        gained = sorted((strategy | self.incoming) - held)
+        return row_with(table[self.u], table[gained]) if gained else table[self.u]
 
     def spend(self, strategy):
         return int(sum(self.price[v] for v in strategy))
@@ -472,8 +450,7 @@ class _Pricing:
             return True
         dist = self.position.dist
         du = dist[self.u]
-        incoming = sorted(self.graph._adj[self.u] - self.current)
-        via = dist[owned + incoming] == du - 1
+        via = dist[owned + sorted(self.incoming)] == du - 1
         only = via[: len(owned)] & (via.sum(axis=0) == 1)
         # cast before scaling, as totals does, so a scale past int64 stays exact
         dtype, price = self.price.dtype, self.price[owned]

@@ -404,6 +404,30 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
             "1 mod 3",
             id="linear-n11",
         ),
+        pytest.param(
+            ["dynamics", "{graph}", "--seed", "5"], None, 2, "--seed applies", id="seed-round-robin"
+        ),
+        pytest.param(
+            SCHEDULE_RUN + ["--game", "aog", "--scheme", "uniform-random", "--seed", "3"],
+            [{"agent": 0, "type": "add", "target": 2}],
+            2,
+            "--schedule",
+            id="schedule-and-scheme",
+        ),
+        pytest.param(
+            SCHEDULE_RUN + ["--game", "aog", "--seed", "3"],
+            [{"agent": 0, "type": "add", "target": 2}],
+            2,
+            "--schedule",
+            id="schedule-and-seed",
+        ),
+        pytest.param(
+            SCHEDULE_RUN + ["--game", "aog", "--policy", "full-best-response"],
+            [{"agent": 0, "type": "add", "target": 2}],
+            2,
+            "--schedule",
+            id="schedule-and-policy",
+        ),
         pytest.param(["enumerate", "--n", "1"], None, 2, "n >= 2", id="census-n1"),
         pytest.param(["enumerate", "--n", "0"], None, 2, "n >= 2", id="census-n0"),
         pytest.param(["reduce", "set-cover-to-gadget"], None, 2, "--instance", id="no-instance"),
