@@ -220,8 +220,10 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     }
     if scheme.move_policy == FIRST_IMPROVING_SINGLE_MOVE:
         metadata["pick_rule"] = "additions scanned in ascending target id"
-    # add-only games cannot revisit a state: every move adds an edge
-    seen = None if cfg.add_only else {g.state_key()}
+    # no state can come back where every move adds an edge: in add-only
+    # games, and under best-single-edge (a schedule may still drop edges)
+    no_repeat = cfg.add_only or scheme.move_policy == BEST_SINGLE_EDGE
+    seen = None if no_repeat else {g.state_key()}
     stuck = set()
     for agent, kind in _activation_source(scheme, n):
         # round-robin converges only at a round's end, where stuck holds

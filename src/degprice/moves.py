@@ -22,8 +22,9 @@ every agent in turn, for ``verify_equilibrium`` and for the dynamics'
 final check; the dynamics ask it of each activated agent and play the
 answer with ``_Position.apply``, which keeps G's table current.  When
 the first improving single move is sought in ncg and no addition
-improves, a lower bound read from G's table screens u's deletions and
-swaps first: G - u is built only when some drop may improve.
+improves, a lower bound screens u's deletions and swaps first.  It
+reads, from G's table, each node's nearest and second-nearest
+neighbour of u, so G - u is built only when some drop may improve.
 
 Each move kind declares its JSON ``type``; ``as_dict`` and
 ``parse_schedule`` derive the rest from the kind's fields.
@@ -250,12 +251,15 @@ class _Position:
     strategy that leaves the agent disconnected.  Prices are int64 unless
     ``unreachable`` passes that range; then they are Python ints.
 
-    ``degrees`` is every node's degree as an int64 vector and ``dist`` is
-    G's distance table, built on first use like ``_Pricing.table``.  It
-    prices every strategy that keeps an agent's current edges, and each
-    table of G - u is derived from it.  ``pricing(u)`` is the one way to
-    price u's deviations, ``witness`` is the one scan for an agent that
-    can improve, and ``apply`` plays a priced move and keeps both current.
+    ``degrees`` is every node's degree as an int64 vector, ``prices``
+    what an edge to each node costs an agent that is not its neighbour,
+    ``b * (deg + 1) + c`` in the price dtype, and ``dist`` is G's
+    distance table.  The last two are built on first use, like
+    ``_Pricing.table``.  G's table prices every strategy that keeps an
+    agent's current edges, and each table of G - u is derived from it.
+    ``pricing(u)`` is the one way to price u's deviations, ``witness``
+    is the one scan for an agent that can improve, and ``apply`` plays a
+    priced move and keeps all three current.
     """
 
     def __init__(self, g, cfg):
@@ -268,6 +272,10 @@ class _Position:
         self.unreachable = n * n * self.scale + n * (abs(self.b) * n + abs(self.c))
         self.dtype = np.int64 if self.unreachable < 2**62 else object
         self.degrees = np.array([len(a) for a in g._adj], dtype=np.int64)
+
+    @cached_property
+    def prices(self):
+        return (self.degrees.astype(self.dtype) + 1) * self.b + self.c
 
     @cached_property
     def dist(self):
@@ -291,7 +299,8 @@ class _Position:
         a private copy of the start graph.  ``degrees`` and G's table stay
         current: u gains its new neighbours on the table that priced the
         move (``_Pricing.reading``), by the rule of
-        ``_kernels.apsp_update_add``.
+        ``_kernels.apsp_update_add``.  ``prices`` is dropped, to be
+        rebuilt from the new degrees on first use.
         """
         u, g = p.u, self.graph
         before = g.targets(u)
@@ -307,6 +316,7 @@ class _Position:
             self.degrees[v] += 1
         for v in dropped:
             self.degrees[v] -= 1
+        vars(self).pop("prices", None)
 
 
 class _Pricing:
@@ -328,11 +338,15 @@ class _Pricing:
     either way.  Only deletions, swaps and ncg's exact best response of
     an agent that owns an edge build it, and the first-improving search
     prices deletions and swaps only when ``drops_cannot_improve``, a
-    lower bound from G's table, fails to rule them all out.
+    lower bound from G's table, fails to rule them all out.  The
+    deletions are priced as one stack of rows, and each swap group
+    starts from its deletion's row and spend.
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
-    holds it, scaled as the position says.  The position's degree vector
-    and table are read, never copied or changed here.
+    holds it, scaled as the position says: the position's ``prices``
+    less b at u's neighbours.  The position's vectors and table are
+    read, never changed here.  A single total is a Python int, a group
+    of totals a vector in the price dtype.
     """
 
     def __init__(self, position, u):
@@ -340,21 +354,21 @@ class _Pricing:
         g._check_node(u)
         self.position, self.graph, self.u, self.add_only = position, g, u, cfg.add_only
         self.scale, self.unreachable = position.scale, position.unreachable
+        adjacent = g._adj[u]
         self.current = g.targets(u)
-        self.incoming = g._adj[u] - self.current
+        self.incoming = adjacent - self.current
 
-        adjacent = list(g._adj[u])
-        # an edge from u leaves v with degree deg_{G-u}(v) + 1: a neighbour of u keeps deg(v)
-        deg = position.degrees + 1
-        deg[adjacent] -= 1
-        self.price = deg.astype(position.dtype) * position.b + position.c
-
-        eligible = np.ones(g.n, dtype=bool)
-        eligible[adjacent] = False
-        eligible[u] = False
-        if cfg.locality_k is not None:
-            eligible &= position.dist[u] <= cfg.locality_k
-        self.cands = np.flatnonzero(eligible).tolist()
+        # an edge from u leaves v with degree deg_{G-u}(v) + 1: a neighbour of u keeps
+        # deg(v).  Scalar steps: indexing with a short list costs more than this loop
+        self.price = position.prices.copy()
+        for v in adjacent:
+            self.price[v] -= position.b
+        if cfg.locality_k is None:
+            self.cands = [v for v in range(g.n) if v != u and v not in adjacent]
+        else:
+            # u sits at distance 0 and its neighbours at 1
+            du = position.dist[u]
+            self.cands = np.flatnonzero((du > 1) & (du <= cfg.locality_k)).tolist()
 
     # the table of G - u is built on first use: an activation that finds an
     # addition never pays for it, and a best response over too many
@@ -385,16 +399,21 @@ class _Pricing:
     def totals(self, merged, spend):
         """Scaled totals of distance rows ``merged`` with edge spends ``spend``."""
         # a connected row sums to less than n^2 <= APSP_MAX_NODES^2 < UNREACHABLE,
-        # and one sentinel entry lifts the sum to UNREACHABLE or more
-        dtype = self.price.dtype
+        # and one sentinel entry lifts the sum to UNREACHABLE or more; those
+        # sums are zeroed before scaling, so they cannot wrap, then overwritten
         dsum = merged.sum(axis=-1)
-        connected = dsum < UNREACHABLE
-        # zeroing the disconnected sums first keeps them from wrapping under the scale
-        scaled = (dsum * connected).astype(dtype, copy=False) * self.scale + spend
-        return np.where(connected, scaled, np.array(self.unreachable, dtype))
+        cut = dsum >= UNREACHABLE
+        dsum[cut] = 0
+        scaled = dsum.astype(self.price.dtype, copy=False)
+        scaled *= self.scale
+        scaled += spend
+        scaled[cut] = self.unreachable
+        return scaled
 
     def total(self, strategy):
-        return self.totals(self.merged(strategy), self.spend(strategy))
+        """Scaled total of one strategy, a Python int; see ``totals``."""
+        dsum = int(self.merged(strategy).sum())
+        return self.unreachable if dsum >= UNREACHABLE else dsum * self.scale + self.spend(strategy)
 
     def value(self, scaled):
         """Exact cost behind a scaled total; disconnected is math.inf."""
@@ -405,11 +424,15 @@ class _Pricing:
 
     def _plus_one(self, kept):
         """Scaled totals of kept | {v} for every candidate v."""
-        # the fancy index already copies the candidate rows, so work in that copy
-        merged = self.reading(kept)[0][self.cands]
+        return self._adding(self.reading(kept)[0], self.merged(kept), self.spend(kept))
+
+    def _adding(self, table, row, spend):
+        """Scaled totals of u's row ``row`` and spend ``spend`` plus each candidate's edge."""
+        # taking the candidate rows copies them, so work in that copy
+        merged = table.take(self.cands, axis=0)
         merged += 1
-        np.minimum(merged, self.merged(kept), out=merged)
-        return self.totals(merged, self.spend(kept) + self.price[self.cands])
+        np.minimum(merged, row, out=merged)
+        return self.totals(merged, self.price.take(self.cands) + spend)
 
     def move_groups(self, adds_only):
         """u's elementary moves as (make kind, targets, scaled totals) groups.
@@ -419,45 +442,76 @@ class _Pricing:
         target, then swaps by old and new target.
         """
         yield AddEdge, self.cands, self._plus_one(self.current)
-        if not adds_only:
-            owned = sorted(self.current)
-            kept = [self.current - {v} for v in owned]
-            yield DeleteEdge, owned, np.array([self.total(s) for s in kept], dtype=self.price.dtype)
-            for old, s in zip(owned, kept):
-                yield partial(SwapEdge, old), self.cands, self._plus_one(s)
+        if adds_only:
+            return
+        owned = sorted(self.current)
+        rows = np.empty((len(owned), self.graph.n), dtype=np.int64)
+        spends = np.empty(len(owned), dtype=self.price.dtype)
+        for i, v in enumerate(owned):
+            kept = self.current - {v}
+            rows[i] = self.merged(kept)
+            spends[i] = self.spend(kept)
+        yield DeleteEdge, owned, self.totals(rows, spends)
+        for old, row, spend in zip(owned, rows, spends):
+            yield partial(SwapEdge, old), self.cands, self._adding(self.table, row, spend)
 
     def drops_cannot_improve(self, now, adds):
         """True when no deletion and no swap of u can cost less than ``now``.
 
         ``adds`` are the totals of u's additions, none below ``now``.  The
         bound reads G's table, the prices and ``adds`` only.  Write du =
-        dist[u]; a neighbour x of u, owned or incoming, is a via for w when
-        ``dist[x, w] == du[w] - 1``, and ``only[o, w]`` says o is w's sole
-        via.  Every other neighbour x then has d(x, w) >= du[w], and
-        dropping uo shortens no distance, so deleting o leaves u at least
-        ``du[w] + only[o, w]`` from w: the total is at least ``now -
-        price[o] + scale * |only[o]|``.  After swapping o for v, a shortest
-        path from u either starts with uv, of length at least 1 + dist[v,
-        w], or lies in G - uo.  So u's row is at least ``min(du + only[o],
-        1 + dist[v])``, which is v's addition row plus ``only[o] & (1 +
-        dist[v] > du)``, and the total is at least ``adds[v] - price[o] +
-        scale * (only @ farther.T)[o, v]``.  A disconnected u has no
-        improving addition only if every addition leaves it disconnected,
-        and then so does every drop.
+        dist[u] and read u's neighbours, owned and incoming, from their
+        columns of the symmetric table: for each node w, ``first[w]`` is
+        the neighbour nearest to w, ``second[w]`` is 1 plus the
+        next-smallest neighbour distance to w, and ``second[u] = 0``.
+        ``only[o, w]`` says that o is ``first[w]``.
+
+        Deleting o: every path from u in G - uo starts at another
+        neighbour of u, and removing an edge never shortens a distance.
+        So u is then at least du[w] from each w, and at least second[w]
+        where ``only[o, w]``; a tie for the nearest makes the two equal.
+        The deletion costs at least ``now - price[o] + scale * (only @
+        (second - du))[o]``.  Where u has no other neighbour, second - du
+        is ``cap = unreachable // (scale * n)``: the scaled sum stays
+        below ``unreachable``, so int64 cannot overflow, and one node
+        that the deletion cuts off lifts the bound past any price.
+
+        Swapping o for v: a shortest path from u either starts with uv,
+        of length at least 1 + dist[v, w], or lies in G - uo.  So u's row
+        is at least ``min(1 + dist[v], du + only[o] * (second - du))``,
+        which is v's addition row plus ``only[o] * (clip(1 + dist[v], du,
+        second) - du)``, and the swap costs at least ``adds[v] - price[o]
+        + scale * (only @ that.T)[o, v]``.
+
+        A disconnected u has no improving addition only if every addition
+        leaves it disconnected, and then so does every drop.
         """
         owned = sorted(self.current)
         if not owned or now == self.unreachable:
             return True
-        dist = self.position.dist
-        du = dist[self.u]
-        via = dist[owned + sorted(self.incoming)] == du - 1
-        only = via[: len(owned)] & (via.sum(axis=0) == 1)
-        # cast before scaling, as totals does, so a scale past int64 stays exact
-        dtype, price = self.price.dtype, self.price[owned]
-        if (only.sum(axis=1).astype(dtype) * self.scale < price).any():
+        dist, u, n = self.position.dist, self.u, self.graph.n
+        du = dist[u]
+        # the neighbours' columns of the symmetric table, one row per node w,
+        # taken C-ordered: argmin across rows or F-ordered columns copies them
+        near = dist.take(owned + sorted(self.incoming), axis=1)
+        first = near.argmin(axis=1)
+        near[np.arange(n), first] = UNREACHABLE
+        second = near.min(axis=1) + 1
+        second[u] = 0
+        del near  # freed before the candidates' rows are read
+        only = first == np.arange(len(owned))[:, None]
+        dtype, price = self.price.dtype, self.price.take(owned)
+        lift = (second - du).astype(dtype, copy=False)
+        # u is connected, so only a missing second neighbour passes UNREACHABLE
+        lift[second > UNREACHABLE] = self.unreachable // (self.scale * n)
+        if ((only @ lift) * self.scale < price).any():
             return False
-        farther = dist[self.cands] + 1 > du
-        steps = (only.astype(np.int64) @ farther.T).astype(dtype) * self.scale
+        rise = dist.take(self.cands, axis=0)
+        rise += 1
+        np.maximum(rise, du, out=rise)
+        np.minimum(rise, second, out=rise)
+        rise -= du
+        steps = (only @ rise.T).astype(dtype, copy=False) * self.scale
         return bool((adds - price[:, None] + steps >= now).all())
 
     def improving_move(self, policy):

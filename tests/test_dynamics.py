@@ -274,8 +274,8 @@ def test_uniform_random_totals_are_pinned():
             run_dynamics(start, ncg, ActivationScheme.uniform_random(s, FIRST_IMPROVING_SINGLE_MOVE))
             for s in range(10000, 10008)
         ]
-    # tables of G - u: 405 before the drop screen kept the provably stuck agents off them
-    assert without.call_count == 171
+    # tables of G - u: one per applied deletion or swap, against 405 with no drop screen
+    assert without.call_count == 85
     assert all(t.outcome == CONVERGED for t in traces)
     assert sum(t.activations for t in traces) == 924
     assert sum(len(t.steps) for t in traces) == 262
@@ -328,7 +328,7 @@ def test_long_path_round_robin_is_pinned():
     "n, k, policy, expected, kinds",
     [
         (120, 2, BEST_SINGLE_EDGE, (720, 346, 6, 4, 45698, 0), {"add": 346}),
-        (60, None, FIRST_IMPROVING_SINGLE_MOVE, (660, 346, 11, 3, 8769, 240),
+        (60, None, FIRST_IMPROVING_SINGLE_MOVE, (660, 346, 11, 3, 8769, 121),
          {"add": 225, "delete": 83, "swap": 38}),
         (200, None, BEST_SINGLE_EDGE, (2400, 588, 12, 3, 114689, 0), {"add": 588}),
     ],
@@ -338,7 +338,8 @@ def test_long_path_ncg_round_robin_is_pinned(n, k, policy, expected, kinds):
 
     The last pinned value counts the tables of G - u.  First-improving
     builds one only when the drop screen cannot rule out an improving
-    deletion or swap: 240 on path(60), against 405 without the screen.
+    deletion or swap: 121 on path(60), one per applied deletion or swap,
+    against 405 without the screen.
     """
     scheme = ActivationScheme.round_robin(policy)
     with mock.patch.object(moves, "apsp_without", wraps=moves.apsp_without) as without:
@@ -354,3 +355,22 @@ def test_long_path_ncg_round_robin_is_pinned(n, k, policy, expected, kinds):
     )
     assert got == expected
     assert Counter(step.kind.type for step in trace.steps) == kinds
+
+
+def test_best_single_edge_runs_keep_no_cycle_check(monkeypatch):
+    """Every best-single-edge move adds an edge, so no state can repeat and none is stored."""
+    keys = []
+    state_key = OwnedGraph.state_key
+
+    def recording(g):
+        keys.append(g.n)
+        return state_key(g)
+
+    monkeypatch.setattr(OwnedGraph, "state_key", recording)
+    for cfg in (GameConfig(), GameConfig(locality_k=2)):
+        trace = run_dynamics(path(40), cfg, ActivationScheme.round_robin(BEST_SINGLE_EDGE))
+        assert trace.outcome == CONVERGED and trace.steps
+    assert keys == []
+    # a scripted schedule may drop edges, so it keeps the check
+    run_dynamics(path(4), GameConfig(), ActivationScheme.scripted([(0, AddEdge(3))]))
+    assert keys

@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 from conftest import floyd_warshall, owned_graphs
 from degprice import _kernels
 from degprice._kernels import APSP_MAX_NODES, UNREACHABLE, apsp, apsp_update_add, apsp_without
-from degprice.constructions import build_path
+from degprice.constructions import build_path, build_star
 from degprice.costs import GameConfig, evaluate_deviation
 from degprice.errors import ResourceCapExceeded
 from degprice.graph import OwnedGraph
 from degprice.moves import (
     BEST_SINGLE_EDGE,
+    FIRST_IMPROVING_SINGLE_MOVE,
     DeleteEdge,
     ReplaceStrategy,
     SwapEdge,
@@ -200,6 +201,28 @@ def test_one_move_allocates_at_most_1_8_tables(cfg, u, kind):
         tracemalloc.stop()
     assert np.array_equal(position.dist, apsp(position.graph._adj))
     assert peak <= 1.8 * position.dist.nbytes
+
+
+@pytest.mark.parametrize(
+    "g, u", [(build_path(300), 150), (build_star(300), 0)], ids=["path-middle", "star-center"]
+)
+def test_one_first_improving_activation_allocates_at_most_1_3_tables(g, u):
+    """Pricing one ncg first-improving activation on 300 nodes stays near G's table.
+
+    The middle of a path finds an improving addition from its candidates'
+    rows.  The star's center has no candidate, and the drop screen reads
+    the columns of its 299 neighbours, together the size of the table.
+    """
+    position = _Position(g, GameConfig())
+    position.dist  # G's table is built on first use and is not part of the step
+    tracemalloc.start()
+    try:
+        found = position.pricing(u).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (found is None) == (u == 0)
+    assert peak <= 1.3 * position.dist.nbytes
 
 
 @pytest.mark.parametrize("beta", [1, Fraction(1, 10**15), Fraction(1, 10**17)])

@@ -201,7 +201,7 @@ def test_first_improving_search_stops_at_the_first_improving_group(monkeypatch):
 
 
 def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
-    """Additions read G's table in ncg too; G - u is built once, and only to drop an edge."""
+    """Additions read G's table in ncg too; G - u is built only to drop an edge."""
     with mock.patch.object(moves, "apsp_without", wraps=moves.apsp_without) as without:
         # best-single-edge dynamics price additions only
         scheme = dynamics.ActivationScheme.round_robin(BEST_SINGLE_EDGE)
@@ -217,11 +217,12 @@ def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
         star = OwnedGraph(6, [(0, leaf) for leaf in range(1, 6)])
         assert verify_equilibrium(star, GameConfig(), level=SINGLE_MOVE).is_equilibrium
         assert without.call_count == 0
-        # agent 0 is stuck too, but each of its edges is the sole via to
-        # only one node, so the screen cannot clear it
+        # agent 0 is stuck too: each of its edges is the sole nearest
+        # neighbour of only its own end, but deleting it puts that end two
+        # hops farther, which the edge's price of 2 cannot outweigh
         g = OwnedGraph(5, [(0, 3), (0, 4), (3, 1), (3, 2), (4, 1), (4, 2)])
         assert verify_equilibrium(g, GameConfig(), level=SINGLE_MOVE).is_equilibrium
-        assert without.call_args_list == [mock.call(mock.ANY, mock.ANY, 0)]
+        assert without.call_count == 0
 
 
 # the drop screen's configs: the unit game, a radius, Fraction, object-dtype and zero-beta prices
@@ -234,6 +235,12 @@ SCREEN_CONFIGS = [
     HUGE_PRICES,
     GameConfig(price_beta=0, price_gamma=3),
 ]
+
+
+# agent 0 owns its edge to 1 and bought none to 3, both nearest to 2
+TIED = OwnedGraph(4, [(0, 1), (3, 0), (1, 2), (3, 2)])
+# agent 0's one edge is the bridge to a triangle: deleting it cuts 0 off
+BRIDGE = OwnedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
 
 
 def _screened_agents(g, cfg):
@@ -266,8 +273,19 @@ def _screened_agents(g, cfg):
     ),
     GameConfig(),
 )
+@example(TIED, GameConfig())
+@example(BRIDGE, HUGE_PRICES)
+@example(BRIDGE, DENOMINATOR_PAST_INT64)
 def test_drop_screen_clears_only_agents_without_an_improving_drop(g, cfg):
     _screened_agents(g, cfg)
+
+
+def test_drop_screen_reads_the_second_nearest_neighbour():
+    """Ties leave a node's distance as it is; a cut-off node outweighs any price."""
+    assert _screened_agents(TIED, GameConfig()) == [0, 1, 2, 3]
+    # agent 0's only edge costs it 3 * 10^9, and deleting it cuts 0 off
+    for cfg in (HUGE_PRICES, DENOMINATOR_PAST_INT64):
+        assert _screened_agents(BRIDGE, cfg) == [0]
 
 
 def test_drop_screen_is_sound_on_every_small_graph():
