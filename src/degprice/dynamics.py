@@ -15,9 +15,11 @@ An agent's answer depends only on the graph, so an agent found stuck is
 not priced again until some move is applied; its later wake-ups still
 count as activations.  A run prices and plays every activation on one
 pricing position (``moves._Position``) over a private copy of the start
-graph; ``_Position.apply`` keeps its distance table current across
-moves.  Prices stay exact, as int or Fraction, and a move that leaves
-its agent disconnected costs ``math.inf``.
+graph, which the trace hands back as its final graph; ``_Position.apply``
+keeps its distance table current across moves.  Every applied move,
+searched or scripted, is the ``MoveRecord`` that priced it.  Prices
+stay exact, as int or Fraction, and a move that leaves its agent
+disconnected costs ``math.inf``.
 """
 
 import itertools
@@ -160,8 +162,13 @@ def _graph_dict(g):
     return {"n": g.n, "edges": [list(e) for e in sorted(g.owned_edges)]}
 
 
-def _replay(position, u, kind):
-    """u's costs before and after a scripted move, applied only if strictly cheaper."""
+def _replay(position, step, u, kind):
+    """The ``MoveRecord`` of schedule step ``step``, u's move ``kind``, once played.
+
+    An illegal move, and one that is not strictly cheaper for u, raise
+    ScheduleReplayError and leave the position as it was.  The move is
+    checked, u's id with it, before any pricing is built.
+    """
     try:
         new_strategy = strategy_after(position.graph, u, kind)
     except ValueError as exc:
@@ -174,10 +181,14 @@ def _replay(position, u, kind):
         raise ScheduleReplayError(
             f"agent {u}: targets {sorted(bad)} outside the allowed candidates"
         )
-    before, after = p.value(p.total(p.current)), p.value(p.total(new_strategy))
-    if after < before:
-        position.apply(p, kind)
-    return before, after
+    record = MoveRecord(u, kind, p.value(p.now), p.value(p.total(new_strategy)))
+    if not record.improving:
+        raise ScheduleReplayError(
+            f"schedule step {step} (agent {u}, {kind}): "
+            f"cost {record.cost_before} -> {record.cost_after} is not strictly improving"
+        )
+    position.apply(p, kind)
+    return record
 
 
 def _activation_source(scheme, n):
@@ -240,21 +251,14 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
             if agent in stuck:
                 continue
             p = position.pricing(agent)
-            found = p.improving_move(scheme.move_policy)
-            if found is not None:
-                position.apply(p, found[0])
+            record = p.improving_move(scheme.move_policy)
+            if record is None:
+                stuck.add(agent)
+                continue
+            position.apply(p, record.kind)
         else:
-            before, after = _replay(position, agent, kind)
-            if not after < before:
-                raise ScheduleReplayError(
-                    f"schedule step {activations - 1} (agent {agent}, {kind}): "
-                    f"cost {before} -> {after} is not strictly improving"
-                )
-            found = kind, before, after
-        if found is None:
-            stuck.add(agent)
-            continue
-        steps.append(MoveRecord(agent, *found))
+            record = _replay(position, activations - 1, agent, kind)
+        steps.append(record)
         stuck.clear()
         if seen is not None:
             key = g.state_key()
@@ -268,15 +272,14 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
         metadata["final_single_move_stable"] = stable
         outcome = CONVERGED if stable else STEP_LIMIT
 
-    final = g.copy()
     return DynamicsTrace(
         initial=g0.copy(),
         steps=steps,
         outcome=outcome,
         rounds=activations // n,
-        final_social_cost=_social_cost_from(final, cfg, position.dist),
+        final_social_cost=_social_cost_from(g, cfg, position.dist),
         final_diameter=int(position.dist.max()),
-        final=final,
+        final=g,
         activations=activations,
         metadata=metadata,
     )

@@ -1,10 +1,10 @@
 """Moves, best responses, and the one search for an improving move.
 
 Every fast path prices a deviation of agent u through one private core,
-``_Pricing``, made by a ``_Position`` that holds the price constants,
-the degrees and the distance table of one graph G.  A strategy S that
-keeps all of u's current edges reads G's table: u's distance to w is
-the minimum of d_G(u, w) and 1 + d_G(v, w) over the new targets v.
+``_Pricing``, made by a ``_Position`` that holds the price constants
+and the distance table of one graph G.  A strategy S that keeps all of
+u's current edges reads G's table: u's distance to w is the minimum of
+d_G(u, w) and 1 + d_G(v, w) over the new targets v.
 That prices every addition, u's current cost, and every strategy in
 aog.  Only a strategy that drops an edge needs more: taking u out of
 the network fixes everyone else's distances, so the all-pairs table of
@@ -17,14 +17,16 @@ Prices stay exact, as int or Fraction; a deviation that leaves u
 disconnected costs ``math.inf``.
 
 ``_Pricing.improving_move`` answers "can u strictly improve, and how?"
-under one of three move policies.  ``_Position.witness`` asks it of
-every agent in turn, for ``verify_equilibrium`` and for the dynamics'
-final check; the dynamics ask it of each activated agent and play the
-answer with ``_Position.apply``, which keeps G's table current.  When
-the first improving single move is sought in ncg and no addition
-improves, a lower bound screens u's deletions and swaps first.  It
-reads, from G's table, each node's nearest and second-nearest
-neighbour of u, so G - u is built only when some drop may improve.
+under one of three move policies with the ``MoveRecord`` of u's move,
+or None.  ``_Position.witness`` asks it of every agent in turn, for
+``verify_equilibrium`` and for the dynamics' final check; the dynamics
+ask it of each activated agent and play the record's move with
+``_Position.apply``, which keeps G's table current.  A pricing computes
+u's current cost once, as ``now``.  When the first improving single
+move is sought in ncg and no addition improves, a lower bound screens
+u's deletions and swaps first.  It reads, from G's table, each node's
+nearest and second-nearest neighbour of u, so G - u is built only when
+some drop may improve.
 
 Each move kind declares its JSON ``type``; ``as_dict`` and
 ``parse_schedule`` derive the rest from the kind's fields.
@@ -220,7 +222,7 @@ def enumerate_single_moves(g, u, cfg):
     after-cost rather than being filtered.
     """
     pricing = _Position(g, cfg).pricing(u)
-    before = pricing.value(pricing.total(pricing.current))
+    before = pricing.value(pricing.now)
     return [
         MoveRecord(agent=u, kind=make(v), cost_before=before, cost_after=pricing.value(t))
         for make, targets, totals in pricing.move_groups(cfg.add_only)
@@ -242,7 +244,7 @@ def best_response_exact(g, u, cfg):
 
 
 class _Position:
-    """What pricing any agent of graph G reads: prices, degrees, G's table.
+    """What pricing any agent of graph G reads: prices and G's table.
 
     An edge whose target ends with degree d costs ``b * d + c``: that is
     ``beta * d + gamma`` times ``scale``, the common denominator of beta
@@ -251,15 +253,15 @@ class _Position:
     strategy that leaves the agent disconnected.  Prices are int64 unless
     ``unreachable`` passes that range; then they are Python ints.
 
-    ``degrees`` is every node's degree as an int64 vector, ``prices``
-    what an edge to each node costs an agent that is not its neighbour,
-    ``b * (deg + 1) + c`` in the price dtype, and ``dist`` is G's
-    distance table.  The last two are built on first use, like
-    ``_Pricing.table``.  G's table prices every strategy that keeps an
-    agent's current edges, and each table of G - u is derived from it.
-    ``pricing(u)`` is the one way to price u's deviations, ``witness``
-    is the one scan for an agent that can improve, and ``apply`` plays a
-    priced move and keeps all three current.
+    ``prices`` is what an edge to each node costs an agent that is not
+    its neighbour, ``b * (deg + 1) + c`` in the price dtype, read from
+    the graph's adjacency, and ``dist`` is G's distance table.  Both are
+    built on first use, like ``_Pricing.table``.  G's table prices every
+    strategy that keeps an agent's current edges, and each table of
+    G - u is derived from it.  ``pricing(u)`` is the one way to price u's
+    deviations, ``witness`` is the one scan for an agent that can
+    improve, and ``apply`` plays a priced move and keeps G's table
+    current.
     """
 
     def __init__(self, g, cfg):
@@ -271,11 +273,11 @@ class _Position:
         # above every distance sum (< n^2) plus every spend
         self.unreachable = n * n * self.scale + n * (abs(self.b) * n + abs(self.c))
         self.dtype = np.int64 if self.unreachable < 2**62 else object
-        self.degrees = np.array([len(a) for a in g._adj], dtype=np.int64)
 
     @cached_property
     def prices(self):
-        return (self.degrees.astype(self.dtype) + 1) * self.b + self.c
+        degrees = np.fromiter(map(len, self.graph._adj), self.dtype, self.graph.n)
+        return degrees * self.b + (self.b + self.c)
 
     @cached_property
     def dist(self):
@@ -285,37 +287,28 @@ class _Position:
         return _Pricing(self, u)
 
     def witness(self, policy):
-        """(agent, (kind, before, after)) of the first agent that improves, or None."""
+        """The ``MoveRecord`` of the first agent that can improve, or None."""
         for u in range(self.graph.n):
-            found = self.pricing(u).improving_move(policy)
-            if found is not None:
-                return u, found
+            record = self.pricing(u).improving_move(policy)
+            if record is not None:
+                return record
         return None
 
     def apply(self, p, kind):
         """Play agent ``p.u``'s move on ``graph``, the graph that ``p`` priced.
 
         This mutates ``graph``, so ``run_dynamics`` builds its position on
-        a private copy of the start graph.  ``degrees`` and G's table stay
-        current: u gains its new neighbours on the table that priced the
-        move (``_Pricing.reading``), by the rule of
-        ``_kernels.apsp_update_add``.  ``prices`` is dropped, to be
-        rebuilt from the new degrees on first use.
+        a private copy of the start graph.  G's table stays current: u
+        gains the rows that ``_Pricing.reading`` names on the table that
+        priced the move, by the rule of ``_kernels.apsp_update_add``.
+        ``prices`` is dropped, to be rebuilt from the new graph on first
+        use.
         """
-        u, g = p.u, self.graph
-        before = g.targets(u)
-        after = strategy_after(g, u, kind)
-        added, dropped = sorted(after - before), sorted(before - after)
-        table, held = p.reading(after)
-        apsp_update_add(table, u, sorted((after | p.incoming) - held))
+        after = strategy_after(self.graph, p.u, kind)
+        table, gained = p.reading(after)
+        apsp_update_add(table, p.u, gained)
         self.dist = table
-        g.replace_strategy(u, after)
-        # scalar steps: indexing with a short list costs more than this loop
-        self.degrees[u] += len(added) - len(dropped)
-        for v in added:
-            self.degrees[v] += 1
-        for v in dropped:
-            self.degrees[v] -= 1
+        self.graph.replace_strategy(p.u, after)
         vars(self).pop("prices", None)
 
 
@@ -340,7 +333,9 @@ class _Pricing:
     prices deletions and swaps only when ``drops_cannot_improve``, a
     lower bound from G's table, fails to rule them all out.  The
     deletions are priced as one stack of rows, and each swap group
-    starts from its deletion's row and spend.
+    starts from its deletion's row and spend.  u's current strategy
+    reads ``dist[u]`` of G's table; its spend ``spent`` and scaled total
+    ``now`` are computed once, and the additions start from them.
 
     An edge to v costs ``beta * (deg_{G-u}(v) + 1) + gamma`` whichever S
     holds it, scaled as the position says: the position's ``prices``
@@ -363,6 +358,7 @@ class _Pricing:
         self.price = position.prices.copy()
         for v in adjacent:
             self.price[v] -= position.b
+        self.spent = self.spend(self.current)
         if cfg.locality_k is None:
             self.cands = [v for v in range(g.n) if v != u and v not in adjacent]
         else:
@@ -377,24 +373,29 @@ class _Pricing:
     def table(self):
         return apsp_without(self.position.dist, self.graph._adj, self.u)
 
-    def reading(self, kept):
-        """(table, held) that price the strategies holding ``kept``.
+    def reading(self, strategy):
+        """(table, gained): u's row under ``strategy`` is ``table[u]`` joined to ``table[gained]``.
 
-        G's table and u's neighbours when ``kept`` keeps every current
-        edge; else the table of G - u and no neighbours.
+        G's table and u's new targets, sorted, when ``strategy`` keeps
+        every current edge; else the table of G - u, where u gains all of
+        ``strategy`` and ``incoming``.
         """
-        if self.current <= kept:
-            return self.position.dist, self.graph._adj[self.u]
-        return self.table, frozenset()
+        if self.current <= strategy:
+            return self.position.dist, sorted(strategy - self.graph._adj[self.u])
+        return self.table, sorted(strategy | self.incoming)
 
     def merged(self, strategy):
         """u's distance row under strategy."""
-        table, held = self.reading(strategy)
-        gained = sorted((strategy | self.incoming) - held)
+        table, gained = self.reading(strategy)
         return row_with(table[self.u], table[gained]) if gained else table[self.u]
 
     def spend(self, strategy):
         return int(sum(self.price[v] for v in strategy))
+
+    @cached_property
+    def now(self):
+        """Scaled total of u's current strategy, a Python int."""
+        return self.total(self.current, self.spent)
 
     def totals(self, merged, spend):
         """Scaled totals of distance rows ``merged`` with edge spends ``spend``."""
@@ -410,10 +411,15 @@ class _Pricing:
         scaled[cut] = self.unreachable
         return scaled
 
-    def total(self, strategy):
-        """Scaled total of one strategy, a Python int; see ``totals``."""
+    def total(self, strategy, spend=None):
+        """Scaled total of one strategy, a Python int; see ``totals``.
+
+        ``spend`` is the strategy's spend when the caller holds it.
+        """
         dsum = int(self.merged(strategy).sum())
-        return self.unreachable if dsum >= UNREACHABLE else dsum * self.scale + self.spend(strategy)
+        if dsum >= UNREACHABLE:
+            return self.unreachable
+        return dsum * self.scale + (self.spend(strategy) if spend is None else spend)
 
     def value(self, scaled):
         """Exact cost behind a scaled total; disconnected is math.inf."""
@@ -421,10 +427,6 @@ class _Pricing:
         if scaled == self.unreachable:
             return math.inf
         return scaled if self.scale == 1 else Fraction(scaled, self.scale)
-
-    def _plus_one(self, kept):
-        """Scaled totals of kept | {v} for every candidate v."""
-        return self._adding(self.reading(kept)[0], self.merged(kept), self.spend(kept))
 
     def _adding(self, table, row, spend):
         """Scaled totals of u's row ``row`` and spend ``spend`` plus each candidate's edge."""
@@ -441,7 +443,8 @@ class _Pricing:
         for, in the canonical order: additions by target, deletions by
         target, then swaps by old and new target.
         """
-        yield AddEdge, self.cands, self._plus_one(self.current)
+        dist = self.position.dist
+        yield AddEdge, self.cands, self._adding(dist, dist[self.u], self.spent)
         if adds_only:
             return
         owned = sorted(self.current)
@@ -455,7 +458,7 @@ class _Pricing:
         for old, row, spend in zip(owned, rows, spends):
             yield partial(SwapEdge, old), self.cands, self._adding(self.table, row, spend)
 
-    def drops_cannot_improve(self, now, adds):
+    def drops_cannot_improve(self, adds):
         """True when no deletion and no swap of u can cost less than ``now``.
 
         ``adds`` are the totals of u's additions, none below ``now``.  The
@@ -487,7 +490,7 @@ class _Pricing:
         leaves it disconnected, and then so does every drop.
         """
         owned = sorted(self.current)
-        if not owned or now == self.unreachable:
+        if not owned or self.now == self.unreachable:
             return True
         dist, u, n = self.position.dist, self.u, self.graph.n
         du = dist[u]
@@ -512,10 +515,10 @@ class _Pricing:
         np.minimum(rise, second, out=rise)
         rise -= du
         steps = (only @ rise.T).astype(dtype, copy=False) * self.scale
-        return bool((adds - price[:, None] + steps >= now).all())
+        return bool((adds - price[:, None] + steps >= self.now).all())
 
     def improving_move(self, policy):
-        """(kind, before, after) of u's move under policy, or None if u is stuck.
+        """The ``MoveRecord`` of u's move under policy, or None if u is stuck.
 
         FULL_BEST_RESPONSE plays the exact best response when it is
         strictly cheaper.  BEST_SINGLE_EDGE plays the cheapest improving
@@ -531,25 +534,23 @@ class _Pricing:
             # searched first, so that a hit cap raises before any table is
             # built; under a radius only G's table, for the candidates, exists
             strategy, cost = self.best_response()
-            before = self.value(self.total(self.current))
-            if cost < before:
-                return _classify_deviation(self.current, strategy), before, cost
-            return None
+            kind = _classify_deviation(self.current, strategy)
+            record = MoveRecord(self.u, kind, self.value(self.now), cost)
+            return record if record.improving else None
         if policy == BEST_SINGLE_EDGE:
             adds_only = True
         elif policy == FIRST_IMPROVING_SINGLE_MOVE:
             adds_only = self.add_only
         else:
             raise ValueError(f"unknown move policy {policy!r}")
-        now = self.total(self.current)
-        before = self.value(now)
         for make, targets, totals in self.move_groups(adds_only):
-            improving = (totals < now).nonzero()[0]
+            improving = (totals < self.now).nonzero()[0]
             if improving.size:
                 # argmin takes the smallest target among equally cheap additions
                 i = int(totals.argmin() if policy == BEST_SINGLE_EDGE else improving[0])
-                return make(targets[i]), before, self.value(totals[i])
-            if make is AddEdge and (adds_only or self.drops_cannot_improve(now, totals)):
+                after = self.value(totals[i])
+                return MoveRecord(self.u, make(targets[i]), self.value(self.now), after)
+            if make is AddEdge and (adds_only or self.drops_cannot_improve(totals)):
                 return None
         return None
 
@@ -641,6 +642,5 @@ def verify_equilibrium(g, cfg, level=EXACT):
     policies = {EXACT: FULL_BEST_RESPONSE, SINGLE_MOVE: FIRST_IMPROVING_SINGLE_MOVE}
     if level not in policies:
         raise ValueError(f"unknown check level {level!r}")
-    found = _Position(g, cfg).witness(policies[level])
-    witness = None if found is None else MoveRecord(found[0], *found[1])
-    return EquilibriumReport(found is None, witness, level, _notes_for(cfg, level))
+    witness = _Position(g, cfg).witness(policies[level])
+    return EquilibriumReport(witness is None, witness, level, _notes_for(cfg, level))

@@ -285,8 +285,20 @@ def test_uniform_random_totals_are_pinned():
     assert (aog.activations, len(aog.steps), aog.final_social_cost) == (104, 20, 636)
 
 
-def test_engine_degrees_follow_every_applied_move(monkeypatch):
-    """After each applied move the position's degrees and distances are the graph's."""
+def test_final_graph_is_the_runs_own():
+    """The trace hands back the run's graph, which shares nothing with the start graph."""
+    g0 = path(8)
+    trace = run_dynamics(g0, GameConfig(), ActivationScheme.round_robin())
+    assert trace.steps
+    final = trace.final.copy()
+    trace.final.replace_strategy(0, set())
+    trace.final.add_edge(7, 0)
+    assert g0 == path(8) and trace.initial == path(8)
+    assert trace.final != final
+
+
+def test_engine_prices_follow_every_applied_move(monkeypatch):
+    """After each applied move the position's prices and distances are the graph's."""
     apply = _Position.apply
     kinds = set()
 
@@ -294,7 +306,8 @@ def test_engine_degrees_follow_every_applied_move(monkeypatch):
         apply(position, pricing, kind)
         kinds.add(type(kind))
         g = position.graph
-        assert position.degrees.tolist() == [len(a) for a in g._adj]
+        expected = [(len(a) + 1) * position.b + position.c for a in g._adj]
+        assert position.prices.tolist() == expected
         assert np.array_equal(position.dist, apsp(g._adj))
 
     monkeypatch.setattr(_Position, "apply", checked)

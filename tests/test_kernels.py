@@ -192,7 +192,7 @@ def test_one_move_allocates_at_most_1_8_tables(cfg, u, kind):
     try:
         pricing = position.pricing(u)
         if kind is None:
-            kind = pricing.improving_move(BEST_SINGLE_EDGE)[0]
+            kind = pricing.improving_move(BEST_SINGLE_EDGE).kind
         else:
             pricing.total(strategy_after(position.graph, u, kind))
         position.apply(pricing, kind)
@@ -252,7 +252,7 @@ def check_totals(g, u, cfg):
                 assert total == p.unreachable
             else:
                 assert p.value(total) == expected
-    assert p.total(p.current) == p.unreachable
+    assert p.now == p.unreachable
     rows = np.tile(np.arange(16, dtype=np.int64), (5, 1))
     rows[1, 5] = UNREACHABLE
     rows[2, 3:9] = UNREACHABLE

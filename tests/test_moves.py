@@ -22,6 +22,7 @@ from degprice.moves import (
     SINGLE_MOVE,
     AddEdge,
     DeleteEdge,
+    MoveRecord,
     ReplaceStrategy,
     SwapEdge,
     _Position,
@@ -188,16 +189,33 @@ def test_first_improving_search_stops_at_the_first_improving_group(monkeypatch):
     """An improving addition is found before any swap group is priced."""
     g = OwnedGraph(6, [(1, 0), (1, 2), (2, 3), (3, 4), (4, 5)])
     calls = []
-    plus_one = _Pricing._plus_one
+    adding = _Pricing._adding
 
-    def recording(pricing, kept):
-        calls.append(kept)
-        return plus_one(pricing, kept)
+    def recording(pricing, table, row, spend):
+        calls.append(table is pricing.position.dist)
+        return adding(pricing, table, row, spend)
 
-    monkeypatch.setattr(_Pricing, "_plus_one", recording)
+    monkeypatch.setattr(_Pricing, "_adding", recording)
     found = _Position(g, GameConfig()).pricing(1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
-    assert found == (AddEdge(3), 12, 11)
-    assert calls == [{0, 2}]
+    assert found == MoveRecord(1, AddEdge(3), 12, 11)
+    assert calls == [True]
+
+
+@pytest.mark.parametrize("policy", [FIRST_IMPROVING_SINGLE_MOVE, BEST_SINGLE_EDGE])
+def test_the_current_strategy_is_priced_once(monkeypatch, policy):
+    """An activation that finds an addition sums u's current spend once."""
+    g = OwnedGraph(6, [(1, 0), (1, 2), (2, 3), (3, 4), (4, 5)])
+    spent = []
+    spend = _Pricing.spend
+
+    def recording(pricing, strategy):
+        spent.append(strategy)
+        return spend(pricing, strategy)
+
+    monkeypatch.setattr(_Pricing, "spend", recording)
+    pricing = _Position(g, GameConfig()).pricing(1)
+    assert isinstance(pricing.improving_move(policy).kind, AddEdge)
+    assert spent == [pricing.current]
 
 
 def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
@@ -211,7 +229,7 @@ def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
         # the first improving group is the additions
         g = OwnedGraph(6, [(1, 0), (1, 2), (2, 3), (3, 4), (4, 5)])
         found = _Position(g, GameConfig()).pricing(1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
-        assert found == (AddEdge(3), 12, 11)
+        assert found == MoveRecord(1, AddEdge(3), 12, 11)
         assert without.call_count == 0
         # only the center of a star owns edges, and the drop screen finds it stuck
         star = OwnedGraph(6, [(0, leaf) for leaf in range(1, 6)])
@@ -253,9 +271,8 @@ def _screened_agents(g, cfg):
     cleared = []
     for u in range(g.n):
         pricing = position.pricing(u)
-        now = pricing.total(pricing.current)
-        adds = pricing._plus_one(pricing.current)
-        if (adds < now).any() or not pricing.drops_cannot_improve(now, adds):
+        _, _, adds = next(pricing.move_groups(adds_only=True))
+        if (adds < pricing.now).any() or not pricing.drops_cannot_improve(adds):
             continue
         cleared.append(u)
         for record in enumerate_single_moves(g, u, cfg):
