@@ -1,6 +1,7 @@
 """Deviation machinery: single moves, exact best response, verification."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -12,13 +13,16 @@ from hypothesis import strategies as st
 
 from conftest import owned_graphs
 from degprice import _kernels, dynamics, moves
+from degprice.constructions import build_figure_network
 from degprice.costs import GameConfig, agent_cost, candidate_targets, evaluate_deviation
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import OwnedGraph
 from degprice.moves import (
     BEST_SINGLE_EDGE,
+    CANDIDATE_CAP,
     EXACT,
     FIRST_IMPROVING_SINGLE_MOVE,
+    FULL_BEST_RESPONSE,
     SINGLE_MOVE,
     AddEdge,
     DeleteEdge,
@@ -218,6 +222,21 @@ def test_the_current_strategy_is_priced_once(monkeypatch, policy):
     assert spent == [pricing.current]
 
 
+def test_an_exact_search_in_aog_reuses_the_current_spend(monkeypatch):
+    """aog's best response starts every subset from ``spent``, and prices no empty pick."""
+    spent = []
+    spend = _Pricing.spend
+
+    def recording(pricing, strategy):
+        spent.append(set(strategy))
+        return spend(pricing, strategy)
+
+    monkeypatch.setattr(_Pricing, "spend", recording)
+    pricing = _Position(path(8), GameConfig(variant="aog")).pricing(3)
+    assert pricing.improving_move(FULL_BEST_RESPONSE).kind == ReplaceStrategy((0, 4, 7))
+    assert spent == [{4}]
+
+
 def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
     """Additions read G's table in ncg too; G - u is built only to drop an edge."""
     with mock.patch.object(moves, "apsp_without", wraps=moves.apsp_without) as without:
@@ -360,6 +379,126 @@ def test_best_response_matches_brute_force(g, cfg, agent):
     assert best_response_exact(g, u, cfg) == _brute_best_response(g, u, cfg)
     # determinism: a second run returns the identical strategy object value
     assert best_response_exact(g, u, cfg) == best_response_exact(g, u, cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    owned_graphs(max_n=9),
+    st.sampled_from(
+        [
+            GameConfig(),
+            GameConfig(locality_k=2),
+            GameConfig(variant="aog"),
+            GameConfig(variant="aog", locality_k=2),
+            FRACTION_PRICES,
+            HUGE_DENOMINATOR,
+        ]
+    ),
+    st.integers(min_value=0),
+)
+# every strategy leaves u disconnected: all blocks tie on cost
+@example(OwnedGraph(9), GameConfig(), 0)
+@example(path(9), FRACTION_PRICES, 4)
+def test_the_block_split_cannot_change_a_best_response(g, cfg, agent):
+    """Blocks of 2^0, 2^1 or 2^3 low-bit subsets give the answer of one block.
+
+    At most 8 variables fit the default's one block, so the smaller
+    blocks run the high-bit loop, its skip of a costlier block and its
+    tie-break across blocks on the same subsets.
+    """
+    u = agent % g.n
+    expected = best_response_exact(g, u, cfg)
+    for bits in (0, 1, 3):
+        with mock.patch.object(moves, "_BLOCK_BITS", bits):
+            assert best_response_exact(g, u, cfg) == expected, bits
+
+
+FIG2B_CURRENT = [
+    ([4, 10, 13], 43),
+    ([], 34),
+    ([6, 7, 17], 43),
+    ([1, 17], 40),
+    ([18], 37),
+    ([1, 6, 13], 43),
+    ([4, 16], 40),
+    ([10, 12], 40),
+    ([2, 9, 14], 43),
+    ([5, 10], 40),
+    ([3], 37),
+    ([0, 1, 8], 43),
+    ([11, 16], 40),
+    ([14, 17], 40),
+    ([], 34),
+    ([1, 4, 7, 14], 46),
+    ([3, 14], 40),
+    ([18], 37),
+    ([9, 12], 40),
+]
+FIG2B_FRACTION = [
+    ([4, 6, 10, 13], Fraction(205, 6)),
+    ([17], Fraction(193, 6)),
+    ([6, 7, 11, 17], Fraction(205, 6)),
+    ([0, 1, 2, 17], Fraction(101, 3)),
+    ([1, 2, 18], 33),
+    ([1, 6, 7, 13], Fraction(205, 6)),
+    ([0, 4, 16], Fraction(67, 2)),
+    ([5, 10, 12], Fraction(67, 2)),
+    ([0, 1, 2, 9, 14], Fraction(103, 3)),
+    ([5, 10, 14], Fraction(67, 2)),
+    ([3, 16], Fraction(197, 6)),
+    ([0, 1, 2, 8], Fraction(205, 6)),
+    ([5, 11, 16], Fraction(67, 2)),
+    ([7, 14, 17], Fraction(67, 2)),
+    ([9], Fraction(193, 6)),
+    ([1, 4, 7, 14, 18], Fraction(209, 6)),
+    ([3, 10, 14], Fraction(67, 2)),
+    ([1, 18], Fraction(197, 6)),
+    ([9, 12, 15], Fraction(67, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, expected",
+    [
+        pytest.param(GameConfig(variant="aog"), FIG2B_CURRENT, id="aog"),
+        pytest.param(GameConfig(), FIG2B_CURRENT, id="ncg"),
+        pytest.param(FRACTION_PRICES, FIG2B_FRACTION, id="ncg-fraction"),
+    ],
+)
+def test_fig2b_best_responses_match_the_row_major_search(cfg, expected):
+    """Every agent's exact best response on fig2b, the benchmark's input.
+
+    The values were recorded from the search of commit a0dd61e, whose
+    block of subsets was row-major.  At the default prices fig2b is an
+    equilibrium of both games and each agent's answer is its current
+    strategy; the Fraction prices move every agent to another one.
+    """
+    g = build_figure_network("fig2b")
+    got = [best_response_exact(g, u, cfg) for u in range(g.n)]
+    assert got == [(set(targets), cost) for targets, cost in expected]
+
+
+def test_a_best_response_at_the_cap_allocates_about_three_blocks():
+    """The DP's extra memory stays near one block of 2^10 subsets whatever V is.
+
+    Agent 0 of path(21) in ncg has exactly CANDIDATE_CAP variables, so
+    2^10 settings of the high bits each reuse the one block.  Past G's
+    table the search holds the block, one high pick's copy of it, the
+    table of G - u and vectors over the block.
+    """
+    g = path(21)
+    position = _Position(g, GameConfig())
+    position.dist  # G's table is built on first use and is not part of the search
+    pricing = position.pricing(0)
+    assert len(pricing.cands) + len(pricing.current) == CANDIDATE_CAP
+    tracemalloc.start()
+    try:
+        strategy, cost = pricing.best_response()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert strategy and cost < pricing.value(pricing.now)
+    assert peak <= 3 * 2**10 * g.n * 8
 
 
 def test_huge_denominators_price_with_python_ints():
