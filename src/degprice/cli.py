@@ -109,6 +109,8 @@ def _read_graph(path):
 def _cmd_construct(args):
     name = args.family
     if name in constructions.FIGURE_NAMES:
+        if args.n is not None:
+            raise ValueError(f"construct {name} is a packaged network; drop --n")
         g = constructions.build_figure_network(name)
     elif name not in FAMILIES:
         raise ValueError(f"unknown family {name!r}")
@@ -234,10 +236,18 @@ def _cmd_enumerate(args):
 
 
 def _cmd_reduce(args):
-    needs = {"set-cover-to-gadget": ("instance",), "dominating-to-set-cover": ("graph", "q")}
-    for flag in needs[args.transformation]:
-        if getattr(args, flag) is None:
+    # the flags each transformation requires, then those it also takes
+    needs = {
+        "set-cover-to-gadget": (("instance",), ("roles",)),
+        "dominating-to-set-cover": (("graph", "q"), ()),
+    }
+    required, optional = needs[args.transformation]
+    for flag in ("instance", "graph", "q", "roles"):
+        given = getattr(args, flag) is not None
+        if flag in required and not given:
             raise ValueError(f"reduce {args.transformation} requires --{flag}")
+        if given and flag not in required + optional:
+            raise ValueError(f"reduce {args.transformation} takes no --{flag}")
     if args.transformation == "set-cover-to-gadget":
         inst = textio.parse_set_cover_file(pathlib.Path(args.instance).read_text())
         layout = constructions.set_cover_to_best_response_gadget(inst)
@@ -283,14 +293,14 @@ def _preset_small_census():
         for k in (None, 2):
             cfg = GameConfig(variant=variant, locality_k=k)
             for n in (3, 4):
-                s = equilibrium_census(n, cfg)
+                s = equilibrium_census(n, cfg).as_dict()
                 checks.append(
                     {
                         "n": n,
                         "config": cfg.describe(),
-                        "poa": s.as_dict()["poa"],
-                        "pos": s.as_dict()["pos"],
-                        "equilibria": s.equilibrium_count,
+                        "poa": s["poa"],
+                        "pos": s["pos"],
+                        "equilibria": s["equilibrium_count"],
                     }
                 )
     return checks, all(c["pos"] == 1.0 for c in checks)
@@ -391,7 +401,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a named network as a graph file")
-    p.add_argument("family", help="star|path|cycle|clique or a figure name")
+    p.add_argument("family", help=f"{'|'.join(FAMILIES)} or a figure name")
     p.add_argument("--n", type=int, default=None)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_construct)

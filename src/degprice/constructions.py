@@ -14,17 +14,10 @@ from importlib import resources
 from degprice.errors import InfeasibleInstanceError, ResourceCapExceeded
 from degprice.graph import MAX_EDGES, MAX_NODES, OwnedGraph, bfs_distances, degree
 
-FIGURE_NAMES = (
-    "fig2a",
-    "fig2b",
-    "fig2c",
-    "fig2d",
-    "fig3-g1",
-    "fig3-g2",
-    "fig3-g3",
-    "fig3-g4",
-    "fig3-g5",
-    "fig3-g6",
+_DATA = resources.files("degprice").joinpath("data")
+# the packaged networks: one data/<name>.graph file each
+FIGURE_NAMES = tuple(
+    sorted(f.name.removesuffix(".graph") for f in _DATA.iterdir() if f.name.endswith(".graph"))
 )
 
 __all__ = [
@@ -95,8 +88,7 @@ def build_figure_network(name):
 
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure network {name!r}, expected one of {FIGURE_NAMES}")
-    path = resources.files("degprice").joinpath("data", f"{name}.graph")
-    return parse_graph_file(path.read_text(encoding="utf-8"))
+    return parse_graph_file(_DATA.joinpath(f"{name}.graph").read_text(encoding="utf-8"))
 
 
 @dataclass(frozen=True)
@@ -124,10 +116,6 @@ class SetCoverInstance:
                     raise ValueError(f"element {e} outside universe 0..{self.universe_size - 1}")
             canonical.append(elems)
         object.__setattr__(self, "sets", tuple(canonical))
-
-    @property
-    def num_sets(self):
-        return len(self.sets)
 
     def covered(self, chosen):
         out = set()
@@ -166,7 +154,6 @@ class GadgetLayout:
     hub: int
     set_nodes: tuple
     element_nodes: tuple
-    padding_nodes: tuple
     role_map: dict = field(repr=False)
 
     def cover_from_targets(self, targets):
@@ -199,18 +186,18 @@ def set_cover_to_best_response_gadget(inst):
     disconnected.  The node count is checked against ``MAX_NODES`` first,
     so a huge universe exits on the cap before anything is built.
     """
-    nodes = inst.universe_size * (inst.q + 2) + inst.num_sets + 2
+    n, q, num_sets = inst.universe_size, inst.q, len(inst.sets)
+    nodes = n * (q + 2) + num_sets + 2
     if nodes > MAX_NODES:
         raise ResourceCapExceeded(f"gadget needs {nodes} nodes; graphs limited to n <= {MAX_NODES}")
-    if inst.q < 4:
-        raise ValueError(f"gadget requires set size q >= 4, got q={inst.q}")
-    missing = sorted(set(range(inst.universe_size)) - inst.covered(range(inst.num_sets)))
+    if q < 4:
+        raise ValueError(f"gadget requires set size q >= 4, got q={q}")
+    missing = sorted(set(range(n)) - inst.covered(range(num_sets)))
     if missing:
         raise InfeasibleInstanceError(
             f"elements {missing} appear in no set; the gadget would be disconnected"
         )
 
-    n, q, num_sets = inst.universe_size, inst.q, inst.num_sets
     pads_per_element = q + 1
     element_nodes = tuple(range(n))
     pad_base = n
@@ -220,13 +207,11 @@ def set_cover_to_best_response_gadget(inst):
     g = OwnedGraph(agent + 1)
 
     role_map = {}
-    padding_nodes = []
     for i in element_nodes:
         role_map[i] = "element"
         for r in range(pads_per_element):
             p = pad_base + i * pads_per_element + r
             role_map[p] = "padding"
-            padding_nodes.append(p)
             g.add_edge(i, p)
     set_nodes = tuple(set_base + j for j in range(num_sets))
     for j, a in enumerate(set_nodes):
@@ -252,6 +237,5 @@ def set_cover_to_best_response_gadget(inst):
         hub=hub,
         set_nodes=set_nodes,
         element_nodes=element_nodes,
-        padding_nodes=tuple(padding_nodes),
         role_map=role_map,
     )

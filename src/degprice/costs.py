@@ -25,12 +25,10 @@ from degprice.graph import degree
 
 NCG = "ncg"
 AOG = "aog"
-GLOBAL = None
 
 __all__ = [
     "NCG",
     "AOG",
-    "GLOBAL",
     "GameConfig",
     "CostBreakdown",
     "edge_price",
@@ -47,12 +45,14 @@ __all__ = [
 class GameConfig:
     """Which game is played: variant, locality radius, price coefficients.
 
-    ``locality_k=None`` means unrestricted (global) purchases; otherwise
-    new targets must lie within hop distance k of the buyer.
+    ``locality_k=None``, the default and the CLI's ``--k global``, means
+    unrestricted purchases; otherwise new targets must lie within hop
+    distance k of the buyer.  An edge to v costs ``price_beta * deg(v) +
+    price_gamma``, both int or Fraction, kept exact.
     """
 
     variant: str = NCG
-    locality_k: int | None = GLOBAL
+    locality_k: int | None = None
     price_beta: int | Fraction = 1
     price_gamma: int | Fraction = -1
 

@@ -37,6 +37,7 @@ from degprice.moves import (
     AddEdge,
     MoveRecord,
     _Position,
+    _Pricing,
     strategy_after,
 )
 
@@ -173,7 +174,7 @@ def _replay(position, step, u, kind):
         new_strategy = strategy_after(position.graph, u, kind)
     except ValueError as exc:
         raise ScheduleReplayError(f"agent {u}: {exc}") from exc
-    p = position.pricing(u)
+    p = _Pricing(position, u)
     if position.cfg.add_only and p.current - new_strategy:
         raise ScheduleReplayError(f"agent {u}: add-only config cannot drop edges")
     bad = new_strategy - p.current - set(p.cands)
@@ -250,7 +251,7 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
             # the graph is unchanged since this agent was found stuck
             if agent in stuck:
                 continue
-            p = position.pricing(agent)
+            p = _Pricing(position, agent)
             record = p.improving_move(scheme.move_policy)
             if record is None:
                 stuck.add(agent)
@@ -285,6 +286,15 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     )
 
 
+def _path_additions(buys):
+    """The scripted scheme in which each (agent, target) pair buys an edge.
+
+    The pairs are 1-based positions on the path, as the paper numbers
+    its nodes; node ids are 0-based.
+    """
+    return ActivationScheme.scripted((agent - 1, AddEdge(target - 1)) for agent, target in buys)
+
+
 def adversarial_schedule(n, cfg):
     """Scripted quadratic-length schedule for add-only games on P_n.
 
@@ -301,27 +311,16 @@ def adversarial_schedule(n, cfg):
     if n < 12:
         raise ValueError(f"schedule index arithmetic needs n >= 12, got {n}")
     half = math.ceil(n / 2)
-    moves = []
-
-    def buy(agent, target):
-        # 1-based path positions to 0-based node ids
-        moves.append((agent - 1, AddEdge(target - 1)))
-
+    buys = []
     for i in range(1, half - 3 + 1):
-        buy(i, i + 2)
-        for j in range(i - 1, 0, -1):
-            buy(j, i + 2)
+        buys += [(j, i + 2) for j in range(i, 0, -1)]
     hub = half - 1
-    for i in range(half + 1, n - 2 + 1):
-        buy(hub, i)
-    buy(n, n - 2)
+    buys += [(hub, i) for i in range(half + 1, n - 2 + 1)]
+    buys.append((n, n - 2))
     if cfg.locality_k != 2:
-        buy(half, n - 1)
-        i = half + 3
-        while i <= n - 5:
-            buy(n - 1, i)
-            i += 3
-    return ActivationScheme.scripted(moves)
+        buys.append((half, n - 1))
+        buys += [(n - 1, i) for i in range(half + 3, n - 5 + 1, 3)]
+    return _path_additions(buys)
 
 
 def scripted_linear_sequences(n, which):
@@ -335,25 +334,14 @@ def scripted_linear_sequences(n, which):
     """
     if n < 10:
         raise ValueError(f"linear sequences need n >= 10, got {n}")
-    moves = []
-
-    def buy(agent, target):
-        moves.append((agent - 1, AddEdge(target - 1)))
-
+    if which not in (DEGAOG_NE, DEG2AOG_2NE):
+        raise ValueError(f"unknown sequence {which!r}")
+    buys = [(1, i) for i in range(3, n - 2 + 1)]
     if which == DEGAOG_NE:
         if n % 3 != 1:
             raise ValueError(f"degaog-ne sequence needs n = 1 mod 3, got {n}")
-        for i in range(3, n - 2 + 1):
-            buy(1, i)
-        j = n - 5
-        while j >= 5:
-            buy(n, j)
-            j -= 3
-        buy(n, 2)
-    elif which == DEG2AOG_2NE:
-        for i in range(3, n - 2 + 1):
-            buy(1, i)
-        buy(n, n - 2)
+        buys += [(n, j) for j in range(n - 5, 4, -3)]
+        buys.append((n, 2))
     else:
-        raise ValueError(f"unknown sequence {which!r}")
-    return ActivationScheme.scripted(moves)
+        buys.append((n, n - 2))
+    return _path_additions(buys)

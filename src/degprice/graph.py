@@ -73,9 +73,6 @@ class OwnedGraph:
         """True if the undirected edge {u,v} exists, whoever owns it."""
         return v in self._adj[u]
 
-    def owns(self, owner, target):
-        return target in self._targets[owner]
-
     def targets(self, u):
         """Strategy of u: targets of the edges u owns (fresh set)."""
         self._check_node(u)
@@ -87,10 +84,6 @@ class OwnedGraph:
     @property
     def owned_edges(self):
         return {(u, v) for u in range(self.n) for v in self._targets[u]}
-
-    @property
-    def edge_count(self):
-        return sum(len(t) for t in self._targets)
 
     def copy(self):
         g = OwnedGraph.__new__(OwnedGraph)

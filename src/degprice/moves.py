@@ -224,7 +224,7 @@ def enumerate_single_moves(g, u, cfg):
     NCG variants only.  Disconnecting moves appear with an infinite
     after-cost rather than being filtered.
     """
-    pricing = _Position(g, cfg).pricing(u)
+    pricing = _Pricing(_Position(g, cfg), u)
     before = pricing.value(pricing.now)
     return [
         MoveRecord(agent=u, kind=make(v), cost_before=before, cost_after=pricing.value(t))
@@ -243,7 +243,7 @@ def best_response_exact(g, u, cfg):
     before any distance table is built in either game; under a locality
     radius only G's table, which lists the candidates, is built first.
     """
-    return _Position(g, cfg).pricing(u).best_response()
+    return _Pricing(_Position(g, cfg), u).best_response()
 
 
 class _Position:
@@ -261,10 +261,10 @@ class _Position:
     the graph's adjacency, and ``dist`` is G's distance table.  Both are
     built on first use, like ``_Pricing.table``.  G's table prices every
     strategy that keeps an agent's current edges, and each table of
-    G - u is derived from it.  ``pricing(u)`` is the one way to price u's
-    deviations, ``witness`` is the one scan for an agent that can
-    improve, and ``apply`` plays a priced move and keeps G's table
-    current.
+    G - u is derived from it.  ``_Pricing(position, u)`` is the one way
+    to price u's deviations, ``witness`` is the one scan for an agent
+    that can improve, and ``apply`` plays a priced move and keeps G's
+    table current.
     """
 
     def __init__(self, g, cfg):
@@ -286,13 +286,10 @@ class _Position:
     def dist(self):
         return apsp(self.graph._adj)
 
-    def pricing(self, u):
-        return _Pricing(self, u)
-
     def witness(self, policy):
         """The ``MoveRecord`` of the first agent that can improve, or None."""
         for u in range(self.graph.n):
-            record = self.pricing(u).improving_move(policy)
+            record = _Pricing(self, u).improving_move(policy)
             if record is not None:
                 return record
         return None

@@ -65,15 +65,9 @@ def parse_graph_file(text):
     return g
 
 
-def serialize_graph(g, comment=None):
-    out = []
-    if comment:
-        for part in comment.splitlines():
-            out.append(f"# {part}")
-    out.append(f"n {g.n}")
-    for owner, target in sorted(g.owned_edges):
-        out.append(f"{owner} {target}")
-    return "\n".join(out) + "\n"
+def serialize_graph(g):
+    edges = (f"{owner} {target}" for owner, target in sorted(g.owned_edges))
+    return "\n".join([f"n {g.n}", *edges]) + "\n"
 
 
 def parse_set_cover_file(text):

@@ -306,7 +306,7 @@ def test_reduce_round_trip(capsys, tmp_path):
     )
     assert code == 0
     inst = parse_set_cover_file(out)
-    assert inst.num_sets == 5 and inst.q == 3
+    assert len(inst.sets) == 5 and inst.q == 3
 
 
 def test_preset_runs_and_reports(capsys):
@@ -436,6 +436,31 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
         ),
         pytest.param(
             ["reduce", "dominating-to-set-cover", "--q", "2"], None, 2, "--graph", id="no-graph"
+        ),
+        # a flag the command would ignore is refused before any file is read
+        pytest.param(["construct", "fig2a", "--n", "99"], None, 2, "--n", id="figure-and-n"),
+        pytest.param(
+            ["reduce", "dominating-to-set-cover", "--graph", "{dir}/none.graph", "--q", "2",
+             "--instance", "{dir}/none.cover"],
+            None,
+            2,
+            "takes no --instance",
+            id="dominating-and-instance",
+        ),
+        pytest.param(
+            ["reduce", "dominating-to-set-cover", "--graph", "{dir}/none.graph", "--q", "2",
+             "--roles", "{dir}/roles.json"],
+            None,
+            2,
+            "takes no --roles",
+            id="dominating-and-roles",
+        ),
+        pytest.param(
+            ["reduce", "set-cover-to-gadget", "--instance", "{dir}/none.cover", "--q", "2"],
+            None,
+            2,
+            "takes no --q",
+            id="gadget-and-q",
         ),
     ],
 )

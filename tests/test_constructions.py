@@ -59,7 +59,7 @@ class TestBuilders:
     def test_path_and_cycle_ownership(self):
         p = build_path(4)
         assert p.owned_edges == {(0, 1), (1, 2), (2, 3)}
-        assert build_path(1).edge_count == 0
+        assert build_path(1).owned_edges == set()
         c = build_cycle(4)
         assert c.owned_edges == {(0, 1), (1, 2), (2, 3), (3, 0)}
         with pytest.raises(ValueError):
@@ -70,7 +70,7 @@ class TestBuilders:
     def test_clique_formula_and_stability(self):
         for n in (3, 4, 5, 6):
             g = build_clique(n)
-            assert g.edge_count == n * (n - 1) // 2
+            assert len(g.owned_edges) == n * (n - 1) // 2
             assert social_cost(g, GameConfig()) == n * (n - 1) + n * (n - 1) * (n - 2) // 2
         rep = verify_equilibrium(build_clique(6), GameConfig(variant="aog"), level="exact")
         assert rep.is_equilibrium
@@ -80,7 +80,11 @@ class TestBuilders:
 
 class TestFigureNetworks:
     def test_catalog(self):
-        assert len(FIGURE_NAMES) == len(set(FIGURE_NAMES)) == 10
+        # the sorted stems of the packaged data/*.graph files
+        assert FIGURE_NAMES == (
+            "fig2a", "fig2b", "fig2c", "fig2d",
+            "fig3-g1", "fig3-g2", "fig3-g3", "fig3-g4", "fig3-g5", "fig3-g6",
+        )
         with pytest.raises(ValueError, match="unknown figure"):
             build_figure_network("fig9z")
 
@@ -134,7 +138,7 @@ class TestFigureNetworks:
 
     def test_swap_chain_shares_one_skeleton(self):
         graphs = [build_figure_network(f"fig3-g{i}") for i in range(1, 7)]
-        assert all(g.n == 10 and g.edge_count == 13 for g in graphs)
+        assert all(g.n == 10 and len(g.owned_edges) == 13 for g in graphs)
         fixed = {e for e in graphs[0].owned_edges if not {7, 8} & set(e)}
         for g in graphs[1:]:
             assert {e for e in g.owned_edges if not {7, 8} & set(e)} == fixed
@@ -168,7 +172,7 @@ class TestSetCoverInstances:
     def test_canonicalization_and_cover_predicate(self):
         inst = SetCoverInstance(universe_size=3, sets=((2, 0), (1, 2)), q=2)
         assert inst.sets == ((0, 2), (1, 2))
-        assert inst.num_sets == 2
+        assert len(inst.sets) == 2
         assert inst.covered((0,)) == {0, 2}
         assert inst.is_cover((0, 1)) and not inst.is_cover((1,))
 
@@ -176,13 +180,13 @@ class TestSetCoverInstances:
 class TestDominatingReduction:
     def test_cycle_neighborhoods(self):
         inst = dominating_set_to_set_cover(build_cycle(5), q=2)
-        assert inst.universe_size == 5 and inst.num_sets == 5 and inst.q == 3
+        assert inst.universe_size == 5 and len(inst.sets) == 5 and inst.q == 3
         assert inst.sets[0] == (0, 1, 4)
         assert min_set_cover(inst)[0] == min_dominating_set(build_cycle(5))[0] == 2
 
     def test_clique_neighborhoods(self):
         inst = dominating_set_to_set_cover(build_clique(4), q=3)
-        assert inst.num_sets == 4
+        assert len(inst.sets) == 4
         assert all(len(s) == 4 for s in inst.sets)
         assert all(inst.is_cover((j,)) for j in range(4))
         assert min_set_cover(inst)[0] == 1
@@ -210,7 +214,7 @@ class TestBestResponseGadget:
         g = layout.graph
         assert g.n == 53  # 8 elements + 8*5 padding + 3 sets + hub + agent
         assert g.targets(layout.agent) == set()
-        assert g.owns(layout.hub, layout.agent)
+        assert layout.agent in g.targets(layout.hub)
         roles = [layout.role_map[v] for v in range(g.n)]
         assert roles.count("element") == 8
         assert roles.count("padding") == 40
@@ -219,7 +223,8 @@ class TestBestResponseGadget:
         dist = bfs_distances(g, layout.agent)
         assert all(dist[a] == 2 for a in layout.set_nodes)
         assert all(dist[i] == 3 for i in layout.element_nodes)
-        assert all(dist[p] == 4 for p in layout.padding_nodes)
+        padding = [v for v, role in layout.role_map.items() if role == "padding"]
+        assert all(dist[p] == 4 for p in padding)
         d = layout.as_dict()
         assert d["nodes"] == 53 and d["q"] == 4
 

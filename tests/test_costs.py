@@ -126,7 +126,7 @@ def test_rho_is_exact_fraction():
 @given(owned_graphs(connected=True))
 def test_social_cost_lower_bound(g):
     """Distances alone cost at least 2n(n-1) - 2m on a connected graph."""
-    n, m = g.n, g.edge_count
+    n, m = g.n, len(g.owned_edges)
     cost = social_cost(g, GameConfig())
     assert cost < UNREACHABLE
     assert cost >= 2 * n * (n - 1) - 2 * m

@@ -24,6 +24,7 @@ from degprice.moves import (
     ReplaceStrategy,
     SwapEdge,
     _Position,
+    _Pricing,
     strategy_after,
 )
 
@@ -190,7 +191,7 @@ def test_one_move_allocates_at_most_1_8_tables(cfg, u, kind):
     position.dist  # G's table is built on first use and is not part of the step
     tracemalloc.start()
     try:
-        pricing = position.pricing(u)
+        pricing = _Pricing(position, u)
         if kind is None:
             kind = pricing.improving_move(BEST_SINGLE_EDGE).kind
         else:
@@ -217,7 +218,7 @@ def test_one_first_improving_activation_allocates_at_most_1_3_tables(g, u):
     position.dist  # G's table is built on first use and is not part of the step
     tracemalloc.start()
     try:
-        found = position.pricing(u).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
+        found = _Pricing(position, u).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -243,7 +244,7 @@ def test_totals_read_disconnection_from_the_row_sum(beta, split):
 
 
 def check_totals(g, u, cfg):
-    p = _Position(g, cfg).pricing(u)
+    p = _Pricing(_Position(g, cfg), u)
     assert p.price.dtype == (object if cfg.price_beta == Fraction(1, 10**17) else np.int64)
     for make, targets, totals in p.move_groups(adds_only=False):
         for v, total in zip(targets, totals):
@@ -275,7 +276,7 @@ def test_addition_row_sums_against_naive(g):
     for variant in ("ncg", "aog"):
         position = _Position(g, GameConfig(variant=variant, price_beta=0, price_gamma=0))
         for u in range(g.n):
-            pricing = position.pricing(u)
+            pricing = _Pricing(position, u)
             _, targets, got = next(pricing.move_groups(adds_only=True))
             assert "table" not in vars(pricing)
             assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]

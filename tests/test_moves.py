@@ -79,7 +79,7 @@ def _brute_best_response(g, u, cfg):
 
 def test_unknown_move_policy_is_refused():
     with pytest.raises(ValueError, match="unknown move policy 'bogus'"):
-        _Position(path(3), GameConfig()).pricing(0).improving_move("bogus")
+        _Pricing(_Position(path(3), GameConfig()), 0).improving_move("bogus")
 
 
 def test_candidate_targets_respect_locality():
@@ -200,7 +200,7 @@ def test_first_improving_search_stops_at_the_first_improving_group(monkeypatch):
         return adding(pricing, table, row, spend)
 
     monkeypatch.setattr(_Pricing, "_adding", recording)
-    found = _Position(g, GameConfig()).pricing(1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
+    found = _Pricing(_Position(g, GameConfig()), 1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
     assert found == MoveRecord(1, AddEdge(3), 12, 11)
     assert calls == [True]
 
@@ -217,7 +217,7 @@ def test_the_current_strategy_is_priced_once(monkeypatch, policy):
         return spend(pricing, strategy)
 
     monkeypatch.setattr(_Pricing, "spend", recording)
-    pricing = _Position(g, GameConfig()).pricing(1)
+    pricing = _Pricing(_Position(g, GameConfig()), 1)
     assert isinstance(pricing.improving_move(policy).kind, AddEdge)
     assert spent == [pricing.current]
 
@@ -232,7 +232,7 @@ def test_an_exact_search_in_aog_reuses_the_current_spend(monkeypatch):
         return spend(pricing, strategy)
 
     monkeypatch.setattr(_Pricing, "spend", recording)
-    pricing = _Position(path(8), GameConfig(variant="aog")).pricing(3)
+    pricing = _Pricing(_Position(path(8), GameConfig(variant="aog")), 3)
     assert pricing.improving_move(FULL_BEST_RESPONSE).kind == ReplaceStrategy((0, 4, 7))
     assert spent == [{4}]
 
@@ -247,7 +247,7 @@ def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
         assert without.call_count == 0
         # the first improving group is the additions
         g = OwnedGraph(6, [(1, 0), (1, 2), (2, 3), (3, 4), (4, 5)])
-        found = _Position(g, GameConfig()).pricing(1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
+        found = _Pricing(_Position(g, GameConfig()), 1).improving_move(FIRST_IMPROVING_SINGLE_MOVE)
         assert found == MoveRecord(1, AddEdge(3), 12, 11)
         assert without.call_count == 0
         # only the center of a star owns edges, and the drop screen finds it stuck
@@ -289,7 +289,7 @@ def _screened_agents(g, cfg):
     position = _Position(g, cfg)
     cleared = []
     for u in range(g.n):
-        pricing = position.pricing(u)
+        pricing = _Pricing(position, u)
         _, _, adds = next(pricing.move_groups(adds_only=True))
         if (adds < pricing.now).any() or not pricing.drops_cannot_improve(adds):
             continue
@@ -489,7 +489,7 @@ def test_a_best_response_at_the_cap_allocates_about_three_blocks():
     g = path(21)
     position = _Position(g, GameConfig())
     position.dist  # G's table is built on first use and is not part of the search
-    pricing = position.pricing(0)
+    pricing = _Pricing(position, 0)
     assert len(pricing.cands) + len(pricing.current) == CANDIDATE_CAP
     tracemalloc.start()
     try:
@@ -502,8 +502,8 @@ def test_a_best_response_at_the_cap_allocates_about_three_blocks():
 
 
 def test_huge_denominators_price_with_python_ints():
-    assert _Position(path(3), HUGE_DENOMINATOR).pricing(0).price.dtype == object
-    assert _Position(path(3), GameConfig()).pricing(0).price.dtype == np.int64
+    assert _Pricing(_Position(path(3), HUGE_DENOMINATOR), 0).price.dtype == object
+    assert _Pricing(_Position(path(3), GameConfig()), 0).price.dtype == np.int64
 
 
 def test_candidate_cap_guards_exact_search():

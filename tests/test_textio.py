@@ -20,7 +20,7 @@ from degprice.textio import (
 def test_parse_simple_path():
     g = parse_graph_file("n 3\n0 1\n1 2\n")
     assert g == OwnedGraph(3, [(0, 1), (1, 2)])
-    assert g.owns(1, 2) and not g.owns(2, 1)
+    assert g.targets(1) == {2} and g.targets(2) == set()
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -58,8 +58,6 @@ def test_node_count_past_the_graph_cap_is_refused_before_allocating():
 def test_serialize_graph_layout():
     g = OwnedGraph(3, [(2, 0), (0, 1)])
     assert serialize_graph(g) == "n 3\n0 1\n2 0\n"
-    with_comment = serialize_graph(g, comment="two lines\nof notes")
-    assert with_comment.startswith("# two lines\n# of notes\nn 3\n")
 
 
 @settings(max_examples=80)
