@@ -35,10 +35,18 @@ from degprice.errors import ResourceCapExceeded
 UNREACHABLE = 10**9
 # ``apsp`` refuses graphs past this many nodes.  An n-node table takes
 # 8 n^2 bytes, 800 MB at the cap.  Pricing and playing one move on
-# path(300) allocates 0.02 tables beyond G's for an add, 1.1 to 1.25
-# for the drops and the aog replace of ``tests/test_kernels.py``, and
-# 2.1 for a drop whose new neighbours join two components of G - u.
+# path(300), with update blocks of an eighth of the table, allocates
+# 0.02 tables beyond G's for an add, 0.27 for the aog replace of
+# ``tests/test_kernels.py``, 1.23 for its swap and delete, and 1.27 for
+# a drop whose new neighbours join two components of G - u: a drop
+# holds the table of G - u and one block.  At the cap a block is 1 %
+# of the table.
 APSP_MAX_NODES = 10_000
+# ``apsp_update_add`` relaxes its changed rows in blocks of at most this
+# many entries, 8 MB, so a move that changes nearly every row holds one
+# block rather than a copy of the table.  Up to 1024 nodes every move
+# is one block
+_RELAX_ENTRIES = 1 << 20
 
 
 def bfs_row(neighbours, source):
@@ -97,21 +105,28 @@ def apsp_update_add(dist, u, targets):
     is the whole update: for one edge, the insertion rule of Ausiello,
     Italiano, Marchetti-Spaccamela and Nanni (J. Algorithms 1991).  The
     minimum with the old entry keeps a sum past the sentinel at exactly
-    ``UNREACHABLE``.
+    ``UNREACHABLE``.  The rows are relaxed in blocks of at most
+    ``_RELAX_ENTRIES`` entries, with r and the row set fixed first.
     """
     if not targets:
         return
     near = dist.take(targets, axis=0)
     r = row_with(dist[u], near)
     rows = (r + 1 < near.max(axis=0)).nonzero()[0]
-    # one temporary of the changed rows: min(d - r[x], r[y]) + r[x]
-    shift = r.take(rows)[:, None]
-    relaxed = dist.take(rows, axis=0)
-    relaxed -= shift
-    np.minimum(relaxed, r, out=relaxed)
-    relaxed += shift
-    dist[rows] = relaxed
-    dist[:, rows] = relaxed.T
+    del near  # as large as the table when u gains most nodes
+    # one temporary per block of changed rows: min(d - r[x], r[y]) + r[x].
+    # Relaxing is idempotent, so a block may read entries that an earlier
+    # block's mirror already relaxed
+    step = max(_RELAX_ENTRIES // len(r), 1)
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        shift = r.take(block)[:, None]
+        relaxed = dist.take(block, axis=0)
+        relaxed -= shift
+        np.minimum(relaxed, r, out=relaxed)
+        relaxed += shift
+        dist[block] = relaxed
+        dist[:, block] = relaxed.T
 
 
 def apsp_without(dist, neighbours, u):

@@ -12,7 +12,9 @@ G - u, derived from G's table, prices it, with u's distance to w
 1 + the minimum of d_{G-u}(v, w) over the targets v in S and the
 agents that bought edges to u.  An edge's price depends only on its
 target, not on the rest of S.  Single moves are vectorised rows of a
-table, and the exact best response is a subset-min DP over one.
+table, and the exact best response is a subset-min DP over the
+columns of one that two or more targets can shorten or that u's kept
+edges leave unreachable.
 Prices stay exact, as int or Fraction; a deviation that leaves u
 disconnected costs ``math.inf``.
 
@@ -38,7 +40,7 @@ The tests hold this engine to the scalar reference of ``costs``:
 import math
 from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -55,11 +57,13 @@ FULL_BEST_RESPONSE = "full-best-response"
 POLICIES = (BEST_SINGLE_EDGE, FIRST_IMPROVING_SINGLE_MOVE, FULL_BEST_RESPONSE)
 
 CANDIDATE_CAP = 20
-# at most 2^10 low-bit subsets per best-response block keeps the DP's
-# extra memory near 2^10 * n int64 whatever the number of candidates.
-# The block is Fortran-ordered, subsets contiguous, so each step streams
-# 2^j-long columns rather than rows of n.  Measured on fig2b without
-# gain: int32 blocks, and one block of up to 2^20 * n entries
+# a best-response block of w columns holds 2^10 * n / (w + 2) low-bit
+# subsets, rounded down to a power of two and at least 2^10, so with its
+# spend and count vectors its bytes stay near 2^10 * n int64 whatever the
+# number of candidates.  The block is Fortran-ordered, subsets
+# contiguous, so each step streams 2^j-long columns rather than rows.
+# Measured on fig2b without gain: int32 blocks, and one block of up to
+# 2^20 * n entries
 _BLOCK_BITS = 10
 
 K_DELETION_NOTE = (
@@ -246,6 +250,23 @@ def best_response_exact(g, u, cfg):
     return _Pricing(_Position(g, cfg), u).best_response()
 
 
+class _lazy:
+    """``functools.cached_property`` without its lock (Python 3.11 takes one).
+
+    The first read sets the value as a plain instance attribute, which
+    every later read finds first; ``vars(obj).pop(name)`` drops it.
+    """
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.build(obj)
+        return value
+
+
 class _Position:
     """What pricing any agent of graph G reads: prices and G's table.
 
@@ -277,12 +298,12 @@ class _Position:
         self.unreachable = n * n * self.scale + n * (abs(self.b) * n + abs(self.c))
         self.dtype = np.int64 if self.unreachable < 2**62 else object
 
-    @cached_property
+    @_lazy
     def prices(self):
         degrees = np.fromiter(map(len, self.graph._adj), self.dtype, self.graph.n)
         return degrees * self.b + (self.b + self.c)
 
-    @cached_property
+    @_lazy
     def dist(self):
         return apsp(self.graph._adj)
 
@@ -369,7 +390,7 @@ class _Pricing:
     # the table of G - u is built on first use: an activation that finds an
     # addition never pays for it, and a best response over too many
     # candidates fails on the cap first
-    @cached_property
+    @_lazy
     def table(self):
         return apsp_without(self.position.dist, self.graph._adj, self.u)
 
@@ -392,7 +413,7 @@ class _Pricing:
     def spend(self, strategy):
         return int(sum(self.price[v] for v in strategy))
 
-    @cached_property
+    @_lazy
     def now(self):
         """Scaled total of u's current strategy, a Python int."""
         return self.total(self.current, self.spent)
@@ -557,15 +578,24 @@ class _Pricing:
     def best_response(self):
         """(strategy, exact cost) of u's best response; see best_response_exact.
 
-        A subset-min DP, ``M[S] = min(M[S - lowbit], rows[lowbit])``, fills
-        one block of 2^10 low-bit subsets; every setting of the high bits
-        reuses it, so extra memory stays near 2^10 * n.  The block is
-        Fortran-ordered: the doubling steps, the high picks' minimum and
-        the row sums of ``totals`` then run along the subset axis, in
-        loops 2^j long rather than n long; an int32 block, or one block
-        for every subset, measured no faster (see ``_BLOCK_BITS``).  A
-        block whose cheapest total is above the best so far skips the
-        tie-break.
+        A subset-min DP, ``M[S] = min(M[S - lowbit], rows[lowbit])``, over
+        the live columns of u's row.  ``base`` is u's row under ``kept``
+        and ``plus[v] = 1 + table[v]``.  A column that ``base`` reaches and
+        at most one variable shortens is folded: its distance is ``base[w]``
+        less a gain when that variable is picked.  So folded columns go
+        into the spends, their base sum into ``spend[0]`` and each
+        variable's gain into its step, ``price[v] - scale * gain[v]``, and
+        every total is the integer a full row would give.  The live
+        columns, those two or more variables shorten and those ``base``
+        cannot reach, fill one block of low-bit subsets, 2^10 for n
+        columns and more as the block narrows (see ``_BLOCK_BITS``); every
+        setting of the high bits reuses it.  Only live columns can leave u
+        disconnected, so ``totals`` reads that from the block alone.  The
+        block is Fortran-ordered: the doubling steps, the high picks'
+        minimum and the row sums of ``totals`` then run along the subset
+        axis, in loops 2^j long rather than n long; an int32 block, or one
+        block for every subset, measured no faster.  A block whose
+        cheapest total is above the best so far skips the tie-break.
         """
         if self.add_only:
             kept, variable = self.current, self.cands
@@ -577,26 +607,38 @@ class _Pricing:
         # variable i sits at bit V-1-i, so among equal costs and sizes the
         # larger mask is the lexicographically smaller target tuple
         bits = variable[::-1]
-        low, high = bits[:_BLOCK_BITS], bits[_BLOCK_BITS:]
+        base = self.merged(kept)
+        plus = table.take(bits, axis=0)
+        plus += 1
+        shorter = plus < base
+        # a reachable column that at most one variable shortens is folded:
+        # it adds base[w], less that variable's gain when it is picked
+        live = (shorter.sum(axis=0) > 1) | (base >= UNREACHABLE)
+        gain = np.where(shorter & ~live, base - plus, 0).sum(axis=1)
+        step = [self.price[v] - self.scale * int(g) for v, g in zip(bits, gain)]
+        plus = plus[:, live]
+        width = plus.shape[1]
+        low_bits = _BLOCK_BITS + max(self.graph.n // (width + 2), 1).bit_length() - 1
+        low, high = bits[:low_bits], bits[low_bits:]
         size = 1 << len(low)
-        rows = np.empty((size, self.graph.n), dtype=np.int64, order="F")
-        rows[0] = self.merged(kept)
+        rows = np.empty((size, width), dtype=np.int64, order="F")
+        rows[0] = base[live]
         spend = np.zeros(size, dtype=self.price.dtype)
-        spend[0] = self.spent if self.add_only else 0
+        spend[0] = (self.spent if self.add_only else 0) + self.scale * int(base[~live].sum())
         count = np.zeros(size, dtype=np.int64)
-        for j, v in enumerate(low):
+        for j in range(len(low)):
             h = 1 << j
-            np.minimum(rows[:h], table[v] + 1, out=rows[h : 2 * h])
-            spend[h : 2 * h] = spend[:h] + self.price[v]
+            np.minimum(rows[:h], plus[j], out=rows[h : 2 * h])
+            spend[h : 2 * h] = spend[:h] + step[j]
             count[h : 2 * h] = count[:h] + 1
 
         best = None
         for hi in range(1 << len(high)):
-            picked = [v for t, v in enumerate(high) if hi >> t & 1]
+            picked = [len(low) + t for t in range(len(high)) if hi >> t & 1]
             block, paid = rows, spend
             if picked:
-                block = np.minimum(rows, table[picked].min(axis=0) + 1)
-                paid = spend + self.spend(picked)
+                block = np.minimum(rows, plus[picked].min(axis=0))
+                paid = spend + sum(step[i] for i in picked)
             totals = self.totals(block, paid)
             cost = totals.min()
             if best is not None and cost > best[0]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import owned_graphs
 from degprice import _kernels, dynamics, moves
-from degprice.constructions import build_figure_network
+from degprice.constructions import build_figure_network, build_star
 from degprice.costs import GameConfig, agent_cost, candidate_targets, evaluate_deviation
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import OwnedGraph
@@ -374,6 +374,15 @@ def test_exact_witnesses_are_sound_and_imply_single_move(g, data):
 )
 # 13 variables: the subset search runs over several blocks of low-bit subsets
 @example(path(14), FRACTION_PRICES, 0)
+# only candidate 4 reaches node 4: a column u cannot reach stays live
+@example(OwnedGraph(5, [(0, 1), (2, 3)]), GameConfig(variant="aog"), 0)
+# each leaf shortens only its own column: the block has no column at all
+@example(build_star(9), GameConfig(variant="aog"), 1)
+# folded gains beside prices past the old 10^9 sentinel, and beside object-dtype spends
+@example(path(8), GameConfig(variant="aog", price_beta=10**9, price_gamma=0), 0)
+@example(path(8), GameConfig(variant="aog", price_gamma=Fraction(-1, 10**18)), 0)
+# a radius: one live column, the rest folded
+@example(OwnedGraph(8, [(i, (i + 1) % 8) for i in range(8)]), GameConfig(variant="aog", locality_k=2), 0)
 def test_best_response_matches_brute_force(g, cfg, agent):
     u = agent % g.n
     assert best_response_exact(g, u, cfg) == _brute_best_response(g, u, cfg)
@@ -400,17 +409,27 @@ def test_best_response_matches_brute_force(g, cfg, agent):
 @example(OwnedGraph(9), GameConfig(), 0)
 @example(path(9), FRACTION_PRICES, 4)
 def test_the_block_split_cannot_change_a_best_response(g, cfg, agent):
-    """Blocks of 2^0, 2^1 or 2^3 low-bit subsets give the answer of one block.
+    """``_BLOCK_BITS`` of 0, 1 or 3 gives the answer of the default's one block.
 
-    At most 8 variables fit the default's one block, so the smaller
-    blocks run the high-bit loop, its skip of a costlier block and its
+    A graph of at most 9 nodes has at most 8 variables, which the
+    default's one block holds.  A block narrower than n columns gets at
+    most 2 more low bits here (``9 // 2`` is 4), so the patched blocks
+    run the high-bit loop, its skip of a costlier block and its
     tie-break across blocks on the same subsets.
     """
     u = agent % g.n
     expected = best_response_exact(g, u, cfg)
+    pricing = _Pricing(_Position(g, cfg), u)
+    variables = len(set(pricing.cands) | (set() if cfg.add_only else pricing.current))
+    totals = _Pricing.totals
     for bits in (0, 1, 3):
-        with mock.patch.object(moves, "_BLOCK_BITS", bits):
+        with (
+            mock.patch.object(moves, "_BLOCK_BITS", bits),
+            mock.patch.object(_Pricing, "totals", autospec=True, side_effect=totals) as blocks,
+        ):
             assert best_response_exact(g, u, cfg) == expected, bits
+        # one block per setting of the high bits
+        assert blocks.call_count >= 2 ** (variables - bits - 2), bits
 
 
 FIG2B_CURRENT = [
@@ -479,26 +498,55 @@ def test_fig2b_best_responses_match_the_row_major_search(cfg, expected):
 
 
 def test_a_best_response_at_the_cap_allocates_about_three_blocks():
-    """The DP's extra memory stays near one block of 2^10 subsets whatever V is.
+    """The DP's extra memory stays near one block of 2^10 full rows whatever V is.
 
-    Agent 0 of path(21) in ncg has exactly CANDIDATE_CAP variables, so
-    2^10 settings of the high bits each reuse the one block.  Past G's
-    table the search holds the block, one high pick's copy of it, the
-    table of G - u and vectors over the block.
+    Agent 0 of path(21) in ncg has exactly CANDIDATE_CAP variables, and
+    every column but its own is live, so 2^10 settings of the high bits
+    each reuse one block of 2^10 subsets.  Past G's table the search
+    holds the block, one high pick's copy of it, the table of G - u and
+    vectors over the block.  A leaf of star(22) in aog has 20 variables
+    and no live column: its block of 2^13 subsets, the most the sizing
+    gives at n = 22, holds only the vectors.
     """
-    g = path(21)
-    position = _Position(g, GameConfig())
-    position.dist  # G's table is built on first use and is not part of the search
-    pricing = _Pricing(position, 0)
-    assert len(pricing.cands) + len(pricing.current) == CANDIDATE_CAP
-    tracemalloc.start()
-    try:
-        strategy, cost = pricing.best_response()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert strategy and cost < pricing.value(pricing.now)
-    assert peak <= 3 * 2**10 * g.n * 8
+    cases = [
+        (path(21), GameConfig(), 0, ({1, 4, 7, 10, 13, 16, 19}, 46)),
+        (build_star(22), GameConfig(variant="aog"), 1, (set(), 41)),
+    ]
+    for g, cfg, u, expected in cases:
+        position = _Position(g, cfg)
+        position.dist  # G's table is built on first use and is not part of the search
+        pricing = _Pricing(position, u)
+        assert len(pricing.cands) + len(pricing.current) == CANDIDATE_CAP
+        tracemalloc.start()
+        try:
+            found = pricing.best_response()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == expected
+        assert peak <= 3 * 2**10 * g.n * 8, g
+
+
+def test_fig2b_blocks_in_aog_carry_two_columns(monkeypatch):
+    """On fig2b in aog, 17 of each agent's 19 columns are shortened by at most one variable.
+
+    Those columns are folded into the spends, so every block that an
+    agent's exact best response prices holds the other 2.
+    """
+    widths = []
+    totals = _Pricing.totals
+
+    def recording(pricing, merged, spend):
+        widths.append(merged.shape[1])
+        return totals(pricing, merged, spend)
+
+    monkeypatch.setattr(_Pricing, "totals", recording)
+    g = build_figure_network("fig2b")
+    position = _Position(g, GameConfig(variant="aog"))
+    for u in range(g.n):
+        widths.clear()
+        _Pricing(position, u).best_response()
+        assert widths and set(widths) == {2}, u
 
 
 def test_huge_denominators_price_with_python_ints():
