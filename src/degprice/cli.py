@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: construct, cost, best-response, verify, dynamics,
-enumerate, reduce, preset.  JSON is the machine format; CSV exists for
-plotting convergence curves; text is a short human summary.  Only cost,
-verify and dynamics take --format.  Every cost prints through
+enumerate, reduce, preset.  ``preset NAME`` runs one of the paper's
+claims from ``claims.PRESETS`` and prints its checks.  JSON is the
+machine format; CSV exists for plotting convergence curves; text is a
+short human summary.  Only cost, verify and dynamics take --format.  Every cost prints through
 ``costs.plain``.  Exit codes (``EXIT_CODES``): 0 success, 1 assertion
 failure, 2 usage error, 3 resource cap exceeded.
 """
@@ -16,11 +17,10 @@ from fractions import Fraction
 
 from degprice import constructions
 from degprice import textio
+from degprice.claims import PRESETS
 from degprice.costs import AOG, NCG, GameConfig, agent_cost, plain, social_cost
 from degprice.dynamics import (
     BEST_SINGLE_EDGE,
-    CONVERGED,
-    CYCLE_DETECTED,
     DEG2AOG_2NE,
     DEGAOG_NE,
     POLICIES,
@@ -32,15 +32,8 @@ from degprice.dynamics import (
     scripted_linear_sequences,
 )
 from degprice.errors import DegpriceError, GraphFormatError, ResourceCapExceeded
-from degprice.moves import (
-    EXACT,
-    SINGLE_MOVE,
-    SwapEdge,
-    best_response_exact,
-    parse_schedule,
-    verify_equilibrium,
-)
-from degprice.oracle import equilibrium_census, min_set_cover, optimal_social_cost
+from degprice.moves import EXACT, SINGLE_MOVE, best_response_exact, parse_schedule, verify_equilibrium
+from degprice.oracle import equilibrium_census
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -263,127 +256,6 @@ def _cmd_reduce(args):
         inst = constructions.dominating_set_to_set_cover(g, args.q)
         _emit(args, textio.serialize_set_cover(inst))
     return EXIT_OK
-
-
-def _preset_star_equilibrium():
-    checks = []
-    for n in range(3, 9):
-        g = constructions.build_star(n)
-        for variant in (NCG, AOG):
-            for k in (None, 2):
-                cfg = GameConfig(variant=variant, locality_k=k)
-                rep = verify_equilibrium(g, cfg, level=EXACT)
-                checks.append(
-                    {"n": n, "config": cfg.describe(), "is_equilibrium": rep.is_equilibrium}
-                )
-    return checks, all(c["is_equilibrium"] for c in checks)
-
-
-def _preset_star_optimal():
-    checks = []
-    for n in range(2, 6):
-        cost, witness = optimal_social_cost(n, GameConfig(variant=NCG))
-        checks.append({"n": n, "opt_cost": cost, "expected": 2 * (n - 1) ** 2})
-    return checks, all(c["opt_cost"] == c["expected"] for c in checks)
-
-
-def _preset_small_census():
-    checks = []
-    for variant in (NCG, AOG):
-        for k in (None, 2):
-            cfg = GameConfig(variant=variant, locality_k=k)
-            for n in (3, 4):
-                s = equilibrium_census(n, cfg).as_dict()
-                checks.append(
-                    {
-                        "n": n,
-                        "config": cfg.describe(),
-                        "poa": s["poa"],
-                        "pos": s["pos"],
-                        "equilibria": s["equilibrium_count"],
-                    }
-                )
-    return checks, all(c["pos"] == 1.0 for c in checks)
-
-
-def _preset_figure_cycle():
-    g = constructions.build_figure_network("fig3-g1")
-    cfg = GameConfig(variant=NCG)
-    schedule = [
-        (4, SwapEdge(7, 8)), (1, SwapEdge(8, 7)), (9, SwapEdge(8, 7)),
-        (4, SwapEdge(8, 7)), (1, SwapEdge(7, 8)), (9, SwapEdge(7, 8)),
-    ]
-    trace = run_dynamics(g, cfg, ActivationScheme.scripted(schedule))
-    deltas = [[r.cost_before, r.cost_after] for r in trace.steps]
-    ok = trace.outcome == CYCLE_DETECTED and trace.final == g
-    return [{"outcome": trace.outcome, "costs": deltas}], ok
-
-
-def _preset_adversarial_convergence():
-    checks = []
-    ok = True
-    for n in (16, 20):
-        for k in (2, None):
-            cfg = GameConfig(variant=AOG, locality_k=k)
-            scheme = adversarial_schedule(n, cfg)
-            g = constructions.build_path(n)
-            trace = run_dynamics(g, cfg, scheme)
-            entry = {
-                "n": n,
-                "config": cfg.describe(),
-                "steps": len(trace.steps),
-                "outcome": trace.outcome,
-                "final_diameter": trace.final_diameter,
-            }
-            checks.append(entry)
-            ok = ok and len(trace.steps) == len(scheme.schedule) and trace.final_diameter == 3
-    return checks, ok
-
-
-def _preset_linear_equilibria():
-    checks = []
-    ok = True
-    for which, n, cfg in (
-        (DEGAOG_NE, 13, GameConfig(variant=AOG)),
-        (DEG2AOG_2NE, 12, GameConfig(variant=AOG, locality_k=2)),
-    ):
-        scheme = scripted_linear_sequences(n, which)
-        trace = run_dynamics(constructions.build_path(n), cfg, scheme)
-        rep = verify_equilibrium(trace.final, cfg, level=EXACT)
-        checks.append(
-            {
-                "sequence": which,
-                "n": n,
-                "outcome": trace.outcome,
-                "final_is_equilibrium": rep.is_equilibrium,
-            }
-        )
-        ok = ok and trace.outcome == CONVERGED and rep.is_equilibrium
-    return checks, ok
-
-
-def _preset_set_cover_gadget():
-    inst = constructions.SetCoverInstance(
-        universe_size=8, sets=((0, 1, 2, 3), (4, 5, 6, 7), (2, 3, 4, 5)), q=4
-    )
-    layout = constructions.set_cover_to_best_response_gadget(inst)
-    cfg = GameConfig(variant=NCG, locality_k=2)
-    strategy, _ = best_response_exact(layout.graph, layout.agent, cfg)
-    cover = layout.cover_from_targets(strategy)
-    size, _ = min_set_cover(inst)
-    ok = len(cover) == size and inst.is_cover(cover)
-    return [{"cover": list(cover), "optimal_size": size}], ok
-
-
-PRESETS = {
-    "star-equilibrium": _preset_star_equilibrium,
-    "star-optimal": _preset_star_optimal,
-    "small-census": _preset_small_census,
-    "figure-cycle": _preset_figure_cycle,
-    "adversarial-convergence": _preset_adversarial_convergence,
-    "linear-equilibria": _preset_linear_equilibria,
-    "set-cover-gadget": _preset_set_cover_gadget,
-}
 
 
 def _cmd_preset(args):

@@ -73,6 +73,14 @@ __all__ = [
 ]
 
 
+# the fields each kind of scheme reads; one its kind does not read must stay None
+_FIELDS_USED = {
+    UNIFORM_RANDOM: ("move_policy", "seed"),
+    ROUND_ROBIN: ("move_policy",),
+    SCRIPTED: ("schedule",),
+}
+
+
 @dataclass(frozen=True)
 class ActivationScheme:
     """Who moves when, and what counts as their move."""
@@ -83,17 +91,20 @@ class ActivationScheme:
     schedule: tuple | None = None
 
     def __post_init__(self):
+        if self.kind not in _FIELDS_USED:
+            raise ValueError(f"unknown activation kind {self.kind!r}")
+        unused = {"move_policy", "seed", "schedule"} - set(_FIELDS_USED[self.kind])
+        stray = sorted(f for f in unused if getattr(self, f) is not None)
+        if stray:
+            raise ValueError(f"a {self.kind} scheme takes no {', '.join(stray)}")
         if self.kind == UNIFORM_RANDOM:
             if self.seed is None or self.move_policy not in POLICIES:
                 raise ValueError("uniform-random needs a seed and a move policy")
         elif self.kind == ROUND_ROBIN:
             if self.move_policy not in POLICIES:
                 raise ValueError("round-robin needs a move policy")
-        elif self.kind == SCRIPTED:
-            if not self.schedule:
-                raise ValueError("scripted scheme needs a nonempty schedule")
-        else:
-            raise ValueError(f"unknown activation kind {self.kind!r}")
+        elif not self.schedule:
+            raise ValueError("scripted scheme needs a nonempty schedule")
 
     @classmethod
     def uniform_random(cls, seed, move_policy=FIRST_IMPROVING_SINGLE_MOVE):

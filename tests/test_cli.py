@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import degprice
-from degprice import cli
+from degprice import claims, cli
 from degprice.cli import main
 from degprice.constructions import build_path, build_star
 from degprice.costs import GameConfig, social_cost
@@ -325,6 +325,22 @@ def test_every_preset_passes(capsys, name):
     data = json.loads(out)
     assert data["passed"] is True
     assert data["preset"] == name
+
+
+def test_a_failing_preset_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(claims.PRESETS, "star-optimal", lambda: ([], False))
+    code, out, _ = run_cli(capsys, "preset", "star-optimal")
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+
+
+def test_a_swap_schedule_file_replays_the_fig3_cycle(capsys, tmp_path):
+    graph, schedule = tmp_path / "g1.graph", tmp_path / "cycle.json"
+    assert run_cli(capsys, "construct", "fig3-g1", "--out", str(graph))[0] == 0
+    schedule.write_text(json.dumps([{"agent": u, **k.as_dict()} for u, k in claims.FIG3_CYCLE]))
+    code, out, _ = run_cli(capsys, "dynamics", str(graph), "--schedule", str(schedule))
+    assert code == 0
+    assert json.loads(out)["outcome"] == "cycle-detected"
 
 
 SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]

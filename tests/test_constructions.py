@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from degprice.claims import FIG3_CYCLE
 from degprice.constructions import (
     FIGURE_NAMES,
     GadgetLayout,
@@ -24,7 +25,7 @@ from degprice.graph import (
     degree,
     diameter,
 )
-from degprice.moves import SwapEdge, best_response_exact, verify_equilibrium
+from degprice.moves import best_response_exact, verify_equilibrium
 from degprice.oracle import min_dominating_set, min_set_cover
 
 
@@ -144,15 +145,7 @@ class TestFigureNetworks:
             assert {e for e in g.owned_edges if not {7, 8} & set(e)} == fixed
         assert len({g.state_key() for g in graphs}) == 6
         # one full lap of swaps walks g1 back into itself
-        swaps = [
-            (4, SwapEdge(7, 8)),
-            (1, SwapEdge(8, 7)),
-            (9, SwapEdge(8, 7)),
-            (4, SwapEdge(8, 7)),
-            (1, SwapEdge(7, 8)),
-            (9, SwapEdge(7, 8)),
-        ]
-        trace = run_dynamics(graphs[0], GameConfig(), ActivationScheme.scripted(swaps))
+        trace = run_dynamics(graphs[0], GameConfig(), ActivationScheme.scripted(FIG3_CYCLE))
         assert trace.outcome == "cycle-detected"
 
 

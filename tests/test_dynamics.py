@@ -12,6 +12,7 @@ import pytest
 
 from degprice import moves
 from degprice._kernels import apsp
+from degprice.claims import FIG3_CYCLE
 from degprice.constructions import build_clique, build_figure_network
 from degprice.costs import GameConfig, social_cost
 from degprice.dynamics import (
@@ -62,6 +63,17 @@ def test_scheme_validation():
         ActivationScheme.scripted([])
     with pytest.raises(ValueError, match="unknown"):
         ActivationScheme(kind="lottery")
+    # a field the kind does not use is refused, not silently dropped or misread
+    for kind, stray in (
+        ("scripted", dict(schedule=FIG3_CYCLE, move_policy=BEST_SINGLE_EDGE)),
+        ("scripted", dict(schedule=FIG3_CYCLE, move_policy=FIRST_IMPROVING_SINGLE_MOVE)),
+        ("scripted", dict(schedule=FIG3_CYCLE, seed=0)),
+        ("round-robin", dict(move_policy=BEST_SINGLE_EDGE, seed=0)),
+        ("round-robin", dict(move_policy=BEST_SINGLE_EDGE, schedule=FIG3_CYCLE)),
+        ("uniform-random", dict(move_policy=BEST_SINGLE_EDGE, seed=0, schedule=FIG3_CYCLE)),
+    ):
+        with pytest.raises(ValueError, match="takes no"):
+            ActivationScheme(kind=kind, **stray)
     with pytest.raises(ValueError, match="positive"):
         run_dynamics(path(3), AOG2, ActivationScheme.round_robin(), max_steps=0)
 
@@ -216,15 +228,7 @@ def test_scripted_exhaustion_reports_stability_honestly():
 
 def test_swap_cycle_is_detected_and_returns_home():
     g1 = build_figure_network("fig3-g1")
-    swaps = [
-        (4, SwapEdge(7, 8)),
-        (1, SwapEdge(8, 7)),
-        (9, SwapEdge(8, 7)),
-        (4, SwapEdge(8, 7)),
-        (1, SwapEdge(7, 8)),
-        (9, SwapEdge(7, 8)),
-    ]
-    trace = run_dynamics(g1, GameConfig(), ActivationScheme.scripted(swaps))
+    trace = run_dynamics(g1, GameConfig(), ActivationScheme.scripted(FIG3_CYCLE))
     assert trace.outcome == CYCLE_DETECTED
     assert len(trace.steps) == 6
     assert trace.final == g1
