@@ -14,7 +14,9 @@ agents that bought edges to u.  An edge's price depends only on its
 target, not on the rest of S.  Single moves are vectorised rows of a
 table, and the exact best response is a subset-min DP over the
 columns of one that two or more targets can shorten or that u's kept
-edges leave unreachable.
+edges leave unreachable, and over the targets that shorten one of
+those columns; each other target adds its own step to every total, so
+it is decided alone.
 Prices stay exact, as int or Fraction; a deviation that leaves u
 disconnected costs ``math.inf``.
 
@@ -246,6 +248,8 @@ def best_response_exact(g, u, cfg):
     CandidateCapExceeded when the variable universe tops CANDIDATE_CAP,
     before any distance table is built in either game; under a locality
     radius only G's table, which lists the candidates, is built first.
+    The cap counts every variable, also those that the search decides
+    without enumerating them.
     """
     return _Pricing(_Position(g, cfg), u).best_response()
 
@@ -596,6 +600,18 @@ class _Pricing:
         axis, in loops 2^j long rather than n long; an int32 block, or one
         block for every subset, measured no faster.  A block whose
         cheapest total is above the best so far skips the tie-break.
+
+        A free variable, one that shortens no live column, adds its step
+        to every total whatever else is picked, so the DP runs over the
+        other variables only, in their bit order.  A free variable with a
+        negative step is in every cheapest strategy: its step goes into
+        ``spend[0]`` and it joins the answer.  One with a step of 0 or
+        more is left out by the fewest-edges tie-break.  The exception is
+        a best total of ``unreachable``, which carries no spend: u cannot
+        connect whatever it picks, and the answer is ``kept`` alone.  A
+        free variable cannot reconnect u, since a column that ``base``
+        cannot reach is live.  ``CANDIDATE_CAP`` counts every variable,
+        free or not, before any table is built.
         """
         if self.add_only:
             kept, variable = self.current, self.cands
@@ -616,7 +632,12 @@ class _Pricing:
         live = (shorter.sum(axis=0) > 1) | (base >= UNREACHABLE)
         gain = np.where(shorter & ~live, base - plus, 0).sum(axis=1)
         step = [self.price[v] - self.scale * int(g) for v, g in zip(bits, gain)]
-        plus = plus[:, live]
+        # a free variable, one that shortens no live column, is decided by its step
+        touches = shorter[:, live].any(axis=1)
+        forced = {v: s for v, s, t in zip(bits, step, touches) if not t and s < 0}
+        bits = [v for v, t in zip(bits, touches) if t]
+        step = [s for s, t in zip(step, touches) if t]
+        plus = plus[:, live][touches]
         width = plus.shape[1]
         low_bits = _BLOCK_BITS + max(self.graph.n // (width + 2), 1).bit_length() - 1
         low, high = bits[:low_bits], bits[low_bits:]
@@ -625,6 +646,7 @@ class _Pricing:
         rows[0] = base[live]
         spend = np.zeros(size, dtype=self.price.dtype)
         spend[0] = (self.spent if self.add_only else 0) + self.scale * int(base[~live].sum())
+        spend[0] += sum(forced.values())
         count = np.zeros(size, dtype=np.int64)
         for j in range(len(low)):
             h = 1 << j
@@ -651,6 +673,9 @@ class _Pricing:
                 best = key
         mask = -best[2]
         strategy = kept | {v for j, v in enumerate(bits) if mask >> j & 1}
+        if best[0] < self.unreachable:
+            # a disconnected total carries no spend: it keeps only ``kept``
+            strategy.update(forced)
         return strategy, self.value(best[0])
 
 

@@ -383,6 +383,13 @@ def test_exact_witnesses_are_sound_and_imply_single_move(g, data):
 @example(path(8), GameConfig(variant="aog", price_gamma=Fraction(-1, 10**18)), 0)
 # a radius: one live column, the rest folded
 @example(OwnedGraph(8, [(i, (i + 1) % 8) for i in range(8)]), GameConfig(variant="aog", locality_k=2), 0)
+# target 2 shortens no live column and its step is negative, but u stays
+# cut off from 3, 4 and 5 whatever it buys, so it keeps only its edge to 1
+@example(
+    OwnedGraph(6, [(0, 1), (1, 2), (3, 4)]),
+    GameConfig(variant="aog", locality_k=2, price_gamma=-3),
+    0,
+)
 def test_best_response_matches_brute_force(g, cfg, agent):
     u = agent % g.n
     assert best_response_exact(g, u, cfg) == _brute_best_response(g, u, cfg)
@@ -415,12 +422,19 @@ def test_the_block_split_cannot_change_a_best_response(g, cfg, agent):
     default's one block holds.  A block narrower than n columns gets at
     most 2 more low bits here (``9 // 2`` is 4), so the patched blocks
     run the high-bit loop, its skip of a costlier block and its
-    tie-break across blocks on the same subsets.
+    tie-break across blocks on the same subsets.  The loop runs over
+    the variables that shorten a live column only: a column that two or
+    more variables shorten, or one that u's kept edges leave unreachable.
     """
     u = agent % g.n
     expected = best_response_exact(g, u, cfg)
     pricing = _Pricing(_Position(g, cfg), u)
-    variables = len(set(pricing.cands) | (set() if cfg.add_only else pricing.current))
+    kept = pricing.current if cfg.add_only else set()
+    variables = sorted(set(pricing.cands) | (set() if cfg.add_only else pricing.current))
+    base = pricing.merged(kept)
+    shorter = pricing.reading(kept)[0][variables] + 1 < base
+    live = (shorter.sum(axis=0) > 1) | (base >= _kernels.UNREACHABLE)
+    searched = int(shorter[:, live].any(axis=1).sum())
     totals = _Pricing.totals
     for bits in (0, 1, 3):
         with (
@@ -429,7 +443,7 @@ def test_the_block_split_cannot_change_a_best_response(g, cfg, agent):
         ):
             assert best_response_exact(g, u, cfg) == expected, bits
         # one block per setting of the high bits
-        assert blocks.call_count >= 2 ** (variables - bits - 2), bits
+        assert blocks.call_count >= 2 ** (searched - bits - 2), bits
 
 
 FIG2B_CURRENT = [
@@ -505,8 +519,8 @@ def test_a_best_response_at_the_cap_allocates_about_three_blocks():
     each reuse one block of 2^10 subsets.  Past G's table the search
     holds the block, one high pick's copy of it, the table of G - u and
     vectors over the block.  A leaf of star(22) in aog has 20 variables
-    and no live column: its block of 2^13 subsets, the most the sizing
-    gives at n = 22, holds only the vectors.
+    and no live column, so all 20 are free: its single block holds one
+    subset, the empty pick.
     """
     cases = [
         (path(21), GameConfig(), 0, ({1, 4, 7, 10, 13, 16, 19}, 46)),
@@ -531,22 +545,28 @@ def test_fig2b_blocks_in_aog_carry_two_columns(monkeypatch):
     """On fig2b in aog, 17 of each agent's 19 columns are shortened by at most one variable.
 
     Those columns are folded into the spends, so every block that an
-    agent's exact best response prices holds the other 2.
+    agent's exact best response prices holds the other 2.  Only 8 to 10
+    of an agent's 14 variables shorten one of those 2 columns, so each
+    agent prices one block of 2^8 to 2^10 subsets: 10 240 subsets over
+    the 19 agents, where a search over all 14 variables prices 311 296.
     """
-    widths = []
+    shapes = []
     totals = _Pricing.totals
 
     def recording(pricing, merged, spend):
-        widths.append(merged.shape[1])
+        shapes.append(merged.shape)
         return totals(pricing, merged, spend)
 
     monkeypatch.setattr(_Pricing, "totals", recording)
     g = build_figure_network("fig2b")
     position = _Position(g, GameConfig(variant="aog"))
+    subsets = 0
     for u in range(g.n):
-        widths.clear()
+        shapes.clear()
         _Pricing(position, u).best_response()
-        assert widths and set(widths) == {2}, u
+        assert len(shapes) == 1 and shapes[0] in {(256, 2), (512, 2), (1024, 2)}, (u, shapes)
+        subsets += shapes[0][0]
+    assert subsets == 10_240
 
 
 def test_huge_denominators_price_with_python_ints():

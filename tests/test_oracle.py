@@ -258,6 +258,60 @@ def test_verify_agrees_with_oracle_on_every_small_state(cfg):
             assert (single, exact) == (failed != "single-move", failed is None), g
 
 
+BEST_RESPONSE_GAMES = [
+    GameConfig(variant=v, locality_k=k) for v in ("ncg", "aog") for k in (None, 2)
+] + [
+    GameConfig(price_beta=Fraction(1, 3), price_gamma=Fraction(1, 2)),
+    GameConfig(variant="aog", price_gamma=-3),
+    GameConfig(variant="aog", locality_k=2, price_gamma=-3),
+    GameConfig(locality_k=2, price_gamma=-3),
+]
+
+
+@pytest.mark.parametrize("cfg", BEST_RESPONSE_GAMES, ids=lambda cfg: cfg.describe())
+def test_best_responses_agree_with_oracle_on_five_nodes(cfg):
+    """The engine's exact best response is the oracle's cheapest strategy
+    on 5 nodes, disconnected states included: the same cost, size and
+    targets, ties broken toward fewer edges, then the smaller targets.
+
+    Like the census, the walk visits one edge mask per unlabelled graph
+    with all of its labellings, and prices each agent once per owned-pair
+    mask.  The oracle prices kept plus every subset of the new targets in
+    aog, and every subset of kept and new in ncg.
+    """
+    n, k = 5, cfg.locality_k
+    ev = _StateEvaluator(n, cfg)
+    for emask in oracle._classes(n)[0]:
+        seen = [set() for _ in range(n)]
+        for sub in oracle._labellings(emask):
+            g = oracle._state_to_graph(n, emask, sub)
+            for u in range(n):
+                owned = ev.owned(emask, sub, u)
+                if owned in seen[u]:
+                    continue
+                seen[u].add(owned)
+                kept = [v for v in range(n) if owned & ev.bits[u][v]]
+                new = [
+                    v
+                    for v in range(n)
+                    if v != u
+                    and not emask & ev.bits[u][v]
+                    and (k is None or ev.dist[emask, u, v] <= k)
+                ]
+                fixed, variable = (kept, new) if cfg.add_only else ([], kept + new)
+                base = emask & ~owned
+                strategies = (
+                    fixed + list(picked)
+                    for r in range(len(variable) + 1)
+                    for picked in combinations(variable, r)
+                )
+                expected = min(
+                    (ev.deviation_cost(base, u, s), len(s), sorted(s)) for s in strategies
+                )
+                targets, cost = moves.best_response_exact(g, u, cfg)
+                assert (cost, len(targets), sorted(targets)) == expected, (g, u)
+
+
 def test_census_witnesses_verify_independently(census):
     """Best/worst census witnesses must pass the move-based exact check."""
     for variant, k in (("ncg", None), ("ncg", 2), ("aog", None), ("aog", 2)):
