@@ -180,22 +180,18 @@ def _load_schedule(spec_text, g, cfg):
 
 
 def _cmd_dynamics(args):
-    # --scheme and --policy default to None, so that a flag given is a flag seen
-    kind, policy = args.scheme or ROUND_ROBIN, args.policy or BEST_SINGLE_EDGE
-    if args.schedule is not None and (args.scheme or args.policy or args.seed is not None):
+    # --scheme and --policy default to None, so that a flag given is a flag seen;
+    # the scheme itself refuses a seed it does not read, or a missing one
+    if args.schedule is None:
+        scheme = ActivationScheme(
+            args.scheme or ROUND_ROBIN, args.policy or BEST_SINGLE_EDGE, args.seed
+        )
+    elif args.scheme or args.policy or args.seed is not None:
         raise ValueError("--schedule replays its moves as given; drop --scheme, --seed, --policy")
-    if args.seed is not None and kind != UNIFORM_RANDOM:
-        raise ValueError("--seed applies only to --scheme uniform-random")
-    if kind == UNIFORM_RANDOM and args.seed is None:
-        raise ValueError("--scheme uniform-random requires --seed")
     g = _read_graph(args.graph)
     cfg = _config_from(args)
     if args.schedule is not None:
         scheme = _load_schedule(args.schedule, g, cfg)
-    elif kind == UNIFORM_RANDOM:
-        scheme = ActivationScheme.uniform_random(args.seed, move_policy=policy)
-    else:
-        scheme = ActivationScheme.round_robin(move_policy=policy)
     trace = run_dynamics(g, cfg, scheme, max_steps=args.max_steps)
     if args.format == "csv":
         header = ("n", "steps", "rounds", "diameter", "social_cost")

@@ -91,6 +91,24 @@ def build_figure_network(name):
     return parse_graph_file(_DATA.joinpath(f"{name}.graph").read_text(encoding="utf-8"))
 
 
+def _checked_set(elements, universe_size, q):
+    """One set of a set-cover instance, as a sorted tuple.
+
+    The one rule for a set, read by ``SetCoverInstance`` and by the file
+    parser: exactly q distinct elements, each in ``range(universe_size)``;
+    else ValueError.
+    """
+    elements = tuple(elements)
+    if len(elements) != q:
+        raise ValueError(f"set {elements} has {len(elements)} elements, expected q={q}")
+    if len(set(elements)) != q:
+        raise ValueError(f"duplicate element in set {elements}")
+    bad = [e for e in elements if not 0 <= e < universe_size]
+    if bad:
+        raise ValueError(f"element {bad[0]} outside universe 0..{universe_size - 1}")
+    return tuple(sorted(elements))
+
+
 @dataclass(frozen=True)
 class SetCoverInstance:
     """Set cover with uniform set size ``q`` over ``range(universe_size)``."""
@@ -106,16 +124,8 @@ class SetCoverInstance:
             raise ValueError(f"set size must be at least 1, got {self.q}")
         if not self.sets:
             raise ValueError("instance needs at least one set")
-        canonical = []
-        for s in self.sets:
-            elems = tuple(sorted(s))
-            if len(elems) != self.q or len(set(elems)) != self.q:
-                raise ValueError(f"set {s!r} does not have exactly q={self.q} distinct elements")
-            for e in elems:
-                if not 0 <= e < self.universe_size:
-                    raise ValueError(f"element {e} outside universe 0..{self.universe_size - 1}")
-            canonical.append(elems)
-        object.__setattr__(self, "sets", tuple(canonical))
+        canonical = tuple(_checked_set(s, self.universe_size, self.q) for s in self.sets)
+        object.__setattr__(self, "sets", canonical)
 
     def covered(self, chosen):
         out = set()

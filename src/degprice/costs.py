@@ -12,8 +12,9 @@ scalar reference that the tests and ``oracle``'s closure hold ``moves``
 to: their own BFS over node sets, sharing no code with ``_kernels``.
 
 All arithmetic is exact: integers under integer pricing, fractions.Fraction
-otherwise.  Nothing here ever rounds.  ``plain`` is the one rule for
-printing a cost.
+otherwise.  Nothing here ever rounds, and nothing prints rounded:
+``plain`` is the one rule for printing a cost or ratio, and it never
+makes a float.
 """
 
 import math
@@ -88,16 +89,13 @@ class CostBreakdown:
 
 
 def plain(cost):
-    """A cost as printed: "unreachable" for inf, an int when integral, else a
-    float, or the exact "p/q" when no float holds it."""
+    """The one rule for printing a cost or ratio: "unreachable" for inf, an
+    int when integral, else the exact "p/q"."""
     if cost == math.inf:
         return "unreachable"
     if cost == int(cost):
         return int(cost)
-    try:
-        return float(cost)
-    except OverflowError:
-        return str(cost)
+    return str(cost)
 
 
 def edge_price(cfg, target_degree):

@@ -38,6 +38,7 @@ from degprice.moves import (
     MoveRecord,
     _Position,
     _Pricing,
+    _every_move_adds,
     strategy_after,
 )
 
@@ -97,21 +98,24 @@ class ActivationScheme:
         stray = sorted(f for f in unused if getattr(self, f) is not None)
         if stray:
             raise ValueError(f"a {self.kind} scheme takes no {', '.join(stray)}")
-        if self.kind == UNIFORM_RANDOM:
-            if self.seed is None or self.move_policy not in POLICIES:
-                raise ValueError("uniform-random needs a seed and a move policy")
-        elif self.kind == ROUND_ROBIN:
-            if self.move_policy not in POLICIES:
-                raise ValueError("round-robin needs a move policy")
-        elif not self.schedule:
-            raise ValueError("scripted scheme needs a nonempty schedule")
+        if self.kind == SCRIPTED:
+            if not self.schedule:
+                raise ValueError("scripted scheme needs a nonempty schedule")
+        elif self.kind == UNIFORM_RANDOM and self.seed is None:
+            raise ValueError("uniform-random needs a seed")
+        elif self.move_policy not in POLICIES:
+            raise ValueError(f"{self.kind} needs a move policy")
 
     @classmethod
-    def uniform_random(cls, seed, move_policy=FIRST_IMPROVING_SINGLE_MOVE):
+    def uniform_random(cls, seed, move_policy):
+        """Seeded uniform-random activations; the policy is required, as
+        the CLI's ``--policy`` holds the one default."""
         return cls(kind=UNIFORM_RANDOM, move_policy=move_policy, seed=seed)
 
     @classmethod
-    def round_robin(cls, move_policy=BEST_SINGLE_EDGE):
+    def round_robin(cls, move_policy):
+        """Agents 0..n-1 in turn; the policy is required, as the CLI's
+        ``--policy`` holds the one default."""
         return cls(kind=ROUND_ROBIN, move_policy=move_policy)
 
     @classmethod
@@ -243,10 +247,9 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
     }
     if scheme.move_policy == FIRST_IMPROVING_SINGLE_MOVE:
         metadata["pick_rule"] = "additions scanned in ascending target id"
-    # no state can come back where every move adds an edge: in add-only
-    # games, and under best-single-edge (a schedule may still drop edges)
-    no_repeat = cfg.add_only or scheme.move_policy == BEST_SINGLE_EDGE
-    seen = None if no_repeat else {g.state_key()}
+    # the cycle check keeps states only where one can come back: a schedule
+    # has no policy, so in ncg its moves may drop edges
+    seen = None if _every_move_adds(cfg.add_only, scheme.move_policy) else {g.state_key()}
     stuck = set()
     for agent, kind in _activation_source(scheme, n):
         # round-robin converges only at a round's end, where stuck holds

@@ -223,6 +223,13 @@ def apply_move(g, u, kind):
     g.replace_strategy(u, strategy_after(g, u, kind))
 
 
+def _every_move_adds(add_only, policy):
+    """True when each move of ``policy`` adds an edge: in an add-only game
+    (``GameConfig.add_only``), and under BEST_SINGLE_EDGE.  No state can
+    then come back."""
+    return add_only or policy == BEST_SINGLE_EDGE
+
+
 def enumerate_single_moves(g, u, cfg):
     """All elementary deviations of u with exact before/after costs.
 
@@ -234,7 +241,7 @@ def enumerate_single_moves(g, u, cfg):
     before = pricing.value(pricing.now)
     return [
         MoveRecord(agent=u, kind=make(v), cost_before=before, cost_after=pricing.value(t))
-        for make, targets, totals in pricing.move_groups(cfg.add_only)
+        for make, targets, totals in pricing.move_groups()
         for v, t in zip(targets, totals)
     ]
 
@@ -461,16 +468,17 @@ class _Pricing:
         np.minimum(merged, row, out=merged)
         return self.totals(merged, self.price.take(self.cands) + spend)
 
-    def move_groups(self, adds_only):
+    def move_groups(self):
         """u's elementary moves as (make kind, targets, scaled totals) groups.
 
         The groups are yielded lazily, each priced only when it is asked
         for, in the canonical order: additions by target, deletions by
-        target, then swaps by old and new target.
+        target, then swaps by old and new target; in aog the additions
+        are all.  A caller that wants additions only reads the first group.
         """
         dist = self.position.dist
         yield AddEdge, self.cands, self._adding(dist, dist[self.u], self.spent)
-        if adds_only:
+        if self.add_only:
             return
         owned = sorted(self.current)
         rows = np.empty((len(owned), self.graph.n), dtype=np.int64)
@@ -562,20 +570,18 @@ class _Pricing:
             kind = _classify_deviation(self.current, strategy)
             record = MoveRecord(self.u, kind, self.value(self.now), cost)
             return record if record.improving else None
-        if policy == BEST_SINGLE_EDGE:
-            adds_only = True
-        elif policy == FIRST_IMPROVING_SINGLE_MOVE:
-            adds_only = self.add_only
-        else:
+        if policy not in POLICIES:
             raise ValueError(f"unknown move policy {policy!r}")
-        for make, targets, totals in self.move_groups(adds_only):
+        for make, targets, totals in self.move_groups():
             improving = (totals < self.now).nonzero()[0]
             if improving.size:
                 # argmin takes the smallest target among equally cheap additions
                 i = int(totals.argmin() if policy == BEST_SINGLE_EDGE else improving[0])
                 after = self.value(totals[i])
                 return MoveRecord(self.u, make(targets[i]), self.value(self.now), after)
-            if make is AddEdge and (adds_only or self.drops_cannot_improve(totals)):
+            if make is AddEdge and (
+                _every_move_adds(self.add_only, policy) or self.drops_cannot_improve(totals)
+            ):
                 return None
         return None
 

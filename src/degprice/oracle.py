@@ -254,7 +254,11 @@ class _StateEvaluator:
 
 @dataclass(frozen=True)
 class EnumerationSummary:
-    """Exhaustive per-size census: optimum, equilibria, and ratios."""
+    """Exhaustive per-size census: optimum, equilibria, and ratios.
+
+    ``poa`` and ``pos`` are exact Fractions; ``as_dict`` prints them, like
+    the costs, through ``costs.plain``: an int or the exact "p/q".
+    """
 
     n: int
     config: object
@@ -278,8 +282,8 @@ class EnumerationSummary:
             "equilibrium_count": self.equilibrium_count,
             "best_eq_cost": plain(self.best_eq_cost),
             "worst_eq_cost": plain(self.worst_eq_cost),
-            "poa": float(self.poa),
-            "pos": float(self.pos),
+            "poa": plain(self.poa),
+            "pos": plain(self.pos),
             "eq_diameter_max": self.eq_diameter_max,
             "stage_counts": dict(self.stage_counts),
         }

@@ -71,7 +71,7 @@ def serialize_graph(g):
 
 
 def parse_set_cover_file(text):
-    from degprice.constructions import SetCoverInstance
+    from degprice.constructions import SetCoverInstance, _checked_set
 
     lines = _content_lines(text)
     try:
@@ -91,16 +91,10 @@ def parse_set_cover_file(text):
             elements = tuple(int(p) for p in line.split())
         except ValueError:
             raise GraphFormatError(f"non-integer element in {line!r}", line=number)
-        if len(elements) != q:
-            raise GraphFormatError(
-                f"set has {len(elements)} elements, expected q={q}", line=number
-            )
-        if len(set(elements)) != q:
-            raise GraphFormatError(f"duplicate element in set {line!r}", line=number)
-        bad = [e for e in elements if not 0 <= e < n]
-        if bad:
-            raise GraphFormatError(f"element {bad[0]} outside universe 0..{n - 1}", line=number)
-        sets.append(elements)
+        try:
+            sets.append(_checked_set(elements, n, q))
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), line=number) from exc
     try:
         return SetCoverInstance(universe_size=n, sets=tuple(sets), q=q)
     except ValueError as exc:
@@ -115,7 +109,7 @@ def serialize_set_cover(inst):
 
 
 def to_json_text(data):
-    """JSON text; a cost that is not a JSON number prints through ``costs.plain``.
+    """JSON text; a Fraction prints through ``costs.plain``, as an int or the exact "p/q".
 
     A raw ``math.inf`` raises ValueError rather than printing ``Infinity``.
     """

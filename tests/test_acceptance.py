@@ -22,7 +22,14 @@ from degprice.constructions import (
     dominating_set_to_set_cover,
 )
 from degprice.costs import GameConfig, rho, social_cost
-from degprice.dynamics import DEG2AOG_2NE, DEGAOG_NE, ActivationScheme, run_dynamics
+from degprice.dynamics import (
+    BEST_SINGLE_EDGE,
+    DEG2AOG_2NE,
+    DEGAOG_NE,
+    FIRST_IMPROVING_SINGLE_MOVE,
+    ActivationScheme,
+    run_dynamics,
+)
 from degprice.graph import OwnedGraph, diameter
 from degprice.moves import verify_equilibrium
 from degprice.oracle import best_reachable, min_dominating_set, min_set_cover, reachable_closure
@@ -93,7 +100,7 @@ def test_criterion_09_round_robin_converges_in_near_linear_activations():
     cfg = GameConfig(variant="aog", locality_k=2)
     ratios = []
     for n in (50, 100, 200, 400):
-        trace = run_dynamics(build_path(n), cfg, ActivationScheme.round_robin())
+        trace = run_dynamics(build_path(n), cfg, ActivationScheme.round_robin(BEST_SINGLE_EDGE))
         assert trace.outcome == "converged", n
         assert trace.final_diameter <= 6
         ratios.append(trace.activations / (n * math.log(n)))
@@ -106,9 +113,8 @@ def test_criterion_10_random_activation_converges_within_cubic_budget():
     for n in (10, 15, 20):
         total = 0
         for seed in range(20):
-            trace = run_dynamics(
-                build_path(n), cfg, ActivationScheme.uniform_random(seed=seed)
-            )
+            scheme = ActivationScheme.uniform_random(seed, FIRST_IMPROVING_SINGLE_MOVE)
+            trace = run_dynamics(build_path(n), cfg, scheme)
             assert trace.outcome == "converged", (n, seed)
             total += trace.activations
         mean = total / 20
@@ -175,7 +181,7 @@ def test_criterion_13_reachable_quality_stays_logarithmic():
     cfg2 = GameConfig(variant="aog", locality_k=2)
     scaled = []
     for n in (50, 100, 200):
-        trace = run_dynamics(build_path(n), cfg2, ActivationScheme.round_robin())
+        trace = run_dynamics(build_path(n), cfg2, ActivationScheme.round_robin(BEST_SINGLE_EDGE))
         assert trace.outcome == "converged"
         per_pair = trace.final_social_cost / (n * (n - 1))
         scaled.append(per_pair / math.log(n))

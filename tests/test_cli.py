@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -92,8 +93,37 @@ def test_cost_prices_stay_exact(capsys, tmp_path):
     data = json.loads(out)
     exact = social_cost(parse_graph_file(p.read_text()), GameConfig(price_gamma=Fraction(1, 10)))
     assert exact == Fraction(122, 5)
-    assert data["social_cost"] == float(exact)
+    assert data["social_cost"] == "122/5"
     assert "gamma=1/10" in data["config"]
+
+
+def test_census_ratios_print_exactly(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "4", "--game", "aog")
+    data = json.loads(out)
+    assert code == 0 and data["poa"] == "4/3" and data["pos"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost"],
+        ["cost", "--agent", "0", "--format", "text"],
+        ["verify", "--level", "exact"],
+        ["verify", "--format", "text"],
+        ["dynamics"],
+        ["dynamics", "--format", "csv"],
+        ["dynamics", "--format", "text"],
+    ],
+    ids=" ".join,
+)
+def test_fractional_prices_print_no_float(capsys, path_file, argv):
+    """Costs such as 97/6 print as the exact "p/q" in every format."""
+    command, *flags = argv
+    code, out, _ = run_cli(
+        capsys, command, path_file(6), *flags, "--beta", "1/3", "--gamma", "1/2"
+    )
+    assert code in (0, 1) and re.search(r"\d/\d", out)
+    assert not re.search(r"\d\.\d|\d[eE][-+]?\d", out), out
 
 
 def test_cost_past_the_float_range_prints_exactly(capsys, path_file):
@@ -214,7 +244,7 @@ def test_dynamics_seeded_run_and_missing_seed(capsys, path_file):
     code, _, err = run_cli(
         capsys, "dynamics", p, "--game", "aog", "--scheme", "uniform-random"
     )
-    assert code == 2 and "--seed" in err
+    assert code == 2 and "needs a seed" in err
 
 
 def test_dynamics_schedule_file(capsys, tmp_path, path_file):
@@ -421,7 +451,7 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
             id="linear-n11",
         ),
         pytest.param(
-            ["dynamics", "{graph}", "--seed", "5"], None, 2, "--seed applies", id="seed-round-robin"
+            ["dynamics", "{graph}", "--seed", "5"], None, 2, "takes no seed", id="seed-round-robin"
         ),
         pytest.param(
             SCHEDULE_RUN + ["--game", "aog", "--scheme", "uniform-random", "--seed", "3"],

@@ -151,9 +151,9 @@ class TestFigureNetworks:
 
 class TestSetCoverInstances:
     def test_validation(self):
-        with pytest.raises(ValueError, match="exactly q"):
+        with pytest.raises(ValueError, match="has 3 elements, expected q=2"):
             SetCoverInstance(universe_size=4, sets=((0, 1, 2),), q=2)
-        with pytest.raises(ValueError, match="exactly q"):
+        with pytest.raises(ValueError, match="duplicate element"):
             SetCoverInstance(universe_size=4, sets=((0, 0),), q=2)
         with pytest.raises(ValueError, match="outside universe"):
             SetCoverInstance(universe_size=3, sets=((0, 3),), q=2)

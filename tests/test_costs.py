@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import owned_graphs
 from degprice.costs import (
@@ -105,9 +106,27 @@ def test_deviation_refuses_bad_node_ids():
 
 
 def test_plain_prints_exactly_a_cost_no_float_holds():
-    assert plain(Fraction(19, 2)) == 9.5 and plain(Fraction(6, 3)) == 2
+    assert plain(Fraction(19, 2)) == "19/2" and plain(Fraction(6, 3)) == 2
     assert plain(Fraction(10**400, 3)) == f"{10**400}/3"
     assert plain(Fraction(-(10**400), 3)) == f"-{10**400}/3"
+
+
+# past 10^400 no float holds the value
+@given(
+    st.integers()
+    | st.just(math.inf)
+    | st.fractions(max_value=0)
+    | st.builds(Fraction, st.integers().map(lambda p: p * 10**400), st.integers(1, 10**6))
+)
+def test_plain_prints_every_cost_exactly(cost):
+    """``plain`` gives "unreachable", an int, or the exact "p/q": never a float."""
+    out = plain(cost)
+    if cost == math.inf:
+        assert out == "unreachable"
+    elif type(out) is int:
+        assert out == cost
+    else:
+        assert type(out) is str and Fraction(out) == cost and "." not in out
 
 
 def test_rho_is_exact_fraction():

@@ -75,7 +75,7 @@ def test_scheme_validation():
         with pytest.raises(ValueError, match="takes no"):
             ActivationScheme(kind=kind, **stray)
     with pytest.raises(ValueError, match="positive"):
-        run_dynamics(path(3), AOG2, ActivationScheme.round_robin(), max_steps=0)
+        run_dynamics(path(3), AOG2, ActivationScheme.round_robin(BEST_SINGLE_EDGE), max_steps=0)
 
 
 def test_unknown_linear_sequence_is_rejected():
@@ -85,7 +85,7 @@ def test_unknown_linear_sequence_is_rejected():
 
 def test_stable_start_converges_without_moves():
     star = OwnedGraph(5, [(0, v) for v in range(1, 5)])
-    trace = run_dynamics(star, GameConfig(), ActivationScheme.round_robin())
+    trace = run_dynamics(star, GameConfig(), ActivationScheme.round_robin(BEST_SINGLE_EDGE))
     assert trace.outcome == CONVERGED
     assert trace.steps == []
     assert trace.rounds == 1
@@ -93,8 +93,9 @@ def test_stable_start_converges_without_moves():
 
 
 def test_same_seed_reruns_are_identical():
-    a = run_dynamics(path(6), AOG2, ActivationScheme.uniform_random(seed=0))
-    b = run_dynamics(path(6), AOG2, ActivationScheme.uniform_random(seed=0))
+    scheme = ActivationScheme.uniform_random(0, FIRST_IMPROVING_SINGLE_MOVE)
+    a = run_dynamics(path(6), AOG2, scheme)
+    b = run_dynamics(path(6), AOG2, scheme)
     assert a.as_dict() == b.as_dict()
     assert a.outcome == CONVERGED
     assert a.rounds == a.activations // 6
@@ -104,9 +105,8 @@ def test_same_seed_reruns_are_identical():
 
 
 def test_every_applied_step_improves_and_only_adds_in_aog():
-    trace = run_dynamics(
-        path(8), GameConfig(variant="aog"), ActivationScheme.uniform_random(seed=3)
-    )
+    scheme = ActivationScheme.uniform_random(3, FIRST_IMPROVING_SINGLE_MOVE)
+    trace = run_dynamics(path(8), GameConfig(variant="aog"), scheme)
     assert trace.steps
     for s in trace.steps:
         assert s.improving
@@ -137,9 +137,8 @@ def test_round_robin_cycle_closed_by_last_agent_completes_the_round():
 
 
 def test_step_limit_counts_activations():
-    trace = run_dynamics(
-        path(10), GameConfig(variant="aog"), ActivationScheme.round_robin(), max_steps=3
-    )
+    scheme = ActivationScheme.round_robin(BEST_SINGLE_EDGE)
+    trace = run_dynamics(path(10), GameConfig(variant="aog"), scheme, max_steps=3)
     assert trace.outcome == STEP_LIMIT
     assert trace.activations == 3
     # a schedule exactly as long as the cap still ends with the stability check ...
@@ -177,7 +176,7 @@ def test_disconnected_agent_gains_nothing_from_cheap_edges(policy):
 def test_unfixable_disconnection_serializes_as_unreachable():
     """A node beyond every locality radius stays lost; outputs must say so."""
     g = OwnedGraph(3, [(0, 1)])
-    trace = run_dynamics(g, AOG2, ActivationScheme.round_robin())
+    trace = run_dynamics(g, AOG2, ActivationScheme.round_robin(BEST_SINGLE_EDGE))
     assert trace.outcome == CONVERGED
     assert trace.final_social_cost == math.inf
     assert trace.csv_row() == (3, 3, 1, "unreachable", "unreachable")
@@ -190,7 +189,7 @@ def test_connected_run_with_a_huge_cost_prints_its_numbers():
     """A connected graph's social cost may pass the sentinel's value;
     only a disconnected one prints as "unreachable"."""
     cfg = GameConfig(variant="aog", price_beta=10**9, price_gamma=0)
-    trace = run_dynamics(path(3), cfg, ActivationScheme.round_robin())
+    trace = run_dynamics(path(3), cfg, ActivationScheme.round_robin(BEST_SINGLE_EDGE))
     assert trace.outcome == CONVERGED
     assert (trace.final_social_cost, trace.final_diameter) == (3_000_000_008, 2)
     assert trace.csv_row() == (3, 3, 1, 2, 3_000_000_008)
@@ -292,7 +291,7 @@ def test_uniform_random_totals_are_pinned():
 def test_final_graph_is_the_runs_own():
     """The trace hands back the run's graph, which shares nothing with the start graph."""
     g0 = path(8)
-    trace = run_dynamics(g0, GameConfig(), ActivationScheme.round_robin())
+    trace = run_dynamics(g0, GameConfig(), ActivationScheme.round_robin(BEST_SINGLE_EDGE))
     assert trace.steps
     final = trace.final.copy()
     trace.final.replace_strategy(0, set())
@@ -317,10 +316,11 @@ def test_engine_prices_follow_every_applied_move(monkeypatch):
     monkeypatch.setattr(_Position, "apply", checked)
     clique, ncg = build_clique(6), GameConfig()
     # deletions, a swap and additions
-    random_run = run_dynamics(clique, ncg, ActivationScheme.uniform_random(seed=2))
+    random_scheme = ActivationScheme.uniform_random(2, FIRST_IMPROVING_SINGLE_MOVE)
+    random_run = run_dynamics(clique, ncg, random_scheme)
     # exact best responses that replace whole strategies
     run_dynamics(clique, ncg, ActivationScheme.round_robin(FULL_BEST_RESPONSE))
-    run_dynamics(path(12), AOG2, ActivationScheme.round_robin())
+    run_dynamics(path(12), AOG2, ActivationScheme.round_robin(BEST_SINGLE_EDGE))
     script = [(s.agent, s.kind) for s in random_run.steps]
     replay = run_dynamics(clique, ncg, ActivationScheme.scripted(script))
     assert replay.steps == random_run.steps

@@ -266,7 +266,7 @@ def test_totals_read_disconnection_from_the_row_sum(beta, split):
 def check_totals(g, u, cfg):
     p = _Pricing(_Position(g, cfg), u)
     assert p.price.dtype == (object if cfg.price_beta == Fraction(1, 10**17) else np.int64)
-    for make, targets, totals in p.move_groups(adds_only=False):
+    for make, targets, totals in p.move_groups():
         for v, total in zip(targets, totals):
             expected = evaluate_deviation(g, u, strategy_after(g, u, make(v)), cfg)
             if expected == math.inf:
@@ -297,7 +297,7 @@ def test_addition_row_sums_against_naive(g):
         position = _Position(g, GameConfig(variant=variant, price_beta=0, price_gamma=0))
         for u in range(g.n):
             pricing = _Pricing(position, u)
-            _, targets, got = next(pricing.move_groups(adds_only=True))
+            _, targets, got = next(pricing.move_groups())
             assert "table" not in vars(pricing)
             assert targets == [v for v in range(g.n) if v != u and not g.has_edge(u, v)]
             for v, total in zip(targets, got):

@@ -290,7 +290,7 @@ def _screened_agents(g, cfg):
     cleared = []
     for u in range(g.n):
         pricing = _Pricing(position, u)
-        _, _, adds = next(pricing.move_groups(adds_only=True))
+        _, _, adds = next(pricing.move_groups())
         if (adds < pricing.now).any() or not pricing.drops_cannot_improve(adds):
             continue
         cleared.append(u)

@@ -3,7 +3,8 @@
 import ast
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations
+from functools import partial
+from itertools import chain, combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -268,11 +269,31 @@ BEST_RESPONSE_GAMES = [
 ]
 
 
+def _oracle_single_move(price, kept, new, cfg, policy):
+    """(kind, cost) of the single move ``policy`` plays, priced by the oracle,
+    or None: the first improving move in canonical order, or under
+    BEST_SINGLE_EDGE the cheapest improving addition, smaller target first."""
+    now = price(kept)
+    options = ((moves.AddEdge(v), kept + [v]) for v in new)
+    if policy == moves.BEST_SINGLE_EDGE:
+        adds = [(kind, price(s)) for kind, s in options]
+        return min((m for m in adds if m[1] < now), key=lambda m: m[1], default=None)
+    if not cfg.add_only:
+        rest = {o: [v for v in kept if v != o] for o in kept}
+        drops = ((moves.DeleteEdge(o), rest[o]) for o in kept)
+        swaps = ((moves.SwapEdge(o, v), rest[o] + [v]) for o in kept for v in new)
+        options = chain(options, drops, swaps)
+    return next(((kind, c) for kind, s in options if (c := price(s)) < now), None)
+
+
 @pytest.mark.parametrize("cfg", BEST_RESPONSE_GAMES, ids=lambda cfg: cfg.describe())
 def test_best_responses_agree_with_oracle_on_five_nodes(cfg):
     """The engine's exact best response is the oracle's cheapest strategy
     on 5 nodes, disconnected states included: the same cost, size and
     targets, ties broken toward fewer edges, then the smaller targets.
+    Each single-move policy's ``improving_move`` record is the oracle's
+    move of that policy, with the same costs, and None exactly when the
+    oracle finds none.
 
     Like the census, the walk visits one edge mask per unlabelled graph
     with all of its labellings, and prices each agent once per owned-pair
@@ -285,6 +306,7 @@ def test_best_responses_agree_with_oracle_on_five_nodes(cfg):
         seen = [set() for _ in range(n)]
         for sub in oracle._labellings(emask):
             g = oracle._state_to_graph(n, emask, sub)
+            position = moves._Position(g, cfg)
             for u in range(n):
                 owned = ev.owned(emask, sub, u)
                 if owned in seen[u]:
@@ -310,6 +332,15 @@ def test_best_responses_agree_with_oracle_on_five_nodes(cfg):
                 )
                 targets, cost = moves.best_response_exact(g, u, cfg)
                 assert (cost, len(targets), sorted(targets)) == expected, (g, u)
+                price = partial(ev.deviation_cost, base, u)
+                for policy in (moves.FIRST_IMPROVING_SINGLE_MOVE, moves.BEST_SINGLE_EDGE):
+                    record = moves._Pricing(position, u).improving_move(policy)
+                    move = _oracle_single_move(price, kept, new, cfg, policy)
+                    if move is None:
+                        assert record is None, (g, u, policy)
+                    else:
+                        assert record.cost_before == price(kept), (g, u, policy)
+                        assert (record.kind, record.cost_after) == move, (g, u, policy)
 
 
 def test_census_witnesses_verify_independently(census):
