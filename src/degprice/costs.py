@@ -8,8 +8,8 @@ pays the sum of her hop distances to all other agents, ``math.inf``
 when the network is disconnected.
 
 ``agent_cost``, ``evaluate_deviation`` and ``candidate_targets`` are the
-scalar reference that the tests and ``oracle``'s closure hold ``moves``
-to: their own BFS over node sets, sharing no code with ``_kernels``.
+scalar reference that the tests hold ``moves`` to: their own BFS over
+node sets, sharing no code with ``_kernels``.
 
 All arithmetic is exact: integers under integer pricing, fractions.Fraction
 otherwise.  Nothing here ever rounds, and nothing prints rounded:
@@ -117,17 +117,9 @@ def evaluate_deviation(g, u, new_targets, cfg):
 def _deviation(g, u, new_targets, cfg):
     """(edge prices, distance sum, total) of u under new_targets, by a BFS
     over node sets that starts at u's neighbours and never enters u."""
-    g._check_node(u)
-    new_targets = set(new_targets)
-    for v in new_targets:
-        g._check_node(v)
-        if v == u:
-            raise ValueError(f"self-loop at node {u}")
+    new_targets = g.check_strategy(u, new_targets)
     owned = g._targets[u]
     incoming = g._adj[u] - owned
-    clash = new_targets & incoming
-    if clash:
-        raise ValueError(f"targets {sorted(clash)} already own edges to {u}")
     # a new edge adds one to its target's degree
     edge = sum((edge_price(cfg, len(g._adj[v]) + (v not in owned)) for v in new_targets), 0)
 

@@ -92,22 +92,29 @@ class OwnedGraph:
         g._adj = [set(a) for a in self._adj]
         return g
 
+    def check_strategy(self, u, targets):
+        """targets as a set, once u and every target are node ids, u is not
+        among them, and none of them already bought an edge to u: the rule
+        for any strategy u may hold."""
+        self._check_node(u)
+        targets = set(targets)
+        for v in targets:
+            self._check_node(v)
+            if v == u:
+                raise ValueError(f"self-loop at node {u}")
+        clash = targets & (self._adj[u] - self._targets[u])
+        if clash:
+            raise ValueError(f"targets {sorted(clash)} already linked to {u}")
+        return targets
+
     def replace_strategy(self, u, new_targets):
         """Swap out u's entire strategy in place.
 
         Only edges owned by u change; edges other agents bought toward u
-        stay.  Every new target is checked (range, self-loop, collision
-        with such an edge) before anything changes.
+        stay.  The new strategy is checked (``check_strategy``) before
+        anything changes.
         """
-        new_targets = set(new_targets)
-        for v in new_targets:
-            self._check_node(v)
-            if v == u:
-                raise ValueError(f"self-loop at node {u}")
-        incoming = self._adj[u] - self._targets[u]
-        clash = new_targets & incoming
-        if clash:
-            raise ValueError(f"targets {sorted(clash)} already linked to {u}")
+        new_targets = self.check_strategy(u, new_targets)
         old = set(self._targets[u])
         for v in old - new_targets:
             self.remove_edge(u, v)

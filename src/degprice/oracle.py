@@ -5,9 +5,9 @@ deliberately independent of the move engine: states are edge bitmasks,
 costs come from precomputed distance tables, and deviations are
 re-derived from scratch.  Census results can therefore cross-check the
 engine rather than inherit its bugs.  The improving-response closure
-(``reachable_closure``, ``best_reachable``) works on graphs instead, and
-lists and prices each agent's deviations with the scalar reference of
-``costs``: ``candidate_targets``, ``evaluate_deviation`` and ``agent_cost``.
+(``reachable_closure``, ``best_reachable``) walks the same mask states
+and prices them from the same tables, so like the census it runs at
+n <= MAX_ENUM_NODES only.
 
 A state packs an undirected graph into an integer mask over the node
 pairs (bit set = edge present) plus an ownership submask (bit set = the
@@ -37,7 +37,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from degprice._kernels import UNREACHABLE
-from degprice.costs import agent_cost, candidate_targets, evaluate_deviation, plain
+from degprice.costs import plain
 from degprice.errors import InfeasibleInstanceError, OracleBudgetExceeded
 from degprice.graph import OwnedGraph
 
@@ -206,12 +206,10 @@ class _StateEvaluator:
             total = total + self.price[self.degs[mask, v]]
         return total
 
-    def agent_verdict(self, emask, owned, u):
-        """(stage, spend): u's index in ``_STAGES`` and its edges' prices.
-
-        The single-move check runs first; only an agent that passes it
-        gets the exact scan over every subset of its variable targets.
-        """
+    def options(self, emask, owned, u):
+        """(kept, new, base, current): u's targets, the nodes it may buy a
+        new edge to (its non-neighbours, within the locality radius if
+        any), the graph without u's edges, and u's current cost."""
         k = self.cfg.locality_k
         kept = []
         new = []
@@ -222,7 +220,15 @@ class _StateEvaluator:
             elif v != u and not emask & b and (k is None or self.dist[emask, u, v] <= k):
                 new.append(v)
         base = emask & ~owned
-        current = self.deviation_cost(base, u, kept)
+        return kept, new, base, self.deviation_cost(base, u, kept)
+
+    def agent_verdict(self, emask, owned, u):
+        """(stage, spend): u's index in ``_STAGES`` and its edges' prices.
+
+        The single-move check runs first; only an agent that passes it
+        gets the exact scan over every subset of its variable targets.
+        """
+        kept, new, base, current = self.options(emask, owned, u)
         spend = sum(self.price[self.degs[emask, v]] for v in kept)
 
         def improves(strategy):
@@ -242,6 +248,23 @@ class _StateEvaluator:
                 if improves(fixed + list(picked)):
                     return 1, spend
         return 0, spend
+
+    def purchases(self, emask, omask):
+        """(successors, cost): the states that one agent's strictly
+        improving purchase of one or more new edges leads to -- by agent,
+        then by purchase size, then by ascending targets -- and the
+        state's social cost, the sum of its agents' costs."""
+        successors = []
+        cost = 0
+        for u in range(self.n):
+            kept, new, base, current = self.options(emask, self.owned(emask, omask, u), u)
+            cost = cost + current
+            for r in range(1, len(new) + 1):
+                for picked in combinations(new, r):
+                    if self.deviation_cost(base, u, kept + list(picked)) < current:
+                        bought = sum(self.bits[u][v] for v in picked)
+                        successors.append((emask | bought, omask | (bought & self.low[u])))
+        return successors, cost
 
     def failed_stage(self, emask, omask):
         """First check the state fails, "single-move" then "exact", or None:
@@ -412,61 +435,54 @@ def optimal_social_cost(n, cfg):
     return best, _state_to_graph(n, best_mask, best_orient)
 
 
-def reachable_closure(g0, cfg):
-    """All states reachable from g0 via strictly improving deviations.
-
-    Add-only variants only (the closure is finite by the edge-count
-    potential).  Returns a list of (graph, is_terminal) pairs; terminal
-    states admit no improving deviation by any agent.  Raises
-    OracleBudgetExceeded past MAX_CLOSURE_STATES states.
-    """
+def _closure(g0, cfg):
+    """(state, is_terminal, cost) for every mask state reachable from g0
+    by strictly improving purchases, depth first from g0."""
     if not cfg.add_only:
         raise ValueError("reachability closure needs an add-only config")
-    seen = {g0.state_key()}
+    start = _graph_to_state(g0)  # the size gate, before any table is built
+    ev = _StateEvaluator(g0.n, cfg)
+    seen = {start}
+    stack = [start]
     order = []
-    stack = [g0.copy()]
     while stack:
-        g = stack.pop()
-        successors = _improving_successors(g, cfg)
-        order.append((g, len(successors) == 0))
+        state = stack.pop()
+        successors, cost = ev.purchases(*state)
+        order.append((state, not successors, cost))
         if len(order) + len(stack) > MAX_CLOSURE_STATES:
             raise OracleBudgetExceeded(
                 f"reachable closure from n={g0.n} start passed {MAX_CLOSURE_STATES} states"
             )
         for succ in successors:
-            key = succ.state_key()
-            if key not in seen:
-                seen.add(key)
+            if succ not in seen:
+                seen.add(succ)
                 stack.append(succ)
     return order
 
 
-def _improving_successors(g, cfg):
-    out = []
-    for u in range(g.n):
-        current = agent_cost(g, u, cfg).total
-        cands = sorted(candidate_targets(g, u, cfg))
-        base = g.targets(u)
-        for r in range(1, len(cands) + 1):
-            for picked in combinations(cands, r):
-                strategy = base | set(picked)
-                if evaluate_deviation(g, u, strategy, cfg) < current:
-                    succ = g.copy()
-                    for v in picked:
-                        succ.add_edge(u, v)
-                    out.append(succ)
-    return out
+def reachable_closure(g0, cfg):
+    """All states reachable from g0 via strictly improving deviations.
+
+    Add-only variants only (the closure is finite by the edge-count
+    potential), at n <= MAX_ENUM_NODES: a larger g0 raises
+    OracleBudgetExceeded before any table is built.  Returns a list of
+    (graph, is_terminal) pairs; terminal states admit no improving
+    deviation by any agent.  Raises OracleBudgetExceeded past
+    MAX_CLOSURE_STATES states.
+    """
+    return [(_state_to_graph(g0.n, *state), terminal) for state, terminal, _ in _closure(g0, cfg)]
 
 
 def best_reachable(g0, cfg):
-    """Minimum social cost over the improving-response closure of g0."""
-    best = None
-    witness = None
-    for g, _terminal in reachable_closure(g0, cfg):
-        cost = sum(agent_cost(g, u, cfg).total for u in range(g.n))
-        if cost != math.inf and (best is None or cost < best):
-            best, witness = cost, g
-    return best, witness
+    """Minimum social cost over the improving-response closure of g0, with
+    the first state of ``reachable_closure`` that has it; (None, None)
+    when every state is disconnected."""
+    best, state = min(
+        ((cost, state) for state, _terminal, cost in _closure(g0, cfg) if cost != math.inf),
+        key=lambda found: found[0],
+        default=(None, None),
+    )
+    return best, None if state is None else _state_to_graph(g0.n, *state)
 
 
 def _first_cover(sets, universe):

@@ -100,7 +100,7 @@ def test_deviation_refuses_bad_node_ids():
             evaluate_deviation(g, u, targets, cfg)
     with pytest.raises(ValueError, match="self-loop"):
         evaluate_deviation(g, 0, {0}, cfg)
-    with pytest.raises(ValueError, match=r"targets \[0\] already own edges to 1"):
+    with pytest.raises(ValueError, match=r"targets \[0\] already linked to 1"):
         evaluate_deviation(g, 1, {0, 2}, cfg)
     assert evaluate_deviation(g, 1, {2, 3}, cfg) == 5
 

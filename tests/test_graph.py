@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import floyd_warshall, owned_graphs
+from degprice.costs import GameConfig, evaluate_deviation
 from degprice.graph import (
     UNREACHABLE,
     OwnedGraph,
@@ -53,6 +54,21 @@ class TestOwnedGraph:
         assert g.owned_edges == {(2, 0), (0, 3)}
         with pytest.raises(ValueError, match="already linked"):
             g.replace_strategy(0, {2, 3})
+
+    def test_a_strategy_is_checked_by_one_rule(self):
+        """Switching and pricing refuse the same strategies with the same
+        message, and a refused switch changes nothing."""
+        g = OwnedGraph(4, [(0, 1), (2, 0), (3, 0)])
+        # -1 must not reach node 3's edge through negative indexing
+        bad = [(-1, {1}), (4, set()), (0, {4}), (0, {-1}), (0, {0}), (0, {1, 2, 3})]
+        for u, targets in bad:
+            with pytest.raises(ValueError) as switched:
+                g.replace_strategy(u, targets)
+            with pytest.raises(ValueError) as priced:
+                evaluate_deviation(g, u, targets, GameConfig())
+            assert str(switched.value) == str(priced.value)
+        assert g.owned_edges == {(0, 1), (2, 0), (3, 0)}
+        assert g.check_strategy(3, [1, 0, 1]) == {0, 1}
 
     def test_equality_is_ownership_sensitive(self):
         a = OwnedGraph(3, [(0, 1), (1, 2)])

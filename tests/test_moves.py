@@ -399,6 +399,37 @@ def test_best_response_matches_brute_force(g, cfg, agent):
 
 @settings(max_examples=60, deadline=None)
 @given(
+    owned_graphs(max_n=7),
+    st.sampled_from(
+        [
+            GameConfig(),
+            GameConfig(locality_k=2),
+            GameConfig(variant="aog"),
+            GameConfig(variant="aog", locality_k=2),
+        ]
+    ),
+    st.data(),
+)
+def test_relabelling_the_nodes_changes_no_verdict_or_cost(g, cfg, data):
+    """Bit order, tie-breaks and the locality ball must not depend on node
+    ids: under a node permutation pi, both verdicts, every agent's cost
+    and every best response's cost and size carry over from u to pi(u)."""
+    pi = data.draw(st.permutations(range(g.n)))
+    h = OwnedGraph(g.n, [(pi[a], pi[b]) for a, b in g.owned_edges])
+    for level in (SINGLE_MOVE, EXACT):
+        assert (
+            verify_equilibrium(g, cfg, level).is_equilibrium
+            == verify_equilibrium(h, cfg, level).is_equilibrium
+        )
+    for u in range(g.n):
+        assert agent_cost(g, u, cfg).total == agent_cost(h, pi[u], cfg).total
+        strategy, cost = best_response_exact(g, u, cfg)
+        moved, moved_cost = best_response_exact(h, pi[u], cfg)
+        assert (cost, len(strategy)) == (moved_cost, len(moved))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
     owned_graphs(max_n=9),
     st.sampled_from(
         [

@@ -425,14 +425,18 @@ def _imports(path):
 
 
 def test_references_import_no_engine():
-    """costs and oracle import neither the move engine nor the dynamics, and
-    the oracle takes only the UNREACHABLE sentinel from the kernels."""
+    """costs and oracle import neither the move engine nor the dynamics; the
+    oracle takes only the UNREACHABLE sentinel from the kernels and only
+    the printing rule from costs, so it prices nothing through them."""
     src = Path(oracle.__file__).parent
     for name in ("costs", "oracle"):
         imported = _imports(src / f"{name}.py")
         assert not [m for m in imported if m.startswith(("degprice.moves", "degprice.dynamics"))]
-    kernels = {m for m in _imports(src / "oracle.py") if m.startswith("degprice._kernels")}
-    assert kernels == {"degprice._kernels.UNREACHABLE"}
+    imported = _imports(src / "oracle.py")
+    assert {m for m in imported if m.startswith("degprice._kernels")} == {
+        "degprice._kernels.UNREACHABLE"
+    }
+    assert {m for m in imported if m.startswith("degprice.costs")} == {"degprice.costs.plain"}
 
 
 def test_census_ratios_are_exact(census):
@@ -478,7 +482,7 @@ def test_closure_of_path6_is_pinned(monkeypatch, variant, k, successors, closure
     """The closure lists each agent's candidates itself, without a pricing position."""
     monkeypatch.setattr(moves, "_Position", None)
     cfg = GameConfig(variant=variant, locality_k=k)
-    assert len(oracle._improving_successors(path(6), cfg)) == successors
+    assert len(_StateEvaluator(6, cfg).purchases(*_graph_to_state(path(6)))[0]) == successors
     if closure is None:
         with pytest.raises(ValueError, match="add-only"):
             best_reachable(path(6), cfg)
@@ -486,6 +490,32 @@ def test_closure_of_path6_is_pinned(monkeypatch, variant, k, successors, closure
     states = reachable_closure(path(6), cfg)
     best, witness = best_reachable(path(6), cfg)
     assert (len(states), sum(t for _, t in states), best, sorted(witness.owned_edges)) == closure
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("k", [None, 2])
+def test_closure_agrees_with_the_engine(n, k):
+    """A closure state is terminal exactly when the engine's exact check
+    accepts it, and the best reachable cost is the cheapest closure graph's
+    social cost, priced by the costs reference."""
+    cfg = GameConfig(variant="aog", locality_k=k)
+    states = reachable_closure(path(n), cfg)
+    for g, terminal in states:
+        assert terminal == verify_equilibrium(g, cfg, level="exact").is_equilibrium
+    best, witness = best_reachable(path(n), cfg)
+    assert best == social_cost(witness, cfg) == min(social_cost(g, cfg) for g, _ in states)
+
+
+def test_closure_refuses_seven_nodes_before_any_table(monkeypatch):
+    """The closure shares the census's size gate, which refuses n = 7
+    before a distance table is built."""
+
+    def broken(n):
+        raise AssertionError(f"built the tables of n={n}")
+
+    monkeypatch.setattr(oracle, "_tables", broken)
+    with pytest.raises(OracleBudgetExceeded, match="n <= 6"):
+        reachable_closure(path(7), GameConfig(variant="aog", locality_k=2))
 
 
 def _brute_min_cover(inst):
