@@ -23,6 +23,7 @@ from degprice.dynamics import (
     BEST_SINGLE_EDGE,
     DEG2AOG_2NE,
     DEGAOG_NE,
+    MAX_STEPS,
     POLICIES,
     ROUND_ROBIN,
     UNIFORM_RANDOM,
@@ -56,10 +57,10 @@ FAMILIES = {
 
 
 def _add_game_flags(p):
-    p.add_argument("--game", choices=(NCG, AOG), default=NCG)
+    p.add_argument("--game", choices=(NCG, AOG), default=GameConfig.variant)
     p.add_argument("--k", default="global", help="locality radius, integer or 'global'")
-    p.add_argument("--beta", type=_price, default=1)
-    p.add_argument("--gamma", type=_price, default=-1)
+    p.add_argument("--beta", type=_price, default=GameConfig.price_beta)
+    p.add_argument("--gamma", type=_price, default=GameConfig.price_gamma)
 
 
 def _price(text):
@@ -305,7 +306,7 @@ def build_parser():
         help="scripted run: 'adversarial', a named sequence, or a JSON move file",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=100_000)
+    p.add_argument("--max-steps", type=int, default=MAX_STEPS)
     _add_game_flags(p)
     _add_out_flags(p, "json", "csv", "text")
     p.set_defaults(fn=_cmd_dynamics)

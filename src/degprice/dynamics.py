@@ -4,22 +4,23 @@ A run activates one agent at a time.  An activation either applies
 that agent's move or records that the agent is currently stuck.  Each
 scheme is a source of activations: round-robin and uniform-random wake
 agents who look for their own move under the scheme's move policy
-(``moves._Pricing.improving_move``, the same search that verifies
-equilibria), while a scripted schedule names each move, which must
-replay as strictly improving.  One loop consumes every source.
-``max_steps`` caps activations, not applied moves; convergence
-statistics are reported in activations because that is the unit the
-random process is naturally measured in.
+(``moves._Position.play``, the same search that verifies equilibria),
+while a scripted schedule names each move, which must replay as
+strictly improving (``moves._Position.replay``).  This module keeps
+only the loop that consumes every source.  ``max_steps`` caps
+activations, not applied moves; convergence statistics are reported in
+activations because that is the unit the random process is naturally
+measured in.
 
 An agent's answer depends only on the graph, so an agent found stuck is
 not priced again until some move is applied; its later wake-ups still
-count as activations.  A run prices and plays every activation on one
-pricing position (``moves._Position``) over a private copy of the start
-graph, which the trace hands back as its final graph; ``_Position.apply``
-keeps its distance table current across moves.  Every applied move,
-searched or scripted, is the ``MoveRecord`` that priced it.  Prices
-stay exact, as int or Fraction, and a move that leaves its agent
-disconnected costs ``math.inf``.
+count as activations.  A run plays every activation on one position
+(``moves._Position``) over a private copy of the start graph, which the
+trace hands back as its final graph; the position keeps its distance
+table current across moves.  Every applied move, searched or scripted,
+is the ``MoveRecord`` that priced it.  Prices stay exact, as int or
+Fraction, and a move that leaves its agent disconnected costs
+``math.inf``.
 """
 
 import itertools
@@ -28,18 +29,14 @@ import random
 from dataclasses import dataclass, field
 
 from degprice.costs import _social_cost_from, plain
-from degprice.errors import ScheduleReplayError
 from degprice.moves import (
     BEST_SINGLE_EDGE,
     FIRST_IMPROVING_SINGLE_MOVE,
     FULL_BEST_RESPONSE,
     POLICIES,
     AddEdge,
-    MoveRecord,
     _Position,
-    _Pricing,
     _every_move_adds,
-    strategy_after,
 )
 
 UNIFORM_RANDOM = "uniform-random"
@@ -52,6 +49,9 @@ STEP_LIMIT = "step-limit"
 
 DEGAOG_NE = "degaog-ne"
 DEG2AOG_2NE = "deg2aog-2ne"
+
+# the default cap on activations, for the library and the CLI's --max-steps
+MAX_STEPS = 100_000
 
 __all__ = [
     "UNIFORM_RANDOM",
@@ -178,35 +178,6 @@ def _graph_dict(g):
     return {"n": g.n, "edges": [list(e) for e in sorted(g.owned_edges)]}
 
 
-def _replay(position, step, u, kind):
-    """The ``MoveRecord`` of schedule step ``step``, u's move ``kind``, once played.
-
-    An illegal move, and one that is not strictly cheaper for u, raise
-    ScheduleReplayError and leave the position as it was.  The move is
-    checked, u's id with it, before any pricing is built.
-    """
-    try:
-        new_strategy = strategy_after(position.graph, u, kind)
-    except ValueError as exc:
-        raise ScheduleReplayError(f"agent {u}: {exc}") from exc
-    p = _Pricing(position, u)
-    if position.cfg.add_only and p.current - new_strategy:
-        raise ScheduleReplayError(f"agent {u}: add-only config cannot drop edges")
-    bad = new_strategy - p.current - set(p.cands)
-    if bad:
-        raise ScheduleReplayError(
-            f"agent {u}: targets {sorted(bad)} outside the allowed candidates"
-        )
-    record = MoveRecord(u, kind, p.value(p.now), p.value(p.total(new_strategy)))
-    if not record.improving:
-        raise ScheduleReplayError(
-            f"schedule step {step} (agent {u}, {kind}): "
-            f"cost {record.cost_before} -> {record.cost_after} is not strictly improving"
-        )
-    position.apply(p, kind)
-    return record
-
-
 def _activation_source(scheme, n):
     """(agent, scripted move kind or None) per activation, in order.
 
@@ -221,7 +192,7 @@ def _activation_source(scheme, n):
     return ((rng.randrange(n), None) for _ in itertools.count())
 
 
-def run_dynamics(g0, cfg, scheme, max_steps=100_000):
+def run_dynamics(g0, cfg, scheme, max_steps=MAX_STEPS):
     """Run the dynamics until stability, a repeated state, or the cap.
 
     Every applied move is validated as strictly improving.  Scripted
@@ -265,14 +236,12 @@ def run_dynamics(g0, cfg, scheme, max_steps=100_000):
             # the graph is unchanged since this agent was found stuck
             if agent in stuck:
                 continue
-            p = _Pricing(position, agent)
-            record = p.improving_move(scheme.move_policy)
+            record = position.play(agent, scheme.move_policy)
             if record is None:
                 stuck.add(agent)
                 continue
-            position.apply(p, record.kind)
         else:
-            record = _replay(position, activations - 1, agent, kind)
+            record = position.replay(activations - 1, agent, kind)
         steps.append(record)
         stuck.clear()
         if seen is not None:

@@ -23,14 +23,15 @@ disconnected costs ``math.inf``.
 ``_Pricing.improving_move`` answers "can u strictly improve, and how?"
 under one of three move policies with the ``MoveRecord`` of u's move,
 or None.  ``_Position.witness`` asks it of every agent in turn, for
-``verify_equilibrium`` and for the dynamics' final check; the dynamics
-ask it of each activated agent and play the record's move with
-``_Position.apply``, which keeps G's table current.  A pricing computes
-u's current cost once, as ``now``.  When the first improving single
-move is sought in ncg and no addition improves, a lower bound screens
-u's deletions and swaps first.  It reads, from G's table, each node's
-nearest and second-nearest neighbour of u, so G - u is built only when
-some drop may improve.
+``verify_equilibrium`` and for the dynamics' final check;
+``_Position.play`` asks it of one activated agent and plays the
+record's move, and ``_Position.replay`` checks, prices and plays a
+scripted move.  Both play through ``_Position.apply``, which keeps G's
+table current.  A pricing computes u's current cost once, as ``now``.
+When the first improving single move is sought in ncg and no addition
+improves, a lower bound screens u's deletions and swaps first.  It
+reads, from G's table, each node's nearest and second-nearest
+neighbour of u, so G - u is built only when some drop may improve.
 
 Each move kind declares its JSON ``type``; ``as_dict`` and
 ``parse_schedule`` derive the rest from the kind's fields.
@@ -48,7 +49,7 @@ import numpy as np
 
 from degprice._kernels import UNREACHABLE, apsp, apsp_update_add, apsp_without, row_with
 from degprice.costs import plain
-from degprice.errors import CandidateCapExceeded
+from degprice.errors import CandidateCapExceeded, ScheduleReplayError
 
 EXACT = "exact"
 SINGLE_MOVE = "single-move"
@@ -294,9 +295,11 @@ class _Position:
     built on first use, like ``_Pricing.table``.  G's table prices every
     strategy that keeps an agent's current edges, and each table of
     G - u is derived from it.  ``_Pricing(position, u)`` is the one way
-    to price u's deviations, ``witness`` is the one scan for an agent
-    that can improve, and ``apply`` plays a priced move and keeps G's
-    table current.
+    to price u's deviations.  ``witness``, ``play``, ``replay`` and
+    ``apply`` are the engine's door: ``witness`` is the one scan for an
+    agent that can improve, ``play`` plays an agent's searched move,
+    ``replay`` a scripted one, and ``apply`` plays a priced move and
+    keeps G's table current.
     """
 
     def __init__(self, g, cfg):
@@ -325,6 +328,42 @@ class _Position:
             if record is not None:
                 return record
         return None
+
+    def play(self, u, policy):
+        """Play u's move under ``policy`` and return its ``MoveRecord``, or None if u is stuck."""
+        p = _Pricing(self, u)
+        record = p.improving_move(policy)
+        if record is not None:
+            self.apply(p, record.kind)
+        return record
+
+    def replay(self, step, u, kind):
+        """Play schedule step ``step``, u's move ``kind``, and return its ``MoveRecord``.
+
+        An illegal move, and one that is not strictly cheaper for u, raise
+        ScheduleReplayError and leave the position as it was.  The move is
+        checked, u's id with it, before any pricing is built.
+        """
+        try:
+            new_strategy = strategy_after(self.graph, u, kind)
+        except ValueError as exc:
+            raise ScheduleReplayError(f"agent {u}: {exc}") from exc
+        p = _Pricing(self, u)
+        if self.cfg.add_only and p.current - new_strategy:
+            raise ScheduleReplayError(f"agent {u}: add-only config cannot drop edges")
+        bad = new_strategy - p.current - set(p.cands)
+        if bad:
+            raise ScheduleReplayError(
+                f"agent {u}: targets {sorted(bad)} outside the allowed candidates"
+            )
+        record = MoveRecord(u, kind, p.value(p.now), p.value(p.total(new_strategy)))
+        if not record.improving:
+            raise ScheduleReplayError(
+                f"schedule step {step} (agent {u}, {kind}): "
+                f"cost {record.cost_before} -> {record.cost_after} is not strictly improving"
+            )
+        self.apply(p, kind)
+        return record
 
     def apply(self, p, kind):
         """Play agent ``p.u``'s move on ``graph``, the graph that ``p`` priced.
@@ -378,11 +417,10 @@ class _Pricing:
 
     def __init__(self, position, u):
         g, cfg = position.graph, position.cfg
-        g._check_node(u)
+        self.current = g.targets(u)  # checks u's id, before _adj is indexed
         self.position, self.graph, self.u, self.add_only = position, g, u, cfg.add_only
         self.scale, self.unreachable = position.scale, position.unreachable
         adjacent = g._adj[u]
-        self.current = g.targets(u)
         self.incoming = adjacent - self.current
 
         # an edge from u leaves v with degree deg_{G-u}(v) + 1: a neighbour of u keeps
@@ -707,7 +745,7 @@ def _notes_for(cfg, level):
     return tuple(notes)
 
 
-def verify_equilibrium(g, cfg, level=EXACT):
+def verify_equilibrium(g, cfg, level):
     """Check whether no agent can strictly improve.
 
     EXACT searches every allowed strategy per agent (CANDIDATE_CAP permitting);

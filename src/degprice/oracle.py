@@ -326,11 +326,17 @@ def equilibrium_census(n, cfg, workers=1):
     equilibrium earlier.  n = 6 takes 0.1-0.4 s per game on one process
     of a 2-core x86-64 host with Python 3.11, after the 0.1-0.2 s of
     ``_tables(6)``.  ``workers`` is kept for callers that pass 1.
+
+    PoA and PoS are ratios to the optimum, so an optimum that costs 0 or
+    less raises ValueError before the walk.
     """
     if n < 2:
         raise ValueError(f"census needs n >= 2, got {n}")
     if workers != 1:
         raise ValueError(f"the census runs on one process, got workers={workers}")
+    opt_cost, opt_witness = optimal_social_cost(n, cfg)
+    if opt_cost <= 0:
+        raise ValueError(f"PoA and PoS need a positive optimum; at n={n} it costs {opt_cost}")
     ev = _StateEvaluator(n, cfg)
     low, high = ev.low, ev.high
     counts = dict.fromkeys(
@@ -380,8 +386,6 @@ def equilibrium_census(n, cfg, workers=1):
         raise OracleBudgetExceeded(f"no equilibrium found at n={n}; census degenerate")
     best_eq_cost, best_state = best
     worst_eq_cost, worst_state = worst
-
-    opt_cost, opt_witness = optimal_social_cost(n, cfg)
     return EnumerationSummary(
         n=n,
         config=cfg,

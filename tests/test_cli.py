@@ -186,6 +186,32 @@ def test_zero_denominator_price_is_a_usage_error(star_file, flag):
     assert flag in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_zero_denominator_price_prints_usage(capsys, star_file):
+    """In process too, a zero denominator is argparse's usage error, not a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["cost", star_file, "--beta", "1/0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--beta" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cost", "g.graph"],
+        ["best-response", "g.graph", "--agent", "0"],
+        ["verify", "g.graph"],
+        ["dynamics", "g.graph"],
+        ["enumerate", "--n", "3"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_game_flags_default_to_the_default_game(argv):
+    """--game, --k, --beta and --gamma left out give GameConfig(): the
+    library's defaults are the CLI's."""
+    assert cli._config_from(cli.build_parser().parse_args(argv)) == GameConfig()
+
+
 def test_candidate_cap_is_a_resource_exit(capsys, path_file):
     code, _, err = run_cli(
         capsys, "best-response", path_file(25), "--agent", "0"
@@ -476,6 +502,13 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
         ),
         pytest.param(["enumerate", "--n", "1"], None, 2, "n >= 2", id="census-n1"),
         pytest.param(["enumerate", "--n", "0"], None, 2, "n >= 2", id="census-n0"),
+        pytest.param(
+            ["enumerate", "--n", "2", "--beta", "1", "--gamma", "-3"],
+            None,
+            2,
+            "positive optimum; at n=2 it costs 0",
+            id="census-zero-optimum",
+        ),
         pytest.param(["reduce", "set-cover-to-gadget"], None, 2, "--instance", id="no-instance"),
         pytest.param(
             ["reduce", "dominating-to-set-cover", "--graph", "{graph}"], None, 2, "--q", id="no-q"

@@ -197,6 +197,7 @@ def test_census_stage_counts_n6(key, census):
 SMALL_GAMES = [GameConfig(variant=v, locality_k=k) for v in ("ncg", "aog") for k in (None, 2)] + [
     GameConfig(price_beta=Fraction(1, 3), price_gamma=Fraction(1, 2)),
     GameConfig(price_beta=10**9, price_gamma=0),
+    GameConfig(price_beta=-1, price_gamma=5),
 ]
 
 
@@ -373,6 +374,16 @@ def test_census_needs_a_worker():
     assert equilibrium_census(3, GameConfig(), workers=1).equilibrium_count == 20
 
 
+def test_census_refuses_a_non_positive_optimum():
+    """PoA and PoS are ratios to the optimum: one that costs 0 or less is
+    refused, not divided by or printed as a ratio."""
+    for n, gamma, opt in ((3, -20, -48), (2, -3, 0)):
+        cfg = GameConfig(price_gamma=gamma)
+        assert optimal_social_cost(n, cfg)[0] == opt
+        with pytest.raises(ValueError, match=f"positive optimum; at n={n} it costs {opt}"):
+            equilibrium_census(n, cfg)
+
+
 def test_scalar_reference_shares_no_kernel_with_the_engine(monkeypatch):
     """With bfs_row and apsp broken wherever a degprice module binds them,
     the costs reference and the closure still give their pinned values."""
@@ -437,6 +448,25 @@ def test_references_import_no_engine():
         "degprice._kernels.UNREACHABLE"
     }
     assert {m for m in imported if m.startswith("degprice.costs")} == {"degprice.costs.plain"}
+
+
+def test_dynamics_plays_moves_only_through_the_position():
+    """dynamics keeps the activation loop only: it takes from moves the
+    policy names, the kind its schedules build, the position that plays
+    every move, and the add-only rule of its cycle check."""
+    imported = _imports(Path(oracle.__file__).parent / "dynamics.py")
+    assert {m for m in imported if m.startswith("degprice.moves")} == {
+        f"degprice.moves.{name}"
+        for name in (
+            "BEST_SINGLE_EDGE",
+            "FIRST_IMPROVING_SINGLE_MOVE",
+            "FULL_BEST_RESPONSE",
+            "POLICIES",
+            "AddEdge",
+            "_Position",
+            "_every_move_adds",
+        )
+    }
 
 
 def test_census_ratios_are_exact(census):
