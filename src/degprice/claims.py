@@ -6,8 +6,14 @@ Each claim is a function of no arguments that returns ``(checks, ok)``:
 condition held on all of them.  ``PRESETS`` names the claims for the
 CLI; ``tests/test_acceptance.py`` calls the same functions, asserts
 ``ok``, and pins regression figures on ``checks``.
+
+It also holds the paper's scripted runs, which ``dynamics --schedule``
+names: ``adversarial_schedule``, ``scripted_linear_sequences`` (the
+``DEGAOG_NE`` and ``DEG2AOG_2NE`` sequences) and the Figure 3 swap
+cycle ``FIG3_CYCLE``.
 """
 
+import math
 import random
 
 import numpy as np
@@ -20,18 +26,19 @@ from degprice.constructions import (
     set_cover_to_best_response_gadget,
 )
 from degprice.costs import AOG, NCG, GameConfig
-from degprice.dynamics import (
-    CONVERGED,
-    CYCLE_DETECTED,
-    DEG2AOG_2NE,
-    DEGAOG_NE,
-    ActivationScheme,
-    adversarial_schedule,
-    run_dynamics,
-    scripted_linear_sequences,
+from degprice.dynamics import CONVERGED, CYCLE_DETECTED, ActivationScheme, run_dynamics
+from degprice.moves import (
+    EXACT,
+    SINGLE_MOVE,
+    AddEdge,
+    SwapEdge,
+    best_response_exact,
+    verify_equilibrium,
 )
-from degprice.moves import EXACT, SINGLE_MOVE, SwapEdge, best_response_exact, verify_equilibrium
 from degprice.oracle import equilibrium_census, min_set_cover, optimal_social_cost
+
+DEGAOG_NE = "degaog-ne"
+DEG2AOG_2NE = "deg2aog-2ne"
 
 _FOUR_GAMES = tuple(GameConfig(variant=v, locality_k=k) for v in (NCG, AOG) for k in (None, 2))
 
@@ -39,6 +46,67 @@ _FOUR_GAMES = tuple(GameConfig(variant=v, locality_k=k) for v in (NCG, AOG) for 
 # or back, twice round, and fig3-g1 comes back (ncg, global)
 _TO_8, _TO_7 = SwapEdge(7, 8), SwapEdge(8, 7)
 FIG3_CYCLE = ((4, _TO_8), (1, _TO_7), (9, _TO_7), (4, _TO_7), (1, _TO_8), (9, _TO_8))
+
+
+def _path_additions(buys):
+    """The scripted scheme in which each (agent, target) pair buys an edge.
+
+    The pairs are 1-based positions on the path, as the paper numbers
+    its nodes; node ids are 0-based.
+    """
+    return ActivationScheme.scripted((agent - 1, AddEdge(target - 1)) for agent, target in buys)
+
+
+def adversarial_schedule(n, cfg):
+    """Scripted quadratic-length schedule for add-only games on P_n.
+
+    Phase one stacks shortcuts onto the first half of the path, phase
+    two turns the node just left of the middle into a hub, then the far
+    endpoint shortcuts its tail.  With locality 2 the script stops
+    there; otherwise two tail phases bring the diameter down to 3.
+    Every emitted move is strictly improving at replay time.
+    """
+    if not cfg.add_only:
+        raise ValueError("the adversarial schedule is for add-only configs")
+    if cfg.locality_k is not None and cfg.locality_k < 2:
+        raise ValueError("the schedule buys at distance 2; needs k >= 2 or global")
+    if n < 12:
+        raise ValueError(f"schedule index arithmetic needs n >= 12, got {n}")
+    half = math.ceil(n / 2)
+    buys = []
+    for i in range(1, half - 3 + 1):
+        buys += [(j, i + 2) for j in range(i, 0, -1)]
+    hub = half - 1
+    buys += [(hub, i) for i in range(half + 1, n - 2 + 1)]
+    buys.append((n, n - 2))
+    if cfg.locality_k != 2:
+        buys.append((half, n - 1))
+        buys += [(n - 1, i) for i in range(half + 3, n - 5 + 1, 3)]
+    return _path_additions(buys)
+
+
+def scripted_linear_sequences(n, which):
+    """Linear-length scripted runs from P_n ending in an equilibrium.
+
+    DEGAOG_NE (needs n = 3m+1): the first node buys edges to almost the
+    whole path, then the far endpoint shortcuts every third node
+    descending and finally the second node.  DEG2AOG_2NE: the same hub
+    phase, then the far endpoint buys one shortcut; locality-2 legal
+    throughout.
+    """
+    if n < 10:
+        raise ValueError(f"linear sequences need n >= 10, got {n}")
+    if which not in (DEGAOG_NE, DEG2AOG_2NE):
+        raise ValueError(f"unknown sequence {which!r}")
+    buys = [(1, i) for i in range(3, n - 2 + 1)]
+    if which == DEGAOG_NE:
+        if n % 3 != 1:
+            raise ValueError(f"degaog-ne sequence needs n = 1 mod 3, got {n}")
+        buys += [(n, j) for j in range(n - 5, 4, -3)]
+        buys.append((n, 2))
+    else:
+        buys.append((n, n - 2))
+    return _path_additions(buys)
 
 
 def star_equilibrium():

@@ -17,20 +17,22 @@ from fractions import Fraction
 
 from degprice import constructions
 from degprice import textio
-from degprice.claims import PRESETS
+from degprice.claims import (
+    DEG2AOG_2NE,
+    DEGAOG_NE,
+    PRESETS,
+    adversarial_schedule,
+    scripted_linear_sequences,
+)
 from degprice.costs import AOG, NCG, GameConfig, agent_cost, plain, social_cost
 from degprice.dynamics import (
     BEST_SINGLE_EDGE,
-    DEG2AOG_2NE,
-    DEGAOG_NE,
     MAX_STEPS,
     POLICIES,
     ROUND_ROBIN,
     UNIFORM_RANDOM,
     ActivationScheme,
-    adversarial_schedule,
     run_dynamics,
-    scripted_linear_sequences,
 )
 from degprice.errors import DegpriceError, GraphFormatError, ResourceCapExceeded
 from degprice.moves import EXACT, SINGLE_MOVE, best_response_exact, parse_schedule, verify_equilibrium
@@ -239,7 +241,7 @@ def _cmd_reduce(args):
         if given and flag not in required + optional:
             raise ValueError(f"reduce {args.transformation} takes no --{flag}")
     if args.transformation == "set-cover-to-gadget":
-        inst = textio.parse_set_cover_file(pathlib.Path(args.instance).read_text())
+        inst = constructions.parse_set_cover_file(pathlib.Path(args.instance).read_text())
         layout = constructions.set_cover_to_best_response_gadget(inst)
         _emit(args, textio.serialize_graph(layout.graph))
         if args.roles is not None:
@@ -251,7 +253,7 @@ def _cmd_reduce(args):
     else:
         g = _read_graph(args.graph)
         inst = constructions.dominating_set_to_set_cover(g, args.q)
-        _emit(args, textio.serialize_set_cover(inst))
+        _emit(args, constructions.serialize_set_cover(inst))
     return EXIT_OK
 
 

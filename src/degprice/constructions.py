@@ -6,13 +6,18 @@ set-cover instance so that one agent's cheapest strategy change under
 2-local additions is exactly a minimum set cover: set nodes sit at
 distance 2 from the agent, each priced ``q + 1``, while every uncovered
 element keeps ``q + 2`` nodes one hop further away than they need to be.
+
+The set-cover file format lives here, beside the instance it describes:
+first line ``u <n> q <q>``, then one line of q element ids per set, with
+blank and ``#`` lines skipped as in a graph file (``textio``).
 """
 
 from dataclasses import dataclass, field
 from importlib import resources
 
-from degprice.errors import InfeasibleInstanceError, ResourceCapExceeded
+from degprice.errors import GraphFormatError, InfeasibleInstanceError, ResourceCapExceeded
 from degprice.graph import MAX_EDGES, MAX_NODES, OwnedGraph, bfs_distances, degree
+from degprice.textio import content_lines, parse_graph_file
 
 _DATA = resources.files("degprice").joinpath("data")
 # the packaged networks: one data/<name>.graph file each
@@ -29,6 +34,8 @@ __all__ = [
     "build_cycle",
     "build_clique",
     "build_figure_network",
+    "parse_set_cover_file",
+    "serialize_set_cover",
     "dominating_set_to_set_cover",
     "set_cover_to_best_response_gadget",
 ]
@@ -84,8 +91,6 @@ def build_figure_network(name):
     shipped as a graph text file and parsed on demand, so ownership in
     the returned graph matches the file byte for byte.
     """
-    from degprice.textio import parse_graph_file
-
     if name not in FIGURE_NAMES:
         raise ValueError(f"unknown figure network {name!r}, expected one of {FIGURE_NAMES}")
     return parse_graph_file(_DATA.joinpath(f"{name}.graph").read_text(encoding="utf-8"))
@@ -135,6 +140,42 @@ class SetCoverInstance:
 
     def is_cover(self, chosen):
         return len(self.covered(chosen)) == self.universe_size
+
+
+def parse_set_cover_file(text):
+    lines = content_lines(text)
+    try:
+        number, header = next(lines)
+    except StopIteration:
+        raise GraphFormatError("empty file, expected 'u <n> q <q>' header") from None
+    parts = header.split()
+    if len(parts) != 4 or parts[0] != "u" or parts[2] != "q":
+        raise GraphFormatError(f"expected 'u <n> q <q>' header, got {header!r}", line=number)
+    try:
+        n, q = int(parts[1]), int(parts[3])
+    except ValueError:
+        raise GraphFormatError(f"non-integer header field in {header!r}", line=number)
+    sets = []
+    for number, line in lines:
+        try:
+            elements = tuple(int(p) for p in line.split())
+        except ValueError:
+            raise GraphFormatError(f"non-integer element in {line!r}", line=number)
+        try:
+            sets.append(_checked_set(elements, n, q))
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), line=number) from exc
+    try:
+        return SetCoverInstance(universe_size=n, sets=tuple(sets), q=q)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from exc
+
+
+def serialize_set_cover(inst):
+    out = [f"u {inst.universe_size} q {inst.q}"]
+    for s in inst.sets:
+        out.append(" ".join(str(e) for e in sorted(s)))
+    return "\n".join(out) + "\n"
 
 
 def dominating_set_to_set_cover(g, q):

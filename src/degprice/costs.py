@@ -18,6 +18,7 @@ makes a float.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,7 +50,8 @@ class GameConfig:
     ``locality_k=None``, the default and the CLI's ``--k global``, means
     unrestricted purchases; otherwise new targets must lie within hop
     distance k of the buyer.  An edge to v costs ``price_beta * deg(v) +
-    price_gamma``, both int or Fraction, kept exact.
+    price_gamma``, both int or Fraction, kept exact.  A float or bool
+    price and a non-integer or bool radius raise ValueError.
     """
 
     variant: str = NCG
@@ -60,8 +62,13 @@ class GameConfig:
     def __post_init__(self):
         if self.variant not in (NCG, AOG):
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.locality_k is not None and self.locality_k < 1:
-            raise ValueError("locality radius must be >= 1 (or None for global)")
+        for name in ("price_beta", "price_gamma"):
+            price = getattr(self, name)
+            if not isinstance(price, numbers.Rational) or isinstance(price, bool):
+                raise ValueError(f"{name} must be an int or Fraction, got {price!r}")
+        k = self.locality_k
+        if k is not None and (not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1):
+            raise ValueError(f"radius locality_k must be an int >= 1 or None, got {k!r}")
 
     @property
     def add_only(self):

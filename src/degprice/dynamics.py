@@ -7,7 +7,8 @@ agents who look for their own move under the scheme's move policy
 (``moves._Position.play``, the same search that verifies equilibria),
 while a scripted schedule names each move, which must replay as
 strictly improving (``moves._Position.replay``).  This module keeps
-only the loop that consumes every source.  ``max_steps`` caps
+only the loop that consumes every source and holds no schedule: the
+paper's scripted runs live in ``claims``.  ``max_steps`` caps
 activations, not applied moves; convergence statistics are reported in
 activations because that is the unit the random process is naturally
 measured in.
@@ -24,7 +25,6 @@ Fraction, and a move that leaves its agent disconnected costs
 """
 
 import itertools
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -34,7 +34,6 @@ from degprice.moves import (
     FIRST_IMPROVING_SINGLE_MOVE,
     FULL_BEST_RESPONSE,
     POLICIES,
-    AddEdge,
     _Position,
     _every_move_adds,
 )
@@ -46,9 +45,6 @@ SCRIPTED = "scripted"
 CONVERGED = "converged"
 CYCLE_DETECTED = "cycle-detected"
 STEP_LIMIT = "step-limit"
-
-DEGAOG_NE = "degaog-ne"
-DEG2AOG_2NE = "deg2aog-2ne"
 
 # the default cap on activations, for the library and the CLI's --max-steps
 MAX_STEPS = 100_000
@@ -64,13 +60,9 @@ __all__ = [
     "CONVERGED",
     "CYCLE_DETECTED",
     "STEP_LIMIT",
-    "DEGAOG_NE",
-    "DEG2AOG_2NE",
     "ActivationScheme",
     "DynamicsTrace",
     "run_dynamics",
-    "adversarial_schedule",
-    "scripted_linear_sequences",
 ]
 
 
@@ -267,64 +259,3 @@ def run_dynamics(g0, cfg, scheme, max_steps=MAX_STEPS):
         activations=activations,
         metadata=metadata,
     )
-
-
-def _path_additions(buys):
-    """The scripted scheme in which each (agent, target) pair buys an edge.
-
-    The pairs are 1-based positions on the path, as the paper numbers
-    its nodes; node ids are 0-based.
-    """
-    return ActivationScheme.scripted((agent - 1, AddEdge(target - 1)) for agent, target in buys)
-
-
-def adversarial_schedule(n, cfg):
-    """Scripted quadratic-length schedule for add-only games on P_n.
-
-    Phase one stacks shortcuts onto the first half of the path, phase
-    two turns the node just left of the middle into a hub, then the far
-    endpoint shortcuts its tail.  With locality 2 the script stops
-    there; otherwise two tail phases bring the diameter down to 3.
-    Every emitted move is strictly improving at replay time.
-    """
-    if not cfg.add_only:
-        raise ValueError("the adversarial schedule is for add-only configs")
-    if cfg.locality_k is not None and cfg.locality_k < 2:
-        raise ValueError("the schedule buys at distance 2; needs k >= 2 or global")
-    if n < 12:
-        raise ValueError(f"schedule index arithmetic needs n >= 12, got {n}")
-    half = math.ceil(n / 2)
-    buys = []
-    for i in range(1, half - 3 + 1):
-        buys += [(j, i + 2) for j in range(i, 0, -1)]
-    hub = half - 1
-    buys += [(hub, i) for i in range(half + 1, n - 2 + 1)]
-    buys.append((n, n - 2))
-    if cfg.locality_k != 2:
-        buys.append((half, n - 1))
-        buys += [(n - 1, i) for i in range(half + 3, n - 5 + 1, 3)]
-    return _path_additions(buys)
-
-
-def scripted_linear_sequences(n, which):
-    """Linear-length scripted runs from P_n ending in an equilibrium.
-
-    DEGAOG_NE (needs n = 3m+1): the first node buys edges to almost the
-    whole path, then the far endpoint shortcuts every third node
-    descending and finally the second node.  DEG2AOG_2NE: the same hub
-    phase, then the far endpoint buys one shortcut; locality-2 legal
-    throughout.
-    """
-    if n < 10:
-        raise ValueError(f"linear sequences need n >= 10, got {n}")
-    if which not in (DEGAOG_NE, DEG2AOG_2NE):
-        raise ValueError(f"unknown sequence {which!r}")
-    buys = [(1, i) for i in range(3, n - 2 + 1)]
-    if which == DEGAOG_NE:
-        if n % 3 != 1:
-            raise ValueError(f"degaog-ne sequence needs n = 1 mod 3, got {n}")
-        buys += [(n, j) for j in range(n - 5, 4, -3)]
-        buys.append((n, 2))
-    else:
-        buys.append((n, n - 2))
-    return _path_additions(buys)

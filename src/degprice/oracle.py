@@ -43,7 +43,6 @@ from degprice.graph import OwnedGraph
 
 MAX_ENUM_NODES = 6
 MAX_COVER_SETS = 20
-MAX_DOMINATING_NODES = 20
 MAX_CLOSURE_STATES = 200_000
 
 __all__ = [
@@ -491,7 +490,10 @@ def best_reachable(g0, cfg):
 
 def _first_cover(sets, universe):
     """(count, indices): the fewest of ``sets`` whose union is ``universe``,
-    the lexicographically first such indices among those."""
+    the lexicographically first such indices among those; more than
+    ``MAX_COVER_SETS`` sets raise OracleBudgetExceeded."""
+    if len(sets) > MAX_COVER_SETS:
+        raise OracleBudgetExceeded(f"{len(sets)} sets exceeds enumeration cap {MAX_COVER_SETS}")
     for r in range(len(sets) + 1):
         for picked in combinations(range(len(sets)), r):
             if frozenset().union(*(sets[i] for i in picked)) == universe:
@@ -502,8 +504,6 @@ def _first_cover(sets, universe):
 def min_set_cover(inst):
     """Exact minimum cover by subset enumeration, lex-first witness."""
     sets = [frozenset(s) for s in inst.sets]
-    if len(sets) > MAX_COVER_SETS:
-        raise OracleBudgetExceeded(f"{len(sets)} sets exceeds enumeration cap {MAX_COVER_SETS}")
     universe = frozenset(range(inst.universe_size))
     covered = frozenset().union(*sets)
     if covered != universe:
@@ -514,7 +514,5 @@ def min_set_cover(inst):
 
 def min_dominating_set(g):
     """Exact minimum dominating set by subset enumeration, lex-first witness."""
-    if g.n > MAX_DOMINATING_NODES:
-        raise OracleBudgetExceeded(f"n={g.n} exceeds dominating-set cap {MAX_DOMINATING_NODES}")
     closed = [frozenset(g.neighbors(v)) | {v} for v in range(g.n)]
     return _first_cover(closed, frozenset(range(g.n)))

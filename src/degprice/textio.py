@@ -1,11 +1,10 @@
-"""Text formats: graph files, set-cover instance files, JSON/CSV output.
+"""Text formats: graph files and JSON/CSV output, nothing else.
 
 Graph file: first line ``n <N>``, then one ``<owner> <target>`` line per
 edge (0-indexed).  Lines starting with ``#`` are comments.  The edge
-direction in the file encodes ownership.
-
-Set-cover file: first line ``u <n> q <q>``, then one line of q element
-ids per set.
+direction in the file encodes ownership.  The set-cover file format
+lives in ``constructions``, beside the instance it describes, and reads
+its lines through ``content_lines``.
 """
 
 import csv
@@ -19,14 +18,13 @@ from degprice.graph import OwnedGraph
 __all__ = [
     "parse_graph_file",
     "serialize_graph",
-    "parse_set_cover_file",
-    "serialize_set_cover",
     "to_json_text",
     "to_csv_text",
 ]
 
 
-def _content_lines(text):
+def content_lines(text):
+    """(line number, stripped line) of each line that is neither blank nor a ``#`` comment."""
     for number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -35,7 +33,7 @@ def _content_lines(text):
 
 
 def parse_graph_file(text):
-    lines = _content_lines(text)
+    lines = content_lines(text)
     try:
         number, header = next(lines)
     except StopIteration:
@@ -68,44 +66,6 @@ def parse_graph_file(text):
 def serialize_graph(g):
     edges = (f"{owner} {target}" for owner, target in sorted(g.owned_edges))
     return "\n".join([f"n {g.n}", *edges]) + "\n"
-
-
-def parse_set_cover_file(text):
-    from degprice.constructions import SetCoverInstance, _checked_set
-
-    lines = _content_lines(text)
-    try:
-        number, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty file, expected 'u <n> q <q>' header") from None
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "u" or parts[2] != "q":
-        raise GraphFormatError(f"expected 'u <n> q <q>' header, got {header!r}", line=number)
-    try:
-        n, q = int(parts[1]), int(parts[3])
-    except ValueError:
-        raise GraphFormatError(f"non-integer header field in {header!r}", line=number)
-    sets = []
-    for number, line in lines:
-        try:
-            elements = tuple(int(p) for p in line.split())
-        except ValueError:
-            raise GraphFormatError(f"non-integer element in {line!r}", line=number)
-        try:
-            sets.append(_checked_set(elements, n, q))
-        except ValueError as exc:
-            raise GraphFormatError(str(exc), line=number) from exc
-    try:
-        return SetCoverInstance(universe_size=n, sets=tuple(sets), q=q)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
-
-
-def serialize_set_cover(inst):
-    out = [f"u {inst.universe_size} q {inst.q}"]
-    for s in inst.sets:
-        out.append(" ".join(str(e) for e in sorted(s)))
-    return "\n".join(out) + "\n"
 
 
 def to_json_text(data):

@@ -15,14 +15,14 @@ from degprice.oracle import equilibrium_census
 
 
 @st.composite
-def owned_graphs(draw, max_n=8, connected=False):
-    """Random ownership-labeled graphs, optionally forced connected.
+def owned_graphs(draw, max_n=8, connected=False, min_n=1):
+    """Random ownership-labeled graphs on min_n..max_n nodes, optionally
+    forced connected.
 
     Connectivity is ensured with a random spanning tree first; extra edges
     (random orientation) are sprinkled on top either way.
     """
-    min_n = 2 if connected else 1
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    n = draw(st.integers(min_value=max(min_n, 2 if connected else 1), max_value=max_n))
     g = OwnedGraph(n)
     if connected and n > 1:
         perm = draw(st.permutations(list(range(n))))

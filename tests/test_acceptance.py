@@ -15,6 +15,7 @@ import math
 import random
 
 from degprice import claims
+from degprice.claims import DEG2AOG_2NE, DEGAOG_NE
 from degprice.constructions import (
     build_clique,
     build_figure_network,
@@ -24,8 +25,6 @@ from degprice.constructions import (
 from degprice.costs import GameConfig, rho, social_cost
 from degprice.dynamics import (
     BEST_SINGLE_EDGE,
-    DEG2AOG_2NE,
-    DEGAOG_NE,
     FIRST_IMPROVING_SINGLE_MOVE,
     ActivationScheme,
     run_dynamics,

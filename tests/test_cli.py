@@ -13,9 +13,9 @@ import pytest
 import degprice
 from degprice import claims, cli
 from degprice.cli import main
-from degprice.constructions import build_path, build_star
+from degprice.constructions import build_path, build_star, parse_set_cover_file
 from degprice.costs import GameConfig, social_cost
-from degprice.textio import parse_graph_file, parse_set_cover_file, serialize_graph
+from degprice.textio import parse_graph_file, serialize_graph
 
 
 @pytest.fixture()

@@ -18,15 +18,8 @@ from degprice.costs import (
     rho,
     social_cost,
 )
+from degprice.constructions import build_clique, build_star
 from degprice.graph import OwnedGraph, is_connected
-
-
-def star(n):
-    return OwnedGraph(n, [(0, v) for v in range(1, n)])
-
-
-def clique(n):
-    return OwnedGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def test_default_pricing_is_degree_minus_one():
@@ -42,6 +35,17 @@ def test_config_validation():
         GameConfig(variant="swap-only")
     with pytest.raises(ValueError, match="radius"):
         GameConfig(locality_k=0)
+    # a float or bool price, or a non-integer or bool radius, is refused by name
+    with pytest.raises(ValueError, match="price_beta"):
+        GameConfig(price_beta=0.1, price_gamma=Fraction(1, 5))
+    with pytest.raises(ValueError, match="price_gamma"):
+        GameConfig(price_beta=Fraction(1, 10), price_gamma=0.2)
+    with pytest.raises(ValueError, match="price_beta"):
+        GameConfig(price_beta=True)
+    with pytest.raises(ValueError, match="locality_k"):
+        GameConfig(locality_k=1.5)
+    with pytest.raises(ValueError, match="locality_k"):
+        GameConfig(locality_k=True)
     assert GameConfig(variant="aog").add_only
     assert "k=global" in GameConfig().describe()
 
@@ -68,9 +72,9 @@ def test_ownership_changes_cost_but_not_distances():
 
 def test_star_and_clique_social_cost():
     cfg = GameConfig()
-    assert social_cost(star(5), cfg) == 32  # 2(n-1)^2 with free leaf edges
+    assert social_cost(build_star(5), cfg) == 32  # 2(n-1)^2 with free leaf edges
     for n in range(3, 7):
-        assert social_cost(clique(n), cfg) == n * (n - 1) + n * (n - 1) * (n - 2) // 2
+        assert social_cost(build_clique(n), cfg) == n * (n - 1) + n * (n - 1) * (n - 2) // 2
 
 
 def test_disconnection_is_sentinel_not_a_big_number():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import floyd_warshall, owned_graphs
+from degprice.constructions import build_path
 from degprice.costs import GameConfig, evaluate_deviation
 from degprice.graph import (
     UNREACHABLE,
@@ -14,10 +15,6 @@ from degprice.graph import (
     diameter,
     is_connected,
 )
-
-
-def path(n):
-    return OwnedGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 class TestOwnedGraph:
@@ -92,7 +89,7 @@ def test_bfs_matches_floyd_warshall(g):
 
 
 def test_degree_and_diameter():
-    g = path(4)
+    g = build_path(4)
     assert [degree(g, v) for v in range(4)] == [1, 2, 2, 1]
     assert diameter(g) == 3
     clique = OwnedGraph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
@@ -101,7 +98,7 @@ def test_degree_and_diameter():
 
 
 def test_connectivity_and_layers():
-    g = path(4)
+    g = build_path(4)
     assert is_connected(g)
     assert not is_connected(OwnedGraph(3, [(0, 1)]))
     assert is_connected(OwnedGraph(1))

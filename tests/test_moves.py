@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import owned_graphs
 from degprice import _kernels, dynamics, moves
-from degprice.constructions import build_figure_network, build_star
+from degprice.constructions import build_clique, build_figure_network, build_path, build_star
 from degprice.costs import GameConfig, agent_cost, candidate_targets, evaluate_deviation
 from degprice.errors import CandidateCapExceeded
 from degprice.graph import OwnedGraph
@@ -41,10 +41,6 @@ from degprice.moves import (
 from degprice.oracle import enumerate_states
 
 
-def path(n):
-    return OwnedGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
 # prices that keep Fraction arithmetic and make some edges pay for themselves
 FRACTION_PRICES = GameConfig(price_beta=Fraction(1, 2), price_gamma=Fraction(-4, 3))
 # scaled to a common denominator, these totals outgrow int64
@@ -53,10 +49,6 @@ HUGE_DENOMINATOR = GameConfig(price_gamma=Fraction(-1, 10**18))
 DENOMINATOR_PAST_INT64 = GameConfig(price_gamma=Fraction(-1, 10**19))
 # one edge costs more than the old 10^9 stand-in for "disconnected"
 HUGE_PRICES = GameConfig(price_beta=10**9, price_gamma=0)
-
-
-def clique(n):
-    return OwnedGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def _brute_best_response(g, u, cfg):
@@ -79,11 +71,11 @@ def _brute_best_response(g, u, cfg):
 
 def test_unknown_move_policy_is_refused():
     with pytest.raises(ValueError, match="unknown move policy 'bogus'"):
-        _Pricing(_Position(path(3), GameConfig()), 0).improving_move("bogus")
+        _Pricing(_Position(build_path(3), GameConfig()), 0).improving_move("bogus")
 
 
 def test_candidate_targets_respect_locality():
-    g = path(5)
+    g = build_path(5)
     assert candidate_targets(g, 0, GameConfig()) == {2, 3, 4}
     assert candidate_targets(g, 0, GameConfig(locality_k=2)) == {2}
     assert candidate_targets(g, 2, GameConfig(locality_k=2)) == {0, 4}
@@ -91,7 +83,7 @@ def test_candidate_targets_respect_locality():
 
 
 def test_strategy_after_validates_moves():
-    g = path(3)
+    g = build_path(3)
     assert strategy_after(g, 0, AddEdge(2)) == {1, 2}
     assert strategy_after(g, 1, DeleteEdge(2)) == set()
     assert strategy_after(g, 0, SwapEdge(1, 2)) == {2}
@@ -157,7 +149,7 @@ def test_single_move_costs_match_replay(g, data):
 
 
 def test_disconnecting_move_reported_with_sentinel():
-    g = path(3)
+    g = build_path(3)
     for cfg in (GameConfig(), HUGE_PRICES):
         deletes = [
             mv
@@ -172,13 +164,13 @@ def test_disconnecting_move_reported_with_sentinel():
 
 
 def test_aog_enumerates_additions_only():
-    g = path(4)
+    g = build_path(4)
     kinds = {type(mv.kind) for mv in enumerate_single_moves(g, 0, GameConfig(variant="aog"))}
     assert kinds == {AddEdge}
 
 
 def test_path_is_not_an_equilibrium():
-    g = path(4)
+    g = build_path(4)
     rep = verify_equilibrium(g, GameConfig(), level=SINGLE_MOVE)
     assert not rep.is_equilibrium
     assert isinstance(rep.witness.kind, AddEdge)
@@ -232,7 +224,7 @@ def test_an_exact_search_in_aog_reuses_the_current_spend(monkeypatch):
         return spend(pricing, strategy)
 
     monkeypatch.setattr(_Pricing, "spend", recording)
-    pricing = _Pricing(_Position(path(8), GameConfig(variant="aog")), 3)
+    pricing = _Pricing(_Position(build_path(8), GameConfig(variant="aog")), 3)
     assert pricing.improving_move(FULL_BEST_RESPONSE).kind == ReplaceStrategy((0, 4, 7))
     assert spent == [{4}]
 
@@ -242,7 +234,7 @@ def test_only_strategies_that_drop_an_edge_build_the_table_of_g_minus_u():
     with mock.patch.object(moves, "apsp_without", wraps=moves.apsp_without) as without:
         # best-single-edge dynamics price additions only
         scheme = dynamics.ActivationScheme.round_robin(BEST_SINGLE_EDGE)
-        trace = dynamics.run_dynamics(path(30), GameConfig(), scheme)
+        trace = dynamics.run_dynamics(build_path(30), GameConfig(), scheme)
         assert trace.outcome == dynamics.CONVERGED and trace.steps
         assert without.call_count == 0
         # the first improving group is the additions
@@ -373,14 +365,14 @@ def test_exact_witnesses_are_sound_and_imply_single_move(g, data):
     st.integers(min_value=0),
 )
 # 13 variables: the subset search runs over several blocks of low-bit subsets
-@example(path(14), FRACTION_PRICES, 0)
+@example(build_path(14), FRACTION_PRICES, 0)
 # only candidate 4 reaches node 4: a column u cannot reach stays live
 @example(OwnedGraph(5, [(0, 1), (2, 3)]), GameConfig(variant="aog"), 0)
 # each leaf shortens only its own column: the block has no column at all
 @example(build_star(9), GameConfig(variant="aog"), 1)
 # folded gains beside prices past the old 10^9 sentinel, and beside object-dtype spends
-@example(path(8), GameConfig(variant="aog", price_beta=10**9, price_gamma=0), 0)
-@example(path(8), GameConfig(variant="aog", price_gamma=Fraction(-1, 10**18)), 0)
+@example(build_path(8), GameConfig(variant="aog", price_beta=10**9, price_gamma=0), 0)
+@example(build_path(8), GameConfig(variant="aog", price_gamma=Fraction(-1, 10**18)), 0)
 # a radius: one live column, the rest folded
 @example(OwnedGraph(8, [(i, (i + 1) % 8) for i in range(8)]), GameConfig(variant="aog", locality_k=2), 0)
 # target 2 shortens no live column and its step is negative, but u stays
@@ -445,7 +437,7 @@ def test_relabelling_the_nodes_changes_no_verdict_or_cost(g, cfg, data):
 )
 # every strategy leaves u disconnected: all blocks tie on cost
 @example(OwnedGraph(9), GameConfig(), 0)
-@example(path(9), FRACTION_PRICES, 4)
+@example(build_path(9), FRACTION_PRICES, 4)
 def test_the_block_split_cannot_change_a_best_response(g, cfg, agent):
     """``_BLOCK_BITS`` of 0, 1 or 3 gives the answer of the default's one block.
 
@@ -554,7 +546,7 @@ def test_a_best_response_at_the_cap_allocates_about_three_blocks():
     subset, the empty pick.
     """
     cases = [
-        (path(21), GameConfig(), 0, ({1, 4, 7, 10, 13, 16, 19}, 46)),
+        (build_path(21), GameConfig(), 0, ({1, 4, 7, 10, 13, 16, 19}, 46)),
         (build_star(22), GameConfig(variant="aog"), 1, (set(), 41)),
     ]
     for g, cfg, u, expected in cases:
@@ -601,12 +593,12 @@ def test_fig2b_blocks_in_aog_carry_two_columns(monkeypatch):
 
 
 def test_huge_denominators_price_with_python_ints():
-    assert _Pricing(_Position(path(3), HUGE_DENOMINATOR), 0).price.dtype == object
-    assert _Pricing(_Position(path(3), GameConfig()), 0).price.dtype == np.int64
+    assert _Pricing(_Position(build_path(3), HUGE_DENOMINATOR), 0).price.dtype == object
+    assert _Pricing(_Position(build_path(3), GameConfig()), 0).price.dtype == np.int64
 
 
 def test_candidate_cap_guards_exact_search():
-    g = path(25)
+    g = build_path(25)
     with pytest.raises(CandidateCapExceeded) as exc:
         best_response_exact(g, 0, GameConfig())
     assert exc.value.agent == 0
@@ -616,9 +608,9 @@ def test_candidate_cap_guards_exact_search():
     # in ncg a hit cap fails before any distance row of a large graph is built
     with mock.patch.object(_kernels, "bfs_row", wraps=_kernels.bfs_row) as bfs:
         with pytest.raises(CandidateCapExceeded):
-            best_response_exact(path(2000), 0, GameConfig())
+            best_response_exact(build_path(2000), 0, GameConfig())
         with pytest.raises(CandidateCapExceeded):
-            verify_equilibrium(path(2000), GameConfig(), level=EXACT)
+            verify_equilibrium(build_path(2000), GameConfig(), level=EXACT)
     assert bfs.call_count == 0
     # a wider cap or a locality radius makes the same call feasible
     verify_equilibrium(g, GameConfig(locality_k=2), level=SINGLE_MOVE)
@@ -629,9 +621,9 @@ def test_candidate_cap_guards_exact_search():
 def test_clique_equilibrium_depends_on_variant():
     """Deleting in a clique refunds more than the detour costs, adding never helps."""
     for n in range(3, 9):
-        rep = verify_equilibrium(clique(n), GameConfig(variant="aog"), level=EXACT)
+        rep = verify_equilibrium(build_clique(n), GameConfig(variant="aog"), level=EXACT)
         assert rep.is_equilibrium, n
-    rep = verify_equilibrium(clique(4), GameConfig(), level=EXACT)
+    rep = verify_equilibrium(build_clique(4), GameConfig(), level=EXACT)
     assert not rep.is_equilibrium
     assert isinstance(rep.witness.kind, (DeleteEdge, ReplaceStrategy))
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import floyd_warshall, owned_graphs
 from degprice import _kernels, moves, oracle
-from degprice.constructions import SetCoverInstance, build_figure_network
+from degprice.constructions import SetCoverInstance, build_figure_network, build_path
 from degprice.costs import (
     GameConfig,
     agent_cost,
@@ -35,10 +35,6 @@ from degprice.oracle import (
     optimal_social_cost,
     reachable_closure,
 )
-
-
-def path(n):
-    return OwnedGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def test_census_tables_share_no_kernel_with_the_engine(monkeypatch):
@@ -413,8 +409,8 @@ def test_scalar_reference_shares_no_kernel_with_the_engine(monkeypatch):
     k2 = (16, 7, 63, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5)])
     everywhere = (28, 19, 35, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
     for start, cfg, closure in (
-        (path(6), GameConfig(variant="aog", locality_k=2), k2),
-        (path(5), GameConfig(variant="aog"), everywhere),
+        (build_path(6), GameConfig(variant="aog", locality_k=2), k2),
+        (build_path(5), GameConfig(variant="aog"), everywhere),
     ):
         states = reachable_closure(start, cfg)
         best, witness = best_reachable(start, cfg)
@@ -451,9 +447,9 @@ def test_references_import_no_engine():
 
 
 def test_dynamics_plays_moves_only_through_the_position():
-    """dynamics keeps the activation loop only: it takes from moves the
-    policy names, the kind its schedules build, the position that plays
-    every move, and the add-only rule of its cycle check."""
+    """dynamics keeps the activation loop only and holds no schedule: it
+    takes from moves the policy names, the position that plays every
+    move, and the add-only rule of its cycle check."""
     imported = _imports(Path(oracle.__file__).parent / "dynamics.py")
     assert {m for m in imported if m.startswith("degprice.moves")} == {
         f"degprice.moves.{name}"
@@ -462,11 +458,40 @@ def test_dynamics_plays_moves_only_through_the_position():
             "FIRST_IMPROVING_SINGLE_MOVE",
             "FULL_BEST_RESPONSE",
             "POLICIES",
-            "AddEdge",
             "_Position",
             "_every_move_adds",
         )
     }
+
+
+# the package's one layer order, lowest first
+LAYERS = (
+    "errors",
+    "_kernels",
+    "graph",
+    "costs",
+    "moves",
+    "dynamics",
+    "oracle",
+    "textio",
+    "constructions",
+    "claims",
+    "cli",
+)
+
+
+def test_modules_import_only_lower_layers():
+    """Every import of a degprice module, inside a function or not, names a
+    module earlier in ``LAYERS``; the package __init__ sits above them all."""
+    src = Path(oracle.__file__).parent
+    assert sorted(LAYERS) == sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    upward = set()
+    for layer, name in enumerate(LAYERS):
+        for m in _imports(src / f"{name}.py"):
+            parts = m.split(".")
+            if parts[0] == "degprice" and LAYERS.index(parts[1]) >= layer:
+                upward.add(f"{name} -> {parts[1]}")
+    assert upward == set()
 
 
 def test_census_ratios_are_exact(census):
@@ -478,25 +503,25 @@ def test_census_ratios_are_exact(census):
 def test_reachable_closure_from_tiny_paths(monkeypatch):
     cfg = GameConfig(variant="aog")
     # no purchase strictly helps anyone on the 3-path, so it is its own closure
-    states = reachable_closure(path(3), cfg)
+    states = reachable_closure(build_path(3), cfg)
     assert len(states) == 1 and states[0][1]
-    assert best_reachable(path(3), cfg)[0] == 9
+    assert best_reachable(build_path(3), cfg)[0] == 9
 
-    states = reachable_closure(path(4), cfg)
+    states = reachable_closure(build_path(4), cfg)
     keys = {g.state_key() for g, _ in states}
     assert len(keys) == len(states) == 3
     terminals = [g for g, is_t in states if is_t]
     assert len(terminals) == 2
     for g in terminals:
         assert verify_equilibrium(g, cfg, level="exact").is_equilibrium
-    best, witness = best_reachable(path(4), cfg)
+    best, witness = best_reachable(build_path(4), cfg)
     assert best == 20 and social_cost(witness, cfg) == 20
 
     with pytest.raises(ValueError, match="add-only"):
-        reachable_closure(path(3), GameConfig())
+        reachable_closure(build_path(3), GameConfig())
     monkeypatch.setattr(oracle, "MAX_CLOSURE_STATES", 2)
     with pytest.raises(OracleBudgetExceeded):
-        reachable_closure(path(5), cfg)
+        reachable_closure(build_path(5), cfg)
 
 
 @pytest.mark.parametrize(
@@ -512,13 +537,13 @@ def test_closure_of_path6_is_pinned(monkeypatch, variant, k, successors, closure
     """The closure lists each agent's candidates itself, without a pricing position."""
     monkeypatch.setattr(moves, "_Position", None)
     cfg = GameConfig(variant=variant, locality_k=k)
-    assert len(_StateEvaluator(6, cfg).purchases(*_graph_to_state(path(6)))[0]) == successors
+    assert len(_StateEvaluator(6, cfg).purchases(*_graph_to_state(build_path(6)))[0]) == successors
     if closure is None:
         with pytest.raises(ValueError, match="add-only"):
-            best_reachable(path(6), cfg)
+            best_reachable(build_path(6), cfg)
         return
-    states = reachable_closure(path(6), cfg)
-    best, witness = best_reachable(path(6), cfg)
+    states = reachable_closure(build_path(6), cfg)
+    best, witness = best_reachable(build_path(6), cfg)
     assert (len(states), sum(t for _, t in states), best, sorted(witness.owned_edges)) == closure
 
 
@@ -529,10 +554,10 @@ def test_closure_agrees_with_the_engine(n, k):
     accepts it, and the best reachable cost is the cheapest closure graph's
     social cost, priced by the costs reference."""
     cfg = GameConfig(variant="aog", locality_k=k)
-    states = reachable_closure(path(n), cfg)
+    states = reachable_closure(build_path(n), cfg)
     for g, terminal in states:
         assert terminal == verify_equilibrium(g, cfg, level="exact").is_equilibrium
-    best, witness = best_reachable(path(n), cfg)
+    best, witness = best_reachable(build_path(n), cfg)
     assert best == social_cost(witness, cfg) == min(social_cost(g, cfg) for g, _ in states)
 
 
@@ -545,7 +570,7 @@ def test_closure_refuses_seven_nodes_before_any_table(monkeypatch):
 
     monkeypatch.setattr(oracle, "_tables", broken)
     with pytest.raises(OracleBudgetExceeded, match="n <= 6"):
-        reachable_closure(path(7), GameConfig(variant="aog", locality_k=2))
+        reachable_closure(build_path(7), GameConfig(variant="aog", locality_k=2))
 
 
 def _brute_min_cover(inst):

@@ -4,17 +4,10 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import owned_graphs
-from degprice.constructions import SetCoverInstance
+from degprice.constructions import SetCoverInstance, parse_set_cover_file, serialize_set_cover
 from degprice.errors import GraphFormatError, ResourceCapExceeded
 from degprice.graph import MAX_NODES, OwnedGraph
-from degprice.textio import (
-    parse_graph_file,
-    parse_set_cover_file,
-    serialize_graph,
-    serialize_set_cover,
-    to_csv_text,
-    to_json_text,
-)
+from degprice.textio import parse_graph_file, serialize_graph, to_csv_text, to_json_text
 
 
 def test_parse_simple_path():
