@@ -34,7 +34,7 @@ from degprice.dynamics import (
     ActivationScheme,
     run_dynamics,
 )
-from degprice.errors import DegpriceError, GraphFormatError, ResourceCapExceeded
+from degprice.errors import DegpriceError, ResourceCapExceeded
 from degprice.moves import EXACT, SINGLE_MOVE, best_response_exact, parse_schedule, verify_equilibrium
 from degprice.oracle import equilibrium_census
 
@@ -43,10 +43,11 @@ EXIT_ASSERTION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# the first class an error matches decides its exit code
+# the first class an error matches decides its exit code; an input fault
+# is a ValueError by its class (GraphFormatError, InfeasibleInstanceError)
 EXIT_CODES = (
     (ResourceCapExceeded, EXIT_RESOURCE),
-    ((GraphFormatError, ValueError, OSError), EXIT_USAGE),
+    ((ValueError, OSError), EXIT_USAGE),
     (DegpriceError, EXIT_ASSERTION),
 )
 

@@ -8,8 +8,8 @@ distance 2 from the agent, each priced ``q + 1``, while every uncovered
 element keeps ``q + 2`` nodes one hop further away than they need to be.
 
 The set-cover file format lives here, beside the instance it describes:
-first line ``u <n> q <q>``, then one line of q element ids per set, with
-blank and ``#`` lines skipped as in a graph file (``textio``).
+the record file (``textio.read_records``) with header ``u <n> q <q>``
+and one line of q element ids per set.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +17,7 @@ from importlib import resources
 
 from degprice.errors import GraphFormatError, InfeasibleInstanceError, ResourceCapExceeded
 from degprice.graph import MAX_EDGES, MAX_NODES, OwnedGraph, bfs_distances, degree
-from degprice.textio import content_lines, parse_graph_file
+from degprice.textio import parse_graph_file, read_records, write_records
 
 _DATA = resources.files("degprice").joinpath("data")
 # the packaged networks: one data/<name>.graph file each
@@ -143,24 +143,10 @@ class SetCoverInstance:
 
 
 def parse_set_cover_file(text):
-    lines = content_lines(text)
-    try:
-        number, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty file, expected 'u <n> q <q>' header") from None
-    parts = header.split()
-    if len(parts) != 4 or parts[0] != "u" or parts[2] != "q":
-        raise GraphFormatError(f"expected 'u <n> q <q>' header, got {header!r}", line=number)
-    try:
-        n, q = int(parts[1]), int(parts[3])
-    except ValueError:
-        raise GraphFormatError(f"non-integer header field in {header!r}", line=number)
+    records = read_records(text, "u <n> q <q>")
+    _, (n, q) = next(records)
     sets = []
-    for number, line in lines:
-        try:
-            elements = tuple(int(p) for p in line.split())
-        except ValueError:
-            raise GraphFormatError(f"non-integer element in {line!r}", line=number)
+    for number, elements in records:
         try:
             sets.append(_checked_set(elements, n, q))
         except ValueError as exc:
@@ -172,10 +158,7 @@ def parse_set_cover_file(text):
 
 
 def serialize_set_cover(inst):
-    out = [f"u {inst.universe_size} q {inst.q}"]
-    for s in inst.sets:
-        out.append(" ".join(str(e) for e in sorted(s)))
-    return "\n".join(out) + "\n"
+    return write_records(f"u {inst.universe_size} q {inst.q}", inst.sets)
 
 
 def dominating_set_to_set_cover(g, q):

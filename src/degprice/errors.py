@@ -5,10 +5,11 @@ class DegpriceError(Exception):
     """Base class for package errors."""
 
 
-class GraphFormatError(DegpriceError):
+class GraphFormatError(DegpriceError, ValueError):
     """Raised when a graph or set-cover file does not parse.
 
-    Carries the 1-based line number of the offending line when known.
+    An input fault, so a ValueError.  Carries the 1-based line number of
+    the offending line when known.
     """
 
     def __init__(self, message, line=None):
@@ -39,8 +40,11 @@ class OracleBudgetExceeded(ResourceCapExceeded):
     """Brute-force enumeration would exceed its configured budget."""
 
 
-class InfeasibleInstanceError(DegpriceError):
-    """The instance has no solution at all (e.g. an uncoverable universe)."""
+class InfeasibleInstanceError(DegpriceError, ValueError):
+    """The instance has no solution at all (e.g. an uncoverable universe).
+
+    An input fault, so a ValueError.
+    """
 
 
 class ScheduleReplayError(DegpriceError):

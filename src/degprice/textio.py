@@ -1,10 +1,13 @@
-"""Text formats: graph files and JSON/CSV output, nothing else.
+"""Text formats: the record files, graph files and JSON/CSV output.
 
-Graph file: first line ``n <N>``, then one ``<owner> <target>`` line per
-edge (0-indexed).  Lines starting with ``#`` are comments.  The edge
-direction in the file encodes ownership.  The set-cover file format
-lives in ``constructions``, beside the instance it describes, and reads
-its lines through ``content_lines``.
+A record file is a header line of keywords, each followed by one int,
+then one line of space-separated ints per record.  Blank lines and
+lines starting with ``#`` are skipped; ``read_records`` and
+``write_records`` are its one reader and writer.  A graph file is the
+record file ``n <N>`` with one ``<owner> <target>`` line per edge
+(0-indexed); the edge direction encodes ownership.  The set-cover file
+``u <n> q <q>`` lives in ``constructions``, beside the instance it
+describes.
 """
 
 import csv
@@ -16,6 +19,8 @@ from degprice.errors import GraphFormatError
 from degprice.graph import OwnedGraph
 
 __all__ = [
+    "read_records",
+    "write_records",
     "parse_graph_file",
     "serialize_graph",
     "to_json_text",
@@ -23,39 +28,53 @@ __all__ = [
 ]
 
 
-def content_lines(text):
-    """(line number, stripped line) of each line that is neither blank nor a ``#`` comment."""
-    for number, raw in enumerate(text.splitlines(), start=1):
+def read_records(text, header):
+    """(line number, ints) of each line that is neither blank nor a ``#`` comment.
+
+    The first such line must be ``header``'s keywords, each followed by one
+    int (``"n <N>"``, ``"u <n> q <q>"``), and gives those ints; every later
+    line gives its fields, which must all be ints.  A fault raises
+    GraphFormatError with its line number.  Streams over the lines; the
+    header is read before the row loop, so the loop has no header branch.
+    """
+    keys = header.split()[::2]
+    lines = enumerate(text.splitlines(), start=1)
+    for number, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield number, line
+        if line and line[0] != "#":
+            break
+    else:
+        raise GraphFormatError(f"empty file, expected {header!r} header")
+    parts = line.split()
+    if parts[::2] != keys or len(parts) != 2 * len(keys):
+        raise GraphFormatError(f"expected {header!r} header, got {line!r}", line=number)
+    try:
+        yield number, [*map(int, parts[1::2])]
+        for number, raw in lines:
+            line = raw.strip()
+            if line and line[0] != "#":
+                yield number, [*map(int, line.split())]
+    except ValueError:
+        raise GraphFormatError(f"non-integer field in {line!r}", line=number) from None
+
+
+def write_records(header, rows):
+    """The ``header`` line, then one line of space-separated ints per row."""
+    return "\n".join([header, *(" ".join(map(str, row)) for row in rows)]) + "\n"
 
 
 def parse_graph_file(text):
-    lines = content_lines(text)
-    try:
-        number, header = next(lines)
-    except StopIteration:
-        raise GraphFormatError("empty file, expected 'n <N>' header") from None
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise GraphFormatError(f"expected 'n <N>' header, got {header!r}", line=number)
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise GraphFormatError(f"node count {parts[1]!r} is not an integer", line=number)
+    records = read_records(text, "n <N>")
+    number, (n,) = next(records)
     if n < 1:
         raise GraphFormatError(f"node count must be positive, got {n}", line=number)
     g = OwnedGraph(n)
-    for number, line in lines:
-        parts = line.split()
-        if len(parts) != 2:
+    for number, ids in records:
+        if len(ids) != 2:
+            # the message quotes the line as written, not its ints
+            line = text.splitlines()[number - 1].strip()
             raise GraphFormatError(f"expected '<owner> <target>', got {line!r}", line=number)
-        try:
-            owner, target = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer node id in {line!r}", line=number)
+        owner, target = ids
         try:
             g.add_edge(owner, target)
         except ValueError as exc:
@@ -64,8 +83,7 @@ def parse_graph_file(text):
 
 
 def serialize_graph(g):
-    edges = (f"{owner} {target}" for owner, target in sorted(g.owned_edges))
-    return "\n".join([f"n {g.n}", *edges]) + "\n"
+    return write_records(f"n {g.n}", sorted(g.owned_edges))
 
 
 def to_json_text(data):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import degprice
-from degprice import claims, cli
+from degprice import claims, cli, errors
 from degprice.cli import main
 from degprice.constructions import build_path, build_star, parse_set_cover_file
 from degprice.costs import GameConfig, social_cost
@@ -390,6 +390,39 @@ def test_a_failing_preset_exits_1(capsys, monkeypatch):
     assert json.loads(out)["passed"] is False
 
 
+# the exit code of each error class: 3 for a cap, 2 for an input fault
+# (a ValueError or OSError), 1 for any other package error
+EXIT_BY_CLASS = {
+    errors.DegpriceError: 1,
+    errors.GraphFormatError: 2,
+    errors.ResourceCapExceeded: 3,
+    errors.CandidateCapExceeded: 3,
+    errors.OracleBudgetExceeded: 3,
+    errors.InfeasibleInstanceError: 2,
+    errors.ScheduleReplayError: 1,
+    ValueError: 2,
+    OSError: 2,
+}
+
+
+def test_the_exit_table_names_every_error_class():
+    classes = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)}
+    assert classes <= set(EXIT_BY_CLASS)
+
+
+@pytest.mark.parametrize("cls", EXIT_BY_CLASS, ids=lambda cls: cls.__name__)
+def test_an_error_exits_by_its_class(capsys, monkeypatch, cls):
+    exc = cls(0, 21, 20) if cls is errors.CandidateCapExceeded else cls("raised on purpose")
+
+    def fail():
+        raise exc
+
+    monkeypatch.setitem(claims.PRESETS, "star-optimal", fail)
+    code, out, err = run_cli(capsys, "preset", "star-optimal")
+    assert code == EXIT_BY_CLASS[cls]
+    assert err == f"error: {exc}\n" and out == ""
+
+
 def test_a_swap_schedule_file_replays_the_fig3_cycle(capsys, tmp_path):
     graph, schedule = tmp_path / "g1.graph", tmp_path / "cycle.json"
     assert run_cli(capsys, "construct", "fig3-g1", "--out", str(graph))[0] == 0
@@ -576,6 +609,14 @@ def test_malformed_input_is_one_error_line(
             3,
             "6000000003 nodes",
             id="gadget-past-max-nodes",
+        ),
+        # an input fault, so exit 2 like a q < 4 instance, not an assertion failure
+        pytest.param(
+            ["reduce", "set-cover-to-gadget", "--instance", "{sched}"],
+            "u 6 q 4\n0 1 2 3\n1 2 3 4\n",
+            2,
+            "appear in no set",
+            id="gadget-uncoverable",
         ),
     ],
 )

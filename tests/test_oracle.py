@@ -1,6 +1,7 @@
 """Exhaustive small-instance oracles: censuses, optima, closures, covers."""
 
 import ast
+import math
 import sys
 from fractions import Fraction
 from functools import partial
@@ -349,6 +350,58 @@ def test_census_witnesses_verify_independently(census):
             assert verify_equilibrium(g, cfg, level="exact").is_equilibrium
         assert social_cost(s.worst_witness, cfg) == s.worst_eq_cost
         assert social_cost(s.opt_witness, cfg) == s.opt_cost
+
+
+PRICE_GRID = tuple((Fraction(b), g) for b in (0, Fraction(1, 2), 1, 2, 4) for g in (-1, 0, 1, 3))
+
+
+def test_census_claims_hold_where_pinned_in_price_space():
+    """Where census criteria 2-5 hold at n = 5, over a grid of prices
+    ``beta * deg + gamma`` around the paper's (1, -1), in all four games.
+
+    Criterion 5 (PoS = 1) fails only at (1/2, -1), with 28/27.  Criterion
+    2 (the optimum is a star) fails at beta = 0 with gamma <= 1 and at
+    (1/2, -1).  Criterion 3 (ncg global equilibria have diameter <= 3)
+    fails with diameter 4 at (1/2, 3), (1, 3), (2, gamma >= 0) and every
+    beta = 4.  Criterion 4 (the 2-local root bound) holds everywhere.  At
+    each point the optimum's witness costs the optimum and the best and
+    worst witnesses verify exact.
+    """
+    n, root_bound = 5, (2 / 3) * (1 + math.sqrt(9 * 5 + 19))
+    pos, not_star, ncg_diameter, aog_poa = {}, set(), {}, {}
+    for variant in ("ncg", "aog"):
+        for k in (None, 2):
+            for beta, gamma in PRICE_GRID:
+                cfg = GameConfig(
+                    variant=variant, locality_k=k, price_beta=beta, price_gamma=gamma
+                )
+                game = (variant, k, beta, gamma)
+                s = equilibrium_census(n, cfg)
+                assert social_cost(s.opt_witness, cfg) == s.opt_cost, game
+                for g in (s.best_witness, s.worst_witness):
+                    assert verify_equilibrium(g, cfg, level="exact").is_equilibrium, game
+                if s.pos != 1:
+                    pos[game] = s.pos
+                if sorted(degree(s.opt_witness, v) for v in range(n)) != [1] * (n - 1) + [n - 1]:
+                    not_star.add(game)
+                if k == 2:
+                    assert s.eq_diameter_max < root_bound, game
+                elif variant == "ncg":
+                    ncg_diameter[beta, gamma] = s.eq_diameter_max
+                elif gamma == -1:
+                    aog_poa[beta] = s.poa
+    half = Fraction(1, 2)
+    games = [(variant, k) for variant in ("ncg", "aog") for k in (None, 2)]
+    assert pos == {(*game, half, -1): Fraction(28, 27) for game in games}
+    off_star = [(0, -1), (0, 0), (0, 1), (half, -1)]
+    assert not_star == {(*game, *point) for game in games for point in off_star}
+    wide = {(half, 3), (1, 3), (2, 0), (2, 1), (2, 3), (4, -1), (4, 0), (4, 1), (4, 3)}
+    assert {point for point, d in ncg_diameter.items() if d > 3} == wide
+    assert max(ncg_diameter.values()) == 4
+    # aog global at gamma = -1: PoA grows with beta
+    assert aog_poa == {
+        0: 1, half: Fraction(31, 27), 1: Fraction(25, 16), 2: Fraction(5, 2), 4: Fraction(85, 22)
+    }
 
 
 def test_census_counts_what_verify_accepts_under_huge_prices():

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import owned_graphs
 from degprice.constructions import SetCoverInstance, parse_set_cover_file, serialize_set_cover
@@ -26,7 +27,7 @@ def test_comments_and_blank_lines_are_ignored():
     [
         ("", "empty file", None),
         ("nodes 3", "expected 'n <N>'", 1),
-        ("n three", "not an integer", 1),
+        ("n three", "non-integer field", 1),
         ("n 0", "must be positive", 1),
         ("n 3\n0 1 2", "expected '<owner> <target>'", 2),
         ("n 3\n0 x", "non-integer", 2),
@@ -66,16 +67,72 @@ def test_set_cover_round_trip():
     assert parse_set_cover_file(text) == inst
 
 
+@st.composite
+def set_cover_instances(draw):
+    n = draw(st.integers(1, 9))
+    q = draw(st.integers(1, n))
+    one_set = st.lists(st.integers(0, n - 1), min_size=q, max_size=q, unique=True)
+    sets = draw(st.lists(one_set, min_size=1, max_size=6))
+    return SetCoverInstance(universe_size=n, sets=tuple(map(tuple, sets)), q=q)
+
+
+@settings(max_examples=80)
+@given(set_cover_instances())
+def test_set_cover_round_trip_over_random_instances(inst):
+    assert parse_set_cover_file(serialize_set_cover(inst)) == inst
+
+
+@st.composite
+def noisy_text(draw, lines):
+    """``lines`` with blank, whitespace and ``#`` lines drawn around them,
+    each indented and padded, each line ended by LF or CRLF; and the
+    1-based line number on which each of ``lines`` lands."""
+    filler = st.lists(st.sampled_from(["", "  ", "\t", "#", "# note", "  # indented"]), max_size=2)
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    out, numbers = [], []
+    for line in lines:
+        out += draw(filler)
+        numbers.append(len(out) + 1)
+        out.append(draw(pad) + line + draw(pad))
+    out += draw(filler)
+    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in out), numbers
+
+
+FORMATS = {
+    "graph": (parse_graph_file, serialize_graph, owned_graphs(max_n=6)),
+    "set-cover": (parse_set_cover_file, serialize_set_cover, set_cover_instances()),
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_blank_comment_indented_and_crlf_lines_change_nothing(fmt, data):
+    """Both formats read the same object through any such noise, and a
+    malformed line is reported on the line where it landed."""
+    parse, serialize, objects = FORMATS[fmt]
+    obj = data.draw(objects)
+    lines = serialize(obj).splitlines()
+    text, _ = data.draw(noisy_text(lines))
+    assert parse(text) == obj
+    bad = data.draw(st.integers(0, len(lines) - 1))
+    lines[bad] = "x 1"  # a bad header keyword on line 0, a non-integer field below
+    text, numbers = data.draw(noisy_text(lines))
+    with pytest.raises(GraphFormatError) as exc:
+        parse(text)
+    assert exc.value.line == numbers[bad]
+
+
 @pytest.mark.parametrize(
     "text,fragment,line",
     [
         ("", "empty file", None),
         ("universe 5 q 2", "expected 'u <n> q <q>'", 1),
-        ("u 5 q two", "non-integer header", 1),
+        ("u 5 q two", "non-integer field", 1),
         ("u 5 q 2\n0 1 2", "expected q=2", 2),
         ("u 5 q 2\n0 0", "duplicate element", 2),
         ("u 5 q 2\n# ok\n0 9", "outside universe", 3),
-        ("u 5 q 2\n0 a", "non-integer element", 2),
+        ("u 5 q 2\n0 a", "non-integer field", 2),
     ],
 )
 def test_set_cover_errors_carry_line_numbers(text, fragment, line):
