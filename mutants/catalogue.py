@@ -5,6 +5,10 @@ that must occur once, the snippet that replaces it, and the tests that
 must fail once it is applied.  ``test_mutants.py`` applies them one at a
 time to a copy of the repo.  A change that adds a fast path adds its
 mutants here.
+
+Left out as equivalent: ``_Pricing.totals`` without ``dsum[cut] = 0``
+survives every Tier-1 test, because ``scaled[cut] = self.unreachable``
+then overwrites those entries.  The line stays as overflow protection.
 """
 
 from dataclasses import dataclass
@@ -22,6 +26,11 @@ class Mutant:
 SCALAR_REFERENCE = "tests/test_dynamics.py::test_runs_match_the_scalar_reference"
 ORACLE_MOVES_N5 = "tests/test_oracle.py::test_best_responses_agree_with_oracle_on_five_nodes"
 TEXT_FORMATS = "tests/test_textio.py"
+REMOVAL_THEN_GAIN = "tests/test_kernels.py::test_removal_then_gain_matches_recompute"
+UPDATE_ADD = "tests/test_kernels.py::test_incremental_update_matches_recompute"
+DROP_SCREEN = "tests/test_moves.py::test_drop_screen_clears_only_agents_without_an_improving_drop"
+BRUTE_FORCE = "tests/test_moves.py::test_best_response_matches_brute_force"
+SENTINEL = "tests/test_moves.py::test_disconnecting_move_reported_with_sentinel"
 
 MUTANTS = (
     # whole-run dynamics against the scalar reference
@@ -103,5 +112,166 @@ MUTANTS = (
         "if parts[::2] != keys or len(parts) != 2 * len(keys):",
         "if len(parts) != 2 * len(keys):",
         (TEXT_FORMATS,),
+    ),
+    Mutant(
+        "underscore-read-as-a-digit",
+        "textio.py",
+        'if not text.isascii() or "_" in text:',
+        "if not text.isascii():",
+        (TEXT_FORMATS,),
+    ),
+    # the table of G - u derived from G's table
+    Mutant(
+        "removed-node-kept-in-its-level",
+        "_kernels.py",
+        "    level[:, u] = False\n",
+        "",
+        (REMOVAL_THEN_GAIN,),
+    ),
+    Mutant(
+        "held-neighbours-re-run",
+        "_kernels.py",
+        "orphaned = (columns > depth) & ~held",
+        "orphaned = columns > depth",
+        ("tests/test_kernels.py::test_removal_matches_recompute",),
+    ),
+    Mutant(
+        "re-run-through-the-removed-node",
+        "_kernels.py",
+        "table[s] = bfs_row(cut, s)",
+        "table[s] = bfs_row(neighbours, s)",
+        (REMOVAL_THEN_GAIN,),
+    ),
+    # the add-edge update of a table
+    Mutant(
+        "relaxed-rows-not-mirrored",
+        "_kernels.py",
+        "        dist[block] = relaxed\n        dist[:, block] = relaxed.T\n",
+        "        dist[block] = relaxed\n",
+        (UPDATE_ADD,),
+    ),
+    Mutant(
+        "relaxed-one-hop-too-far",
+        "_kernels.py",
+        "np.minimum(relaxed, r, out=relaxed)",
+        "np.minimum(relaxed, r + 1, out=relaxed)",
+        (UPDATE_ADD,),
+    ),
+    Mutant(
+        "every-other-block-skipped",
+        "_kernels.py",
+        "for start in range(0, len(rows), step):",
+        "for start in range(0, len(rows), 2 * step):",
+        ("tests/test_kernels.py::test_an_update_relaxed_one_row_at_a_time_matches_recompute",),
+    ),
+    # the screen that clears an agent without an improving drop
+    Mutant(
+        "own-row-not-cleared",
+        "moves.py",
+        "        second[u] = 0\n",
+        "",
+        (DROP_SCREEN,),
+    ),
+    Mutant(
+        "rise-not-clipped",
+        "moves.py",
+        "        np.minimum(rise, second, out=rise)\n",
+        "",
+        (DROP_SCREEN,),
+    ),
+    # the position's door and its lazily built state
+    Mutant(
+        "witness-never-found",
+        "moves.py",
+        "        for u in range(self.graph.n):\n"
+        "            record = _Pricing(self, u).improving_move(policy)\n"
+        "            if record is not None:\n"
+        "                return record\n"
+        "        return None\n",
+        "        return None\n",
+        ("tests/test_moves.py::test_path_is_not_an_equilibrium",),
+    ),
+    Mutant(
+        "lazy-never-stores",
+        "moves.py",
+        "value = obj.__dict__[self.name] = self.build(obj)",
+        "value = self.build(obj)",
+        ("tests/test_dynamics.py::test_uniform_random_totals_are_pinned",),
+    ),
+    Mutant(
+        "stale-prices-kept",
+        "moves.py",
+        '        vars(self).pop("prices", None)\n',
+        "",
+        (
+            "tests/test_dynamics.py"
+            "::test_round_robin_cycle_closed_by_last_agent_completes_the_round",
+        ),
+    ),
+    Mutant(
+        "non-improving-step-replayed",
+        "moves.py",
+        "        if not record.improving:\n",
+        "        if False:\n",
+        ("tests/test_dynamics.py::test_scripted_replay_rejects_non_improving_step",),
+    ),
+    # the exact best response's column fold
+    Mutant(
+        "columns-of-two-folded",
+        "moves.py",
+        "live = (shorter.sum(axis=0) > 1) | (base >= UNREACHABLE)",
+        "live = (shorter.sum(axis=0) > 2) | (base >= UNREACHABLE)",
+        (BRUTE_FORCE,),
+    ),
+    Mutant(
+        "gain-added-to-the-step",
+        "moves.py",
+        "self.price[v] - self.scale * int(g)",
+        "self.price[v] + self.scale * int(g)",
+        (BRUTE_FORCE,),
+    ),
+    Mutant(
+        "unreached-columns-folded",
+        "moves.py",
+        "live = (shorter.sum(axis=0) > 1) | (base >= UNREACHABLE)",
+        "live = shorter.sum(axis=0) > 1",
+        (SENTINEL,),
+    ),
+    Mutant(
+        "folded-base-not-spent",
+        "moves.py",
+        "spend[0] = (self.spent if self.add_only else 0) + self.scale * int(base[~live].sum())",
+        "spend[0] = self.spent if self.add_only else 0",
+        (SENTINEL,),
+    ),
+    # the exact best response's free variables
+    Mutant(
+        "free-zero-step-forced",
+        "moves.py",
+        "if not t and s < 0}",
+        "if not t and s <= 0}",
+        (BRUTE_FORCE,),
+    ),
+    Mutant(
+        "forced-kept-when-disconnected",
+        "moves.py",
+        "        if best[0] < self.unreachable:\n",
+        "        if True:\n",
+        (BRUTE_FORCE,),
+    ),
+    Mutant(
+        "forced-steps-not-spent",
+        "moves.py",
+        "        spend[0] += sum(forced.values())\n",
+        "",
+        (ORACLE_MOVES_N5, SCALAR_REFERENCE),
+    ),
+    # the improving-response closure's costs
+    Mutant(
+        "closure-cost-dropped",
+        "oracle.py",
+        "order.append((_state_to_graph(g0.n, *state), not successors, cost))",
+        "order.append((_state_to_graph(g0.n, *state), not successors, 0))",
+        ("tests/test_oracle.py::test_closure_agrees_with_the_engine",),
     ),
 )

@@ -69,7 +69,7 @@ def _add_game_flags(p):
 def _price(text):
     """A price coefficient kept exact: "0.1" and "1/2" become Fractions."""
     try:
-        value = Fraction(text)
+        value = Fraction(textio.numeral(text))
     except ZeroDivisionError:
         # argparse turns a ValueError, not this, into a usage error
         raise ValueError(f"zero denominator in {text!r}") from None
@@ -84,7 +84,7 @@ def _add_out_flags(p, *formats):
 
 def _config_from(args):
     try:
-        k = None if args.k == "global" else int(args.k)
+        k = None if args.k == "global" else textio.integer(args.k)
     except ValueError:
         raise ValueError(f"--k must be an integer or 'global', got {args.k!r}")
     return GameConfig(
@@ -232,10 +232,10 @@ def _cmd_reduce(args):
     # the flags each transformation requires, then those it also takes
     needs = {
         "set-cover-to-gadget": (("instance",), ("roles",)),
-        "dominating-to-set-cover": (("graph", "q"), ()),
+        "dominating-to-set-cover": (("graph",), ()),
     }
     required, optional = needs[args.transformation]
-    for flag in ("instance", "graph", "q", "roles"):
+    for flag in ("instance", "graph", "roles"):
         given = getattr(args, flag) is not None
         if flag in required and not given:
             raise ValueError(f"reduce {args.transformation} requires --{flag}")
@@ -253,7 +253,7 @@ def _cmd_reduce(args):
             args.roles.write_text(textio.to_json_text(roles))
     else:
         g = _read_graph(args.graph)
-        inst = constructions.dominating_set_to_set_cover(g, args.q)
+        inst = constructions.dominating_set_to_set_cover(g)
         _emit(args, constructions.serialize_set_cover(inst))
     return EXIT_OK
 
@@ -274,20 +274,20 @@ def build_parser():
 
     p = sub.add_parser("construct", help="emit a named network as a graph file")
     p.add_argument("family", help=f"{'|'.join(FAMILIES)} or a figure name")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=textio.integer, default=None)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_construct)
 
     p = sub.add_parser("cost", help="agent cost breakdowns and social cost")
     p.add_argument("graph")
-    p.add_argument("--agent", type=int, default=None)
+    p.add_argument("--agent", type=textio.integer, default=None)
     _add_game_flags(p)
     _add_out_flags(p, "json", "text")
     p.set_defaults(fn=_cmd_cost)
 
     p = sub.add_parser("best-response", help="exact best response for one agent")
     p.add_argument("graph")
-    p.add_argument("--agent", type=int, required=True)
+    p.add_argument("--agent", type=textio.integer, required=True)
     _add_game_flags(p)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_best_response)
@@ -308,14 +308,14 @@ def build_parser():
         default=None,
         help="scripted run: 'adversarial', a named sequence, or a JSON move file",
     )
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-steps", type=int, default=MAX_STEPS)
+    p.add_argument("--seed", type=textio.integer, default=None)
+    p.add_argument("--max-steps", type=textio.integer, default=MAX_STEPS)
     _add_game_flags(p)
     _add_out_flags(p, "json", "csv", "text")
     p.set_defaults(fn=_cmd_dynamics)
 
     p = sub.add_parser("enumerate", help="exhaustive small-n equilibrium census")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=textio.integer, required=True)
     p.add_argument("--witness-dir", type=pathlib.Path, default=None)
     _add_game_flags(p)
     _add_out_flags(p)
@@ -325,7 +325,6 @@ def build_parser():
     p.add_argument("transformation", choices=("set-cover-to-gadget", "dominating-to-set-cover"))
     p.add_argument("--instance", default=None)
     p.add_argument("--graph", default=None)
-    p.add_argument("--q", type=int, default=None)
     p.add_argument("--roles", type=pathlib.Path, default=None)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_reduce)

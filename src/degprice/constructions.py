@@ -14,6 +14,7 @@ and one line of q element ids per set.
 
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import combinations, repeat
 
 from degprice.errors import GraphFormatError, InfeasibleInstanceError, ResourceCapExceeded
 from degprice.graph import MAX_EDGES, MAX_NODES, OwnedGraph, bfs_distances, degree
@@ -45,30 +46,21 @@ def build_star(n):
     """Star on ``n`` nodes; the center (node 0) buys every edge."""
     if n < 2:
         raise ValueError(f"star needs at least 2 nodes, got {n}")
-    g = OwnedGraph(n)
-    for leaf in range(1, n):
-        g.add_edge(0, leaf)
-    return g
+    return OwnedGraph(n, zip(repeat(0), range(1, n)))
 
 
 def build_path(n):
     """Path on ``n`` nodes; node i buys the edge to node i + 1."""
     if n < 1:
         raise ValueError(f"path needs at least 1 node, got {n}")
-    g = OwnedGraph(n)
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return OwnedGraph(n, zip(range(n - 1), range(1, n)))
 
 
 def build_cycle(n):
     """Cycle on ``n`` nodes; node i buys the edge to node (i + 1) mod n."""
     if n < 3:
         raise ValueError(f"cycle needs at least 3 nodes, got {n}")
-    g = OwnedGraph(n)
-    for i in range(n):
-        g.add_edge(i, (i + 1) % n)
-    return g
+    return OwnedGraph(n, zip(range(n), [*range(1, n), 0]))
 
 
 def build_clique(n):
@@ -77,11 +69,7 @@ def build_clique(n):
         raise ValueError(f"clique needs at least 2 nodes, got {n}")
     if n * (n - 1) // 2 > MAX_EDGES:
         raise ResourceCapExceeded(f"graphs limited to {MAX_EDGES} edges, clique({n}) has more")
-    g = OwnedGraph(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            g.add_edge(a, b)
-    return g
+    return OwnedGraph(n, combinations(range(n), 2))
 
 
 def build_figure_network(name):
@@ -161,12 +149,15 @@ def serialize_set_cover(inst):
     return write_records(f"u {inst.universe_size} q {inst.q}", inst.sets)
 
 
-def dominating_set_to_set_cover(g, q):
+def dominating_set_to_set_cover(g):
     """Closed-neighborhood instance of a q-regular graph.
 
-    Dominating sets of the graph correspond one-to-one with covers: set
-    j is the closed neighborhood of node j, so it has q + 1 elements.
+    q is node 0's degree, and every other node must have it too, else
+    ValueError.  Dominating sets of the graph correspond one-to-one with
+    covers: set j is the closed neighborhood of node j, so it has q + 1
+    elements.
     """
+    q = degree(g, 0)
     for v in range(g.n):
         if degree(g, v) != q:
             raise ValueError(f"graph is not {q}-regular: node {v} has degree {degree(g, v)}")

@@ -30,8 +30,10 @@ class OwnedGraph:
     """Simple undirected graph where each edge has exactly one owner.
 
     ``targets(u)`` is u's strategy: the set of nodes u bought edges to.
-    Inserting an edge whose undirected counterpart already exists is an
-    error rather than a silent dedup, so no multi-edge can ever form.
+    ``OwnedGraph(n, edges)`` adds each ``(owner, target)`` pair of the
+    iterable ``edges`` in order, through ``add_edge``.  Inserting an edge
+    whose undirected counterpart already exists is an error rather than a
+    silent dedup, so no multi-edge can ever form.
     """
 
     __slots__ = ("n", "_targets", "_adj")

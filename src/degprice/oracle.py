@@ -5,9 +5,9 @@ deliberately independent of the move engine: states are edge bitmasks,
 costs come from precomputed distance tables, and deviations are
 re-derived from scratch.  Census results can therefore cross-check the
 engine rather than inherit its bugs.  The improving-response closure
-(``reachable_closure``, ``best_reachable``) walks the same mask states
-and prices them from the same tables, so like the census it runs at
-n <= MAX_ENUM_NODES only.
+(``reachable_closure``) walks the same mask states and prices each one
+from the same tables, so like the census it runs at n <= MAX_ENUM_NODES
+only; a caller takes the cheapest reachable state from its costs.
 
 A state packs an undirected graph into an integer mask over the node
 pairs (bit set = edge present) plus an ownership submask (bit set = the
@@ -50,7 +50,6 @@ __all__ = [
     "enumerate_states",
     "equilibrium_census",
     "optimal_social_cost",
-    "best_reachable",
     "reachable_closure",
     "min_set_cover",
     "min_dominating_set",
@@ -131,14 +130,8 @@ def _graph_to_state(g):
 
 
 def _state_to_graph(n, emask, omask):
-    g = OwnedGraph(n)
-    for i, (a, b) in enumerate(_pairs(n)):
-        if emask >> i & 1:
-            if omask >> i & 1:
-                g.add_edge(a, b)
-            else:
-                g.add_edge(b, a)
-    return g
+    edges = [p if omask >> i & 1 else p[::-1] for i, p in enumerate(_pairs(n)) if emask >> i & 1]
+    return OwnedGraph(n, edges)
 
 
 def enumerate_states(n):
@@ -438,9 +431,17 @@ def optimal_social_cost(n, cfg):
     return best, _state_to_graph(n, best_mask, best_orient)
 
 
-def _closure(g0, cfg):
-    """(state, is_terminal, cost) for every mask state reachable from g0
-    by strictly improving purchases, depth first from g0."""
+def reachable_closure(g0, cfg):
+    """All states reachable from g0 via strictly improving deviations.
+
+    Add-only variants only (the closure is finite by the edge-count
+    potential), at n <= MAX_ENUM_NODES: a larger g0 raises
+    OracleBudgetExceeded before any table is built.  Returns a list of
+    (graph, is_terminal, cost) triples, depth first from g0: terminal
+    states admit no improving deviation by any agent, and cost is the
+    state's social cost, ``math.inf`` for a disconnected one.  Raises
+    OracleBudgetExceeded past MAX_CLOSURE_STATES states.
+    """
     if not cfg.add_only:
         raise ValueError("reachability closure needs an add-only config")
     start = _graph_to_state(g0)  # the size gate, before any table is built
@@ -451,7 +452,7 @@ def _closure(g0, cfg):
     while stack:
         state = stack.pop()
         successors, cost = ev.purchases(*state)
-        order.append((state, not successors, cost))
+        order.append((_state_to_graph(g0.n, *state), not successors, cost))
         if len(order) + len(stack) > MAX_CLOSURE_STATES:
             raise OracleBudgetExceeded(
                 f"reachable closure from n={g0.n} start passed {MAX_CLOSURE_STATES} states"
@@ -461,31 +462,6 @@ def _closure(g0, cfg):
                 seen.add(succ)
                 stack.append(succ)
     return order
-
-
-def reachable_closure(g0, cfg):
-    """All states reachable from g0 via strictly improving deviations.
-
-    Add-only variants only (the closure is finite by the edge-count
-    potential), at n <= MAX_ENUM_NODES: a larger g0 raises
-    OracleBudgetExceeded before any table is built.  Returns a list of
-    (graph, is_terminal) pairs; terminal states admit no improving
-    deviation by any agent.  Raises OracleBudgetExceeded past
-    MAX_CLOSURE_STATES states.
-    """
-    return [(_state_to_graph(g0.n, *state), terminal) for state, terminal, _ in _closure(g0, cfg)]
-
-
-def best_reachable(g0, cfg):
-    """Minimum social cost over the improving-response closure of g0, with
-    the first state of ``reachable_closure`` that has it; (None, None)
-    when every state is disconnected."""
-    best, state = min(
-        ((cost, state) for state, _terminal, cost in _closure(g0, cfg) if cost != math.inf),
-        key=lambda found: found[0],
-        default=(None, None),
-    )
-    return best, None if state is None else _state_to_graph(g0.n, *state)
 
 
 def _first_cover(sets, universe):

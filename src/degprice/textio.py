@@ -8,6 +8,10 @@ record file ``n <N>`` with one ``<owner> <target>`` line per edge
 (0-indexed); the edge direction encodes ownership.  The set-cover file
 ``u <n> q <q>`` lives in ``constructions``, beside the instance it
 describes.
+
+A number in input, in a file or a CLI flag, is ASCII with no ``_``
+(``numeral``): ``int`` and ``Fraction`` alone also read ``1_0`` and
+other scripts' digits.
 """
 
 import csv
@@ -19,6 +23,8 @@ from degprice.errors import GraphFormatError
 from degprice.graph import OwnedGraph
 
 __all__ = [
+    "numeral",
+    "integer",
     "read_records",
     "write_records",
     "parse_graph_file",
@@ -28,13 +34,27 @@ __all__ = [
 ]
 
 
+def numeral(text):
+    """``text`` if it is ASCII with no ``_``, the one rule for a number in
+    input; else ValueError.  ``read_records`` passes it whole lines, one
+    call per line rather than one per field."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number without '_': {text!r}")
+    return text
+
+
+def integer(text):
+    """An int given as text, such as a CLI flag: ``int`` of a ``numeral``."""
+    return int(numeral(text))
+
+
 def read_records(text, header):
     """(line number, ints) of each line that is neither blank nor a ``#`` comment.
 
     The first such line must be ``header``'s keywords, each followed by one
     int (``"n <N>"``, ``"u <n> q <q>"``), and gives those ints; every later
-    line gives its fields, which must all be ints.  A fault raises
-    GraphFormatError with its line number.  Streams over the lines; the
+    line gives its fields, which must all be ints.  Each line must be a
+    ``numeral``.  A fault raises GraphFormatError with its line number.  Streams over the lines; the
     header is read before the row loop, so the loop has no header branch.
     """
     keys = header.split()[::2]
@@ -49,11 +69,11 @@ def read_records(text, header):
     if parts[::2] != keys or len(parts) != 2 * len(keys):
         raise GraphFormatError(f"expected {header!r} header, got {line!r}", line=number)
     try:
-        yield number, [*map(int, parts[1::2])]
+        yield number, [*map(int, numeral(line).split()[1::2])]
         for number, raw in lines:
             line = raw.strip()
             if line and line[0] != "#":
-                yield number, [*map(int, line.split())]
+                yield number, [*map(int, numeral(line).split())]
     except ValueError:
         raise GraphFormatError(f"non-integer field in {line!r}", line=number) from None
 

@@ -31,7 +31,7 @@ from degprice.dynamics import (
 )
 from degprice.graph import OwnedGraph, diameter
 from degprice.moves import verify_equilibrium
-from degprice.oracle import best_reachable, min_dominating_set, min_set_cover, reachable_closure
+from degprice.oracle import min_dominating_set, min_set_cover, reachable_closure
 
 
 def test_criterion_01_center_stars_are_equilibria_everywhere():
@@ -163,16 +163,16 @@ def test_criterion_12_best_response_encodes_minimum_set_cover():
     reg_rng = random.Random(7)
     fixed.extend(_random_regular(n, 3, reg_rng) for n in (6, 8, 10))
     for g in fixed:
-        d = len(g.neighbors(0))
-        inst = dominating_set_to_set_cover(g, d)
+        inst = dominating_set_to_set_cover(g)
         assert min_set_cover(inst)[0] == min_dominating_set(g)[0]
 
 
 def test_criterion_13_reachable_quality_stays_logarithmic():
     cfg = GameConfig(variant="aog")
     for n, worst_rho in ((5, (39, 35)), (6, (13, 11))):
-        best, _ = best_reachable(build_path(n), cfg)
-        terminals = [g for g, is_t in reachable_closure(build_path(n), cfg) if is_t]
+        states = reachable_closure(build_path(n), cfg)
+        best = min(cost for _, _, cost in states)
+        terminals = [g for g, is_t, _ in states if is_t]
         values = [rho(g, best, cfg) for g in terminals]
         assert min(values) == 1
         assert max(values) * worst_rho[1] == worst_rho[0]  # exact fraction

@@ -198,6 +198,40 @@ def test_zero_denominator_price_prints_usage(capsys, star_file):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["construct", "path", "--n", "\u0663"],
+        ["construct", "path", "--n", "1_0"],
+        ["enumerate", "--n", "\u0663"],
+        ["cost", "{graph}", "--agent", "\u0660"],
+        ["best-response", "{graph}", "--agent", "0_0"],
+        ["dynamics", "{graph}", "--scheme", "uniform-random", "--seed", "\u0661"],
+        ["dynamics", "{graph}", "--max-steps", "1_0"],
+        ["cost", "{graph}", "--beta", "\u0661/\u0662"],
+        ["cost", "{graph}", "--gamma", "1_0"],
+        ["enumerate", "--n", "3", "--k", "\u0662"],
+    ],
+)
+def test_a_number_flag_must_be_ascii_without_underscore(capsys, path_file, argv):
+    """int and Fraction alone read '_' and other scripts' digits; every
+    such flag exits 2 and prints nothing on stdout."""
+    try:
+        code = main([a.format(graph=path_file(4)) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2 and capsys.readouterr().out == ""
+
+
+def test_signed_and_decimal_number_flags_stay_accepted(capsys, path_file):
+    code, out, _ = run_cli(capsys, "construct", "path", "--n", "+3")
+    assert code == 0 and parse_graph_file(out) == build_path(3)
+    code, out, _ = run_cli(
+        capsys, "cost", path_file(4), "--agent", "+0", "--k", "+2", "--beta", "1e-3", "--gamma=-1/2"
+    )
+    assert code == 0 and json.loads(out)["config"] == "ncg k=2 beta=1/1000 gamma=-1/2"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["cost", "g.graph"],
         ["best-response", "g.graph", "--agent", "0"],
         ["verify", "g.graph"],
@@ -357,9 +391,7 @@ def test_reduce_round_trip(capsys, tmp_path):
 
     cyc = tmp_path / "c5.graph"
     cyc.write_text("n 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
-    code, out, _ = run_cli(
-        capsys, "reduce", "dominating-to-set-cover", "--graph", str(cyc), "--q", "2"
-    )
+    code, out, _ = run_cli(capsys, "reduce", "dominating-to-set-cover", "--graph", str(cyc))
     assert code == 0
     inst = parse_set_cover_file(out)
     assert len(inst.sets) == 5 and inst.q == 3
@@ -543,16 +575,11 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
             id="census-zero-optimum",
         ),
         pytest.param(["reduce", "set-cover-to-gadget"], None, 2, "--instance", id="no-instance"),
-        pytest.param(
-            ["reduce", "dominating-to-set-cover", "--graph", "{graph}"], None, 2, "--q", id="no-q"
-        ),
-        pytest.param(
-            ["reduce", "dominating-to-set-cover", "--q", "2"], None, 2, "--graph", id="no-graph"
-        ),
+        pytest.param(["reduce", "dominating-to-set-cover"], None, 2, "--graph", id="no-graph"),
         # a flag the command would ignore is refused before any file is read
         pytest.param(["construct", "fig2a", "--n", "99"], None, 2, "--n", id="figure-and-n"),
         pytest.param(
-            ["reduce", "dominating-to-set-cover", "--graph", "{dir}/none.graph", "--q", "2",
+            ["reduce", "dominating-to-set-cover", "--graph", "{dir}/none.graph",
              "--instance", "{dir}/none.cover"],
             None,
             2,
@@ -560,7 +587,7 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
             id="dominating-and-instance",
         ),
         pytest.param(
-            ["reduce", "dominating-to-set-cover", "--graph", "{dir}/none.graph", "--q", "2",
+            ["reduce", "dominating-to-set-cover", "--graph", "{dir}/none.graph",
              "--roles", "{dir}/roles.json"],
             None,
             2,
@@ -568,11 +595,12 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
             id="dominating-and-roles",
         ),
         pytest.param(
-            ["reduce", "set-cover-to-gadget", "--instance", "{dir}/none.cover", "--q", "2"],
+            ["reduce", "set-cover-to-gadget", "--instance", "{dir}/none.cover",
+             "--graph", "{dir}/none.graph"],
             None,
             2,
-            "takes no --q",
-            id="gadget-and-q",
+            "takes no --graph",
+            id="gadget-and-graph",
         ),
     ],
 )

@@ -48,6 +48,32 @@ def _has_short_cycle(g):
     return bool(triangle or square)
 
 
+# each builder's owned edges at n = 1..6, "ab" for a -> b; None where it refuses n
+PINNED_EDGES = {
+    build_star: [None, "01", "01 02", "01 02 03", "01 02 03 04", "01 02 03 04 05"],
+    build_path: ["", "01", "01 12", "01 12 23", "01 12 23 34", "01 12 23 34 45"],
+    build_cycle: [None, None, "01 12 20", "01 12 23 30", "01 12 23 34 40", "01 12 23 34 45 50"],
+    build_clique: [
+        None,
+        "01",
+        "01 02 12",
+        "01 02 03 12 13 23",
+        "01 02 03 04 12 13 14 23 24 34",
+        "01 02 03 04 05 12 13 14 15 23 24 25 34 35 45",
+    ],
+}
+
+
+@pytest.mark.parametrize("build", PINNED_EDGES, ids=lambda build: build.__name__)
+def test_builders_own_the_pinned_edges(build):
+    for n, pinned in enumerate(PINNED_EDGES[build], start=1):
+        if pinned is None:
+            with pytest.raises(ValueError, match="needs at least"):
+                build(n)
+        else:
+            assert build(n).owned_edges == {(int(a), int(b)) for a, b in pinned.split()}
+
+
 class TestBuilders:
     def test_star_center_buys_everything(self):
         g = build_star(5)
@@ -172,13 +198,13 @@ class TestSetCoverInstances:
 
 class TestDominatingReduction:
     def test_cycle_neighborhoods(self):
-        inst = dominating_set_to_set_cover(build_cycle(5), q=2)
+        inst = dominating_set_to_set_cover(build_cycle(5))
         assert inst.universe_size == 5 and len(inst.sets) == 5 and inst.q == 3
         assert inst.sets[0] == (0, 1, 4)
         assert min_set_cover(inst)[0] == min_dominating_set(build_cycle(5))[0] == 2
 
     def test_clique_neighborhoods(self):
-        inst = dominating_set_to_set_cover(build_clique(4), q=3)
+        inst = dominating_set_to_set_cover(build_clique(4))
         assert len(inst.sets) == 4
         assert all(len(s) == 4 for s in inst.sets)
         assert all(inst.is_cover((j,)) for j in range(4))
@@ -186,12 +212,12 @@ class TestDominatingReduction:
 
     def test_petersen_agreement(self):
         g = petersen()
-        inst = dominating_set_to_set_cover(g, q=3)
+        inst = dominating_set_to_set_cover(g)
         assert min_set_cover(inst)[0] == min_dominating_set(g)[0] == 3
 
     def test_rejects_irregular_graph(self):
-        with pytest.raises(ValueError, match="regular"):
-            dominating_set_to_set_cover(build_path(3), q=2)
+        with pytest.raises(ValueError, match="not 1-regular: node 1 has degree 2"):
+            dominating_set_to_set_cover(build_path(3))
 
 
 EXAMPLE = SetCoverInstance(

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, permutations
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,6 @@ from degprice.moves import verify_equilibrium
 from degprice.oracle import (
     _graph_to_state,
     _StateEvaluator,
-    best_reachable,
     enumerate_states,
     equilibrium_census,
     min_dominating_set,
@@ -466,9 +466,9 @@ def test_scalar_reference_shares_no_kernel_with_the_engine(monkeypatch):
         (build_path(5), GameConfig(variant="aog"), everywhere),
     ):
         states = reachable_closure(start, cfg)
-        best, witness = best_reachable(start, cfg)
+        witness, _, best = min(states, key=itemgetter(2))
         edges = sorted(witness.owned_edges)
-        assert (len(states), sum(t for _, t in states), best, edges) == closure
+        assert (len(states), sum(t for _, t, _ in states), best, edges) == closure
 
 
 def _imports(path):
@@ -558,16 +558,16 @@ def test_reachable_closure_from_tiny_paths(monkeypatch):
     # no purchase strictly helps anyone on the 3-path, so it is its own closure
     states = reachable_closure(build_path(3), cfg)
     assert len(states) == 1 and states[0][1]
-    assert best_reachable(build_path(3), cfg)[0] == 9
+    assert min(cost for _, _, cost in states) == 9
 
     states = reachable_closure(build_path(4), cfg)
-    keys = {g.state_key() for g, _ in states}
+    keys = {g.state_key() for g, _, _ in states}
     assert len(keys) == len(states) == 3
-    terminals = [g for g, is_t in states if is_t]
+    terminals = [g for g, is_t, _ in states if is_t]
     assert len(terminals) == 2
     for g in terminals:
         assert verify_equilibrium(g, cfg, level="exact").is_equilibrium
-    best, witness = best_reachable(build_path(4), cfg)
+    witness, _, best = min(states, key=itemgetter(2))
     assert best == 20 and social_cost(witness, cfg) == 20
 
     with pytest.raises(ValueError, match="add-only"):
@@ -593,25 +593,24 @@ def test_closure_of_path6_is_pinned(monkeypatch, variant, k, successors, closure
     assert len(_StateEvaluator(6, cfg).purchases(*_graph_to_state(build_path(6)))[0]) == successors
     if closure is None:
         with pytest.raises(ValueError, match="add-only"):
-            best_reachable(build_path(6), cfg)
+            reachable_closure(build_path(6), cfg)
         return
     states = reachable_closure(build_path(6), cfg)
-    best, witness = best_reachable(build_path(6), cfg)
-    assert (len(states), sum(t for _, t in states), best, sorted(witness.owned_edges)) == closure
+    witness, _, best = min(states, key=itemgetter(2))
+    assert (len(states), sum(t for _, t, _ in states), best, sorted(witness.owned_edges)) == closure
 
 
 @pytest.mark.parametrize("n", [5, 6])
 @pytest.mark.parametrize("k", [None, 2])
 def test_closure_agrees_with_the_engine(n, k):
     """A closure state is terminal exactly when the engine's exact check
-    accepts it, and the best reachable cost is the cheapest closure graph's
-    social cost, priced by the costs reference."""
+    accepts it, and its cost is its social cost, priced by the costs
+    reference."""
     cfg = GameConfig(variant="aog", locality_k=k)
     states = reachable_closure(build_path(n), cfg)
-    for g, terminal in states:
+    for g, terminal, cost in states:
         assert terminal == verify_equilibrium(g, cfg, level="exact").is_equilibrium
-    best, witness = best_reachable(build_path(n), cfg)
-    assert best == social_cost(witness, cfg) == min(social_cost(g, cfg) for g, _ in states)
+        assert cost == social_cost(g, cfg)
 
 
 def test_closure_refuses_seven_nodes_before_any_table(monkeypatch):

@@ -8,7 +8,14 @@ from conftest import owned_graphs
 from degprice.constructions import SetCoverInstance, parse_set_cover_file, serialize_set_cover
 from degprice.errors import GraphFormatError, ResourceCapExceeded
 from degprice.graph import MAX_NODES, OwnedGraph
-from degprice.textio import parse_graph_file, serialize_graph, to_csv_text, to_json_text
+from degprice.textio import (
+    integer,
+    numeral,
+    parse_graph_file,
+    serialize_graph,
+    to_csv_text,
+    to_json_text,
+)
 
 
 def test_parse_simple_path():
@@ -34,6 +41,10 @@ def test_comments_and_blank_lines_are_ignored():
         ("n 3\n0 1\n1 0", "already present", 3),
         ("n 3\n# pad\n\n1 1", "self-loop", 4),
         ("n 2\n0 5", "out of range", 2),
+        # int() alone reads '_' and other scripts' digits
+        ("n 1_0\n0 \u0663\n", "non-integer field in 'n 1_0'", 1),
+        ("n 4\n0 \u0663\n", "non-integer field in '0 \u0663'", 2),
+        ("n 4\n# 1_0\n0 1_0", "non-integer field in '0 1_0'", 3),
     ],
 )
 def test_graph_errors_carry_line_numbers(text, fragment, line):
@@ -42,6 +53,22 @@ def test_graph_errors_carry_line_numbers(text, fragment, line):
     assert exc.value.line == line
     if line is not None:
         assert f"line {line}:" in str(exc.value)
+
+
+def test_signed_ascii_numbers_stay_accepted():
+    assert parse_graph_file("n +3\n+0 1\n1 +2\n") == OwnedGraph(3, [(0, 1), (1, 2)])
+    assert [integer(text) for text in ("+3", "-1", " 7 ")] == [3, -1, 7]
+    assert [numeral(text) for text in ("1/2", "0.1", "1e-3")] == ["1/2", "0.1", "1e-3"]
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff13", "1/\u0662"])
+def test_a_number_is_ascii_without_underscore(text):
+    """``int`` alone reads the first three and ``Fraction`` all four; the
+    rule refuses all four."""
+    with pytest.raises(ValueError, match="not an ASCII number"):
+        numeral(text)
+    with pytest.raises(ValueError):
+        integer(text)
 
 
 def test_node_count_past_the_graph_cap_is_refused_before_allocating():
@@ -133,6 +160,8 @@ def test_blank_comment_indented_and_crlf_lines_change_nothing(fmt, data):
         ("u 5 q 2\n0 0", "duplicate element", 2),
         ("u 5 q 2\n# ok\n0 9", "outside universe", 3),
         ("u 5 q 2\n0 a", "non-integer field", 2),
+        ("u \u0665 q 2\n0 1", "non-integer field", 1),
+        ("u 5 q 2\n0 1_0", "non-integer field in '0 1_0'", 2),
     ],
 )
 def test_set_cover_errors_carry_line_numbers(text, fragment, line):
