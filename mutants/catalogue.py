@@ -3,8 +3,9 @@
 Each entry names a file under ``src/degprice``, an exact snippet of it
 that must occur once, the snippet that replaces it, and the tests that
 must fail once it is applied.  ``test_mutants.py`` applies them one at a
-time to a copy of the repo.  A change that adds a fast path adds its
-mutants here.
+time to a copy of the repo; ``tests/test_mutant_catalogue.py`` checks,
+with the tests, that each old snippet occurs once.  A change that adds a
+fast path adds its mutants here.
 
 Left out as equivalent: ``_Pricing.totals`` without ``dsum[cut] = 0``
 survives every Tier-1 test, because ``scaled[cut] = self.unreachable``
@@ -164,6 +165,13 @@ MUTANTS = (
         "for start in range(0, len(rows), 2 * step):",
         ("tests/test_kernels.py::test_an_update_relaxed_one_row_at_a_time_matches_recompute",),
     ),
+    Mutant(
+        "every-block-from-row-0",
+        "_kernels.py",
+        "block = rows[start : start + step]",
+        "block = rows[:step]",
+        ("tests/test_kernels.py::test_an_update_relaxed_one_row_at_a_time_matches_recompute",),
+    ),
     # the screen that clears an agent without an improving drop
     Mutant(
         "own-row-not-cleared",
@@ -179,6 +187,13 @@ MUTANTS = (
         "",
         (DROP_SCREEN,),
     ),
+    Mutant(
+        "nearest-neighbour-mark-added",
+        "moves.py",
+        "near[np.arange(n), first] = UNREACHABLE",
+        "near[np.arange(n), first] += 1",
+        ("tests/test_moves.py::test_drop_screen_reads_the_second_nearest_neighbour",),
+    ),
     # the position's door and its lazily built state
     Mutant(
         "witness-never-found",
@@ -190,6 +205,13 @@ MUTANTS = (
         "        return None\n",
         "        return None\n",
         ("tests/test_moves.py::test_path_is_not_an_equilibrium",),
+    ),
+    Mutant(
+        "now-without-the-spend",
+        "moves.py",
+        "self.total(self.current, self.spent)",
+        "self.total(self.current, 0)",
+        ("tests/test_moves.py::test_single_move_costs_match_replay",),
     ),
     Mutant(
         "lazy-never-stores",
@@ -273,5 +295,13 @@ MUTANTS = (
         "order.append((_state_to_graph(g0.n, *state), not successors, cost))",
         "order.append((_state_to_graph(g0.n, *state), not successors, 0))",
         ("tests/test_oracle.py::test_closure_agrees_with_the_engine",),
+    ),
+    # the set-cover gadget's node order
+    Mutant(
+        "set-nodes-one-down",
+        "constructions.py",
+        "        return range(self.hub - len(self.instance.sets), self.hub)\n",
+        "        return range(self.hub - len(self.instance.sets) - 1, self.hub - 1)\n",
+        ("tests/test_constructions.py::test_gadget_layout_over_random_instances",),
     ),
 )

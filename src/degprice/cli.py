@@ -62,11 +62,11 @@ FAMILIES = {
 def _add_game_flags(p):
     p.add_argument("--game", choices=(NCG, AOG), default=GameConfig.variant)
     p.add_argument("--k", default="global", help="locality radius, integer or 'global'")
-    p.add_argument("--beta", type=_price, default=GameConfig.price_beta)
-    p.add_argument("--gamma", type=_price, default=GameConfig.price_gamma)
+    p.add_argument("--beta", type=price, default=GameConfig.price_beta)
+    p.add_argument("--gamma", type=price, default=GameConfig.price_gamma)
 
 
-def _price(text):
+def price(text):
     """A price coefficient kept exact: "0.1" and "1/2" become Fractions."""
     try:
         value = Fraction(textio.numeral(text))
@@ -198,8 +198,7 @@ def _cmd_dynamics(args):
         scheme = _load_schedule(args.schedule, g, cfg)
     trace = run_dynamics(g, cfg, scheme, max_steps=args.max_steps)
     if args.format == "csv":
-        header = ("n", "steps", "rounds", "diameter", "social_cost")
-        _emit(args, textio.to_csv_text(header, [trace.csv_row()]))
+        _emit(args, textio.to_csv_text(trace.CSV_HEADER, [trace.csv_row()]))
     elif args.format == "text":
         *_, diameter, cost = trace.csv_row()
         _emit(
@@ -246,10 +245,8 @@ def _cmd_reduce(args):
         layout = constructions.set_cover_to_best_response_gadget(inst)
         _emit(args, textio.serialize_graph(layout.graph))
         if args.roles is not None:
-            roles = {
-                "layout": layout.as_dict(),
-                "role_map": {str(v): layout.role_map[v] for v in sorted(layout.role_map)},
-            }
+            role_map = {str(v): role for v, role in layout.role_map.items()}
+            roles = {"layout": layout.as_dict(), "role_map": role_map}
             args.roles.write_text(textio.to_json_text(roles))
     else:
         g = _read_graph(args.graph)

@@ -12,7 +12,7 @@ the record file (``textio.read_records``) with header ``u <n> q <q>``
 and one line of q element ids per set.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations, repeat
 
@@ -167,28 +167,51 @@ def dominating_set_to_set_cover(g):
 
 @dataclass(frozen=True)
 class GadgetLayout:
-    """Node bookkeeping for the set-cover best-response gadget.
+    """Node order of the set-cover best-response gadget, read from the
+    graph's size and the instance's.
 
-    ``role_map`` labels each node as agent / hub / set / element /
-    padding.
+    The nodes run: the ``universe_size`` elements, then ``q + 1`` padding
+    leaves per element (element i's in one block), then one node per
+    set, then the hub, then the agent.  ``role_map`` labels each node as
+    agent / hub / set / element / padding.
     """
 
     graph: OwnedGraph
     instance: SetCoverInstance
-    agent: int
-    hub: int
-    set_nodes: tuple
-    element_nodes: tuple
-    role_map: dict = field(repr=False)
+
+    @property
+    def agent(self):
+        return self.graph.n - 1
+
+    @property
+    def hub(self):
+        return self.graph.n - 2
+
+    @property
+    def _sets(self):
+        return range(self.hub - len(self.instance.sets), self.hub)
+
+    @property
+    def set_nodes(self):
+        return tuple(self._sets)
+
+    @property
+    def element_nodes(self):
+        return tuple(range(self.instance.universe_size))
+
+    @property
+    def role_map(self):
+        n, sets = self.instance.universe_size, self._sets
+        roles = ["element"] * n + ["padding"] * (sets.start - n) + ["set"] * len(sets)
+        return dict(enumerate(roles + ["hub", "agent"]))
 
     def cover_from_targets(self, targets):
         """Translate a strategy for the agent into chosen set indices."""
-        chosen = []
-        for t in sorted(targets):
-            if self.role_map.get(t) != "set":
-                raise ValueError(f"target {t} is not a set node")
-            chosen.append(self.set_nodes.index(t))
-        return tuple(chosen)
+        sets = self._sets
+        strangers = [t for t in targets if t not in sets]
+        if strangers:
+            raise ValueError(f"target {min(strangers)} is not a set node")
+        return tuple(sorted(map(sets.index, targets)))
 
     def as_dict(self):
         return {
@@ -203,13 +226,16 @@ class GadgetLayout:
 
 def set_cover_to_best_response_gadget(inst):
     """Build the network whose 2-local best response for the agent node
-    encodes a minimum cover of ``inst``.
+    encodes a minimum cover of ``inst``, in ``GadgetLayout``'s node order.
 
-    Requires q >= 4 so that covering an element (q + 2 nodes pulled one
-    hop closer) always beats its price (q per set) with room to spare,
-    and every element must appear in some set or the network would be
-    disconnected.  The node count is checked against ``MAX_NODES`` first,
-    so a huge universe exits on the cap before anything is built.
+    Each element buys the edges to its padding leaves and to the nodes of
+    the sets that hold it, each set node buys the edge to the hub, and
+    the hub buys the edge to the agent.  Requires q >= 4 so that covering
+    an element (q + 2 nodes pulled one hop closer) always beats its price
+    (q per set) with room to spare, and every element must appear in some
+    set or the network would be disconnected.  The node count is checked
+    against ``MAX_NODES`` first, so a huge universe exits on the cap
+    before anything is built.
     """
     n, q, num_sets = inst.universe_size, inst.q, len(inst.sets)
     nodes = n * (q + 2) + num_sets + 2
@@ -223,44 +249,16 @@ def set_cover_to_best_response_gadget(inst):
             f"elements {missing} appear in no set; the gadget would be disconnected"
         )
 
-    pads_per_element = q + 1
-    element_nodes = tuple(range(n))
-    pad_base = n
-    set_base = pad_base + n * pads_per_element
-    hub = set_base + num_sets
-    agent = hub + 1
-    g = OwnedGraph(agent + 1)
+    set_base, hub = n * (q + 2), nodes - 2
+    edges = [((p - n) // (q + 1), p) for p in range(n, set_base)]
+    for a, members in enumerate(inst.sets, set_base):
+        edges += [*zip(members, repeat(a)), (a, hub)]
+    g = OwnedGraph(nodes, [*edges, (hub, hub + 1)])
 
-    role_map = {}
-    for i in element_nodes:
-        role_map[i] = "element"
-        for r in range(pads_per_element):
-            p = pad_base + i * pads_per_element + r
-            role_map[p] = "padding"
-            g.add_edge(i, p)
-    set_nodes = tuple(set_base + j for j in range(num_sets))
-    for j, a in enumerate(set_nodes):
-        role_map[a] = "set"
-        for i in inst.sets[j]:
-            g.add_edge(i, a)
-        g.add_edge(a, hub)
-    role_map[hub] = "hub"
-    role_map[agent] = "agent"
-    g.add_edge(hub, agent)
-
-    dist = bfs_distances(g, agent)
+    dist = bfs_distances(g, hub + 1)
     for v in range(g.n):
         if dist[v] == 2 and degree(g, v) != q + 1:
             raise AssertionError(f"node {v} at distance 2 has degree {degree(g, v)} != q+1")
         if dist[v] == 3 and degree(g, v) < q + 2:
             raise AssertionError(f"node {v} at distance 3 has degree {degree(g, v)} < q+2")
-
-    return GadgetLayout(
-        graph=g,
-        instance=inst,
-        agent=agent,
-        hub=hub,
-        set_nodes=set_nodes,
-        element_nodes=element_nodes,
-        role_map=role_map,
-    )
+    return GadgetLayout(g, inst)

@@ -142,6 +142,9 @@ class DynamicsTrace:
     activations: int
     metadata: dict = field(default_factory=dict)
 
+    # the columns of csv_row, in its order
+    CSV_HEADER = ("n", "steps", "rounds", "diameter", "social_cost")
+
     def as_dict(self):
         diameter, cost = self._final_values()
         return {
@@ -157,7 +160,7 @@ class DynamicsTrace:
         }
 
     def csv_row(self):
-        """(n, steps, rounds, diameter, social_cost): steps = activations."""
+        """The run's row under ``CSV_HEADER``: steps = activations."""
         return (self.initial.n, self.activations, self.rounds, *self._final_values())
 
     def _final_values(self):

@@ -212,12 +212,16 @@ def test_zero_denominator_price_prints_usage(capsys, star_file):
 )
 def test_a_number_flag_must_be_ascii_without_underscore(capsys, path_file, argv):
     """int and Fraction alone read '_' and other scripts' digits; every
-    such flag exits 2 and prints nothing on stdout."""
+    such flag exits 2, prints nothing on stdout, and names on stderr the
+    public type the flag reads."""
     try:
         code = main([a.format(graph=path_file(4)) for a in argv])
     except SystemExit as exc:
         code = exc.code
-    assert code == 2 and capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    expected = {"--beta": "invalid price value", "--gamma": "invalid price value", "--k": "--k must"}
+    assert expected.get(argv[-2], "invalid integer value") in err
 
 
 def test_signed_and_decimal_number_flags_stay_accepted(capsys, path_file):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degprice.claims import FIG3_CYCLE
 from degprice.constructions import (
@@ -225,6 +227,44 @@ EXAMPLE = SetCoverInstance(
     sets=((0, 1, 2, 3), (4, 5, 6, 7), (2, 3, 4, 5)),
     q=4,
 )
+
+
+@st.composite
+def coverable_instances(draw):
+    """Set-cover instances with q = 4..6, universe q..14 and 1..7 sets,
+    every element in some set: a shuffled universe is cut into q-blocks
+    (the last topped up from the others) and random sets join them."""
+    q = draw(st.integers(4, 6))
+    n = draw(st.integers(q, 14))
+    order = draw(st.permutations(range(n)))
+    sets = [order[i : i + q] for i in range(0, n, q)]
+    sets[-1] += [e for e in order if e not in sets[-1]][: q - len(sets[-1])]
+    extra = st.lists(st.integers(0, n - 1), min_size=q, max_size=q, unique=True)
+    sets += draw(st.lists(extra, max_size=7 - len(sets)))
+    return SetCoverInstance(universe_size=n, sets=tuple(draw(st.permutations(sets))), q=q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coverable_instances(), st.data())
+def test_gadget_layout_over_random_instances(inst, data):
+    """Every node's role is its distance from the agent, each set node
+    joins its set's elements to the hub, each element has q + 1 padding
+    leaves, and chosen set nodes decode to their set indices."""
+    layout = set_cover_to_best_response_gadget(inst)
+    g = layout.graph
+    depth = {"agent": 0, "hub": 1, "set": 2, "element": 3, "padding": 4}
+    roles = layout.role_map
+    dist = bfs_distances(g, layout.agent)
+    assert sorted(roles) == list(range(g.n))
+    assert all(dist[v] == depth[role] for v, role in roles.items())
+    for j, a in enumerate(layout.set_nodes):
+        assert g.neighbors(a) == set(inst.sets[j]) | {layout.hub}
+    for i in layout.element_nodes:
+        leaves = [v for v in g.neighbors(i) if roles[v] == "padding"]
+        assert len(leaves) == inst.q + 1 and all(degree(g, v) == 1 for v in leaves)
+    chosen = data.draw(st.sets(st.integers(0, len(inst.sets) - 1)))
+    targets = {layout.set_nodes[j] for j in chosen}
+    assert layout.cover_from_targets(targets) == tuple(sorted(chosen))
 
 
 class TestBestResponseGadget:
