@@ -304,4 +304,12 @@ MUTANTS = (
         "        return range(self.hub - len(self.instance.sets) - 1, self.hub - 1)\n",
         ("tests/test_constructions.py::test_gadget_layout_over_random_instances",),
     ),
+    # a flag fault is an error line that main returns, not argparse's exit
+    Mutant(
+        "parser-error-exits",
+        "cli.py",
+        '        raise ValueError(f"{self.prog}: {message}")\n',
+        "        super().error(message)\n",
+        ("tests/test_cli.py::test_every_flag_fault_is_one_error_line",),
+    ),
 )

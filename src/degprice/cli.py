@@ -6,7 +6,9 @@ claims from ``claims.PRESETS`` and prints its checks.  JSON is the
 machine format; CSV exists for plotting convergence curves; text is a
 short human summary.  Only cost, verify and dynamics take --format.  Every cost prints through
 ``costs.plain``.  Exit codes (``EXIT_CODES``): 0 success, 1 assertion
-failure, 2 usage error, 3 resource cap exceeded.
+failure, 2 usage error, 3 resource cap exceeded.  Every fault, a flag
+that does not parse included, prints one ``error:`` line on stderr and
+``main`` returns its code; only ``-h`` exits, with 0.
 """
 
 import argparse
@@ -44,7 +46,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 # the first class an error matches decides its exit code; an input fault
-# is a ValueError by its class (GraphFormatError, InfeasibleInstanceError)
+# is a ValueError by its class (GraphFormatError, InfeasibleInstanceError),
+# and so is a flag fault (_Parser.error)
 EXIT_CODES = (
     (ResourceCapExceeded, EXIT_RESOURCE),
     ((ValueError, OSError), EXIT_USAGE),
@@ -59,20 +62,48 @@ FAMILIES = {
 }
 
 
+# A price's numerator and denominator have at most this many digits.  Then
+# the scale (the lcm of the two prices' denominators) stays below 10^2000,
+# and with n <= APSP_MAX_NODES every printed cost and PoA stays under
+# Python's 4 300-digit limit on turning an int into text.
+PRICE_DIGITS = 1000
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse whose flag faults raise ValueError, so that ``main``
+    reports them as it reports every other input fault."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_game_flags(p):
     p.add_argument("--game", choices=(NCG, AOG), default=GameConfig.variant)
-    p.add_argument("--k", default="global", help="locality radius, integer or 'global'")
+    p.add_argument("--k", type=radius, default=GameConfig.locality_k, help="integer or 'global'")
     p.add_argument("--beta", type=price, default=GameConfig.price_beta)
     p.add_argument("--gamma", type=price, default=GameConfig.price_gamma)
 
 
+def radius(text):
+    """A locality radius: "global" gives None, anything else an integer."""
+    return None if text == "global" else textio.integer(text)
+
+
 def price(text):
     """A price coefficient kept exact: "0.1" and "1/2" become Fractions."""
+    _, _, exponent = textio.numeral(text).lower().partition("e")
+    # Fraction computes 10**exponent in full, so a far exponent is refused
+    # first: past this bound no nonzero mantissa fits, as int reads at most
+    # 4 300 digits
+    if exponent and abs(int(exponent)) > PRICE_DIGITS + 4300:
+        raise ValueError(f"more than {PRICE_DIGITS} digits in {text!r}")
     try:
-        value = Fraction(textio.numeral(text))
+        value = Fraction(text)
     except ZeroDivisionError:
         # argparse turns a ValueError, not this, into a usage error
         raise ValueError(f"zero denominator in {text!r}") from None
+    if max(abs(value.numerator), value.denominator) >= 10**PRICE_DIGITS:
+        raise ValueError(f"more than {PRICE_DIGITS} digits in {text!r}")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -83,13 +114,7 @@ def _add_out_flags(p, *formats):
 
 
 def _config_from(args):
-    try:
-        k = None if args.k == "global" else textio.integer(args.k)
-    except ValueError:
-        raise ValueError(f"--k must be an integer or 'global', got {args.k!r}")
-    return GameConfig(
-        variant=args.game, locality_k=k, price_beta=args.beta, price_gamma=args.gamma
-    )
+    return GameConfig(args.game, args.k, args.beta, args.gamma)
 
 
 def _emit(args, text):
@@ -109,8 +134,6 @@ def _cmd_construct(args):
         if args.n is not None:
             raise ValueError(f"construct {name} is a packaged network; drop --n")
         g = constructions.build_figure_network(name)
-    elif name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r}")
     elif args.n is None:
         raise ValueError(f"construct {name} requires --n")
     else:
@@ -227,31 +250,21 @@ def _cmd_enumerate(args):
     return EXIT_OK
 
 
-def _cmd_reduce(args):
-    # the flags each transformation requires, then those it also takes
-    needs = {
-        "set-cover-to-gadget": (("instance",), ("roles",)),
-        "dominating-to-set-cover": (("graph",), ()),
-    }
-    required, optional = needs[args.transformation]
-    for flag in ("instance", "graph", "roles"):
-        given = getattr(args, flag) is not None
-        if flag in required and not given:
-            raise ValueError(f"reduce {args.transformation} requires --{flag}")
-        if given and flag not in required + optional:
-            raise ValueError(f"reduce {args.transformation} takes no --{flag}")
-    if args.transformation == "set-cover-to-gadget":
-        inst = constructions.parse_set_cover_file(pathlib.Path(args.instance).read_text())
-        layout = constructions.set_cover_to_best_response_gadget(inst)
-        _emit(args, textio.serialize_graph(layout.graph))
-        if args.roles is not None:
-            role_map = {str(v): role for v, role in layout.role_map.items()}
-            roles = {"layout": layout.as_dict(), "role_map": role_map}
-            args.roles.write_text(textio.to_json_text(roles))
-    else:
-        g = _read_graph(args.graph)
-        inst = constructions.dominating_set_to_set_cover(g)
-        _emit(args, constructions.serialize_set_cover(inst))
+def _cmd_gadget(args):
+    inst = constructions.parse_set_cover_file(pathlib.Path(args.instance).read_text())
+    layout = constructions.set_cover_to_best_response_gadget(inst)
+    # the roles file first, so that a fault writing it leaves stdout empty
+    if args.roles is not None:
+        role_map = {str(v): role for v, role in layout.role_map.items()}
+        roles = {"layout": layout.as_dict(), "role_map": role_map}
+        args.roles.write_text(textio.to_json_text(roles))
+    _emit(args, textio.serialize_graph(layout.graph))
+    return EXIT_OK
+
+
+def _cmd_dominating(args):
+    inst = constructions.dominating_set_to_set_cover(_read_graph(args.graph))
+    _emit(args, constructions.serialize_set_cover(inst))
     return EXIT_OK
 
 
@@ -264,13 +277,11 @@ def _cmd_preset(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="degprice", description="degree-priced network creation game toolkit"
-    )
+    parser = _Parser(prog="degprice", description="degree-priced network creation game toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="emit a named network as a graph file")
-    p.add_argument("family", help=f"{'|'.join(FAMILIES)} or a figure name")
+    p.add_argument("family", choices=(*FAMILIES, *constructions.FIGURE_NAMES))
     p.add_argument("--n", type=textio.integer, default=None)
     _add_out_flags(p)
     p.set_defaults(fn=_cmd_construct)
@@ -319,12 +330,17 @@ def build_parser():
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("reduce", help="instance transformations")
-    p.add_argument("transformation", choices=("set-cover-to-gadget", "dominating-to-set-cover"))
-    p.add_argument("--instance", default=None)
-    p.add_argument("--graph", default=None)
+    steps = p.add_subparsers(dest="transformation", required=True)
+    p = steps.add_parser("set-cover-to-gadget", help="a set-cover instance's best-response gadget")
+    p.add_argument("--instance", required=True)
     p.add_argument("--roles", type=pathlib.Path, default=None)
     _add_out_flags(p)
-    p.set_defaults(fn=_cmd_reduce)
+    p.set_defaults(fn=_cmd_gadget)
+
+    p = steps.add_parser("dominating-to-set-cover", help="a graph's dominating-set instance")
+    p.add_argument("--graph", required=True)
+    _add_out_flags(p)
+    p.set_defaults(fn=_cmd_dominating)
 
     p = sub.add_parser("preset", help="run a named experiment preset")
     p.add_argument("name", choices=sorted(PRESETS))
@@ -335,8 +351,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (DegpriceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,15 +127,12 @@ class DynamicsTrace:
     """Full record of one run: applied moves plus summary statistics.
 
     ``steps`` holds applied moves only; ``activations`` also counts
-    agent wake-ups that found nothing to do.  ``rounds`` is
-    ``activations // n`` for every scheme: the completed sweeps of a
-    round-robin run.
+    agent wake-ups that found nothing to do.
     """
 
     initial: object
     steps: list
     outcome: str
-    rounds: int
     final_social_cost: object
     final_diameter: int
     final: object
@@ -144,6 +141,12 @@ class DynamicsTrace:
 
     # the columns of csv_row, in its order
     CSV_HEADER = ("n", "steps", "rounds", "diameter", "social_cost")
+
+    @property
+    def rounds(self):
+        """``activations // n`` for every scheme: the completed sweeps of a
+        round-robin run."""
+        return self.activations // self.initial.n
 
     def as_dict(self):
         diameter, cost = self._final_values()
@@ -255,7 +258,6 @@ def run_dynamics(g0, cfg, scheme, max_steps=MAX_STEPS):
         initial=g0.copy(),
         steps=steps,
         outcome=outcome,
-        rounds=activations // n,
         final_social_cost=_social_cost_from(g, cfg, position.dist),
         final_diameter=int(position.dist.max()),
         final=g,

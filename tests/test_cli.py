@@ -41,6 +41,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(*argv):
+    """``python -m degprice.cli argv`` in a subprocess, as a shell runs it."""
+    src = Path(degprice.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "degprice.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
 def test_construct_star(capsys):
     code, out, _ = run_cli(capsys, "construct", "star", "--n", "5")
     assert code == 0
@@ -53,7 +65,7 @@ def test_construct_requires_n_for_families(capsys):
     assert "requires --n" in err
     code, _, err = run_cli(capsys, "construct", "hypercube", "--n", "8")
     assert code == 2
-    assert "unknown family" in err
+    assert "invalid choice: 'hypercube'" in err
 
 
 def test_construct_figure_to_file(capsys, tmp_path):
@@ -163,36 +175,23 @@ def test_missing_file_and_bad_flags_are_usage_errors(capsys, star_file):
     assert code == 2 and "error" in err
     code, _, err = run_cli(capsys, "verify", star_file, "--k", "wide")
     assert code == 2 and "--k" in err
-    with pytest.raises(SystemExit) as exc:
-        main(["inspect", star_file])
-    assert exc.value.code == 2
+    assert run_cli(capsys, "inspect", star_file)[0] == 2
     # --format exists only on cost, verify and dynamics
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "star", "--n", "3", "--format", "json"])
-    assert exc.value.code == 2
+    assert run_cli(capsys, "construct", "star", "--n", "3", "--format", "json")[0] == 2
 
 
 @pytest.mark.parametrize("flag", ["--beta", "--gamma"])
 def test_zero_denominator_price_is_a_usage_error(star_file, flag):
-    src = Path(degprice.__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "degprice.cli", "cost", star_file, flag, "3/0"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
+    proc = run_module("cost", star_file, flag, "3/0")
     assert proc.returncode == 2
     assert flag in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_zero_denominator_price_prints_usage(capsys, star_file):
-    """In process too, a zero denominator is argparse's usage error, not a traceback."""
-    with pytest.raises(SystemExit) as exc:
-        main(["cost", star_file, "--beta", "1/0"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: ") and "--beta" in err and "Traceback" not in err
+    """In process too, a zero denominator is a usage error, not a traceback."""
+    code, out, err = run_cli(capsys, "cost", star_file, "--beta", "1/0")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "--beta" in err
 
 
 @pytest.mark.parametrize(
@@ -208,20 +207,83 @@ def test_zero_denominator_price_prints_usage(capsys, star_file):
         ["cost", "{graph}", "--beta", "\u0661/\u0662"],
         ["cost", "{graph}", "--gamma", "1_0"],
         ["enumerate", "--n", "3", "--k", "\u0662"],
+        # a price past 1 000 digits is refused before any graph is read,
+        # and 1e10000000 before Fraction computes 10**10000000
+        ["cost", "{graph}", "--beta", "1e5000"],
+        ["cost", "{graph}", "--gamma", "1e-5000"],
+        ["verify", "{graph}", "--beta", "1e1000000"],
+        ["cost", "{graph}", "--beta", "1e10000000"],
+        ["cost", "{graph}", "--gamma", f"1/{10**1000}"],
+        ["cost", "{graph}", "--beta", "9" * 1001],
     ],
 )
 def test_a_number_flag_must_be_ascii_without_underscore(capsys, path_file, argv):
     """int and Fraction alone read '_' and other scripts' digits; every
     such flag exits 2, prints nothing on stdout, and names on stderr the
     public type the flag reads."""
-    try:
-        code = main([a.format(graph=path_file(4)) for a in argv])
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, *(a.format(graph=path_file(4)) for a in argv))
     assert code == 2 and out == ""
-    expected = {"--beta": "invalid price value", "--gamma": "invalid price value", "--k": "--k must"}
+    expected = {
+        "--beta": "invalid price value",
+        "--gamma": "invalid price value",
+        "--k": "invalid radius value",
+    }
     assert expected.get(argv[-2], "invalid integer value") in err
+
+
+def test_a_price_of_1000_digits_is_read(capsys, path_file):
+    """The price bound sits at 1 000 digits: 10**999 and 1/10**999 are read."""
+    for flag, value in (("--beta", "1e999"), ("--gamma", "1e-999"), ("--beta", "0.1e1000")):
+        code, out, _ = run_cli(capsys, "cost", path_file(4), "--agent", "0", flag, value)
+        assert code == 0 and out.startswith("{")
+    assert cli.price("1e999") == 10**999 and cli.price("1e-999") == Fraction(1, 10**999)
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        pytest.param(["inspect", "g.graph"], "'inspect'", id="unknown-subcommand"),
+        pytest.param(["verify"], "graph", id="missing-positional"),
+        pytest.param(["verify", "g.graph", "--game", "x"], "--game", id="bad-choice-flag"),
+        pytest.param(["construct", "hypercube"], "'hypercube'", id="bad-choice-positional"),
+        pytest.param(["reduce", "set-cover-to-gadget"], "--instance", id="missing-required-flag"),
+        pytest.param(
+            ["reduce", "dominating-to-set-cover", "--graph", "g", "--roles", "r"],
+            "--roles",
+            id="unrecognized-flag",
+        ),
+        pytest.param(
+            ["construct", "star", "--n", "3", "--format", "json"],
+            "--format",
+            id="unrecognized-format",
+        ),
+        pytest.param(["cost", "g.graph", "--beta", "1/0"], "--beta", id="bad-price"),
+        pytest.param(["cost", "g.graph", "--k", "wide"], "--k", id="bad-radius"),
+        pytest.param(["construct", "path", "--n", "\u0663"], "--n", id="bad-integer"),
+    ],
+)
+def test_every_flag_fault_is_one_error_line(capsys, argv, named):
+    """A flag argparse refuses is a ValueError like any input fault: main
+    returns 2, prints nothing on stdout and one error line naming the flag."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
+
+
+def test_a_flag_fault_exits_2_from_the_shell():
+    proc = run_module("reduce", "set-cover-to-gadget")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["reduce", "set-cover-to-gadget", "-h"]], ids=" ".join)
+def test_help_alone_exits(capsys, argv):
+    """-h is the one flag that still exits from argparse, with 0."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: degprice") and err == ""
 
 
 def test_signed_and_decimal_number_flags_stay_accepted(capsys, path_file):
@@ -587,7 +649,7 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
              "--instance", "{dir}/none.cover"],
             None,
             2,
-            "takes no --instance",
+            "unrecognized arguments: --instance",
             id="dominating-and-instance",
         ),
         pytest.param(
@@ -595,7 +657,7 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
              "--roles", "{dir}/roles.json"],
             None,
             2,
-            "takes no --roles",
+            "unrecognized arguments: --roles",
             id="dominating-and-roles",
         ),
         pytest.param(
@@ -603,8 +665,16 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
              "--graph", "{dir}/none.graph"],
             None,
             2,
-            "takes no --graph",
+            "unrecognized arguments: --graph",
             id="gadget-and-graph",
+        ),
+        # the roles file is written before the graph, so a fault in it prints no graph
+        pytest.param(
+            ["reduce", "set-cover-to-gadget", "--instance", "{cover}", "--roles", "{dir}"],
+            None,
+            2,
+            "directory",
+            id="roles-a-directory",
         ),
     ],
 )
@@ -614,8 +684,14 @@ def test_malformed_input_is_one_error_line(
     """Each malformed input exits 2 (1 for a move that does not replay) with one error line."""
     sched = tmp_path / "moves.json"
     sched.write_text(json.dumps(schedule))
+    cover = tmp_path / "inst.cover"
+    cover.write_text("u 8 q 4\n0 1 2 3\n4 5 6 7\n2 3 4 5\n")
     paths = {
-        "dir": str(tmp_path), "graph": path_file(5), "graph11": path_file(11), "sched": str(sched)
+        "dir": str(tmp_path),
+        "graph": path_file(5),
+        "graph11": path_file(11),
+        "sched": str(sched),
+        "cover": str(cover),
     }
     code_seen, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert code_seen == code
