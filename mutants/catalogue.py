@@ -312,4 +312,29 @@ MUTANTS = (
         "        super().error(message)\n",
         ("tests/test_cli.py::test_every_flag_fault_is_one_error_line",),
     ),
+    # a command writes all of its outputs or none
+    Mutant(
+        "write-undo-dropped",
+        "cli.py",
+        "            pathlib.Path(path).unlink(missing_ok=True)\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_a_fault_in_one_output_writes_none",),
+    ),
+    Mutant(
+        "write-in-probe",
+        "cli.py",
+        '            open(path, "a").close()\n',
+        "            path.write_text(dict(outputs)[path])\n",
+        ("tests/test_cli.py::test_a_fault_in_one_output_writes_none",),
+    ),
+    # a cycle past the node cap is refused before its edges are built.  The
+    # eager list asks for 16 GiB at once: a host with less memory refuses
+    # it with MemoryError, but one with more would fill it
+    Mutant(
+        "cycle-edges-eager",
+        "constructions.py",
+        "    return OwnedGraph(n, zip(range(n), chain(range(1, n), (0,))))\n",
+        "    return OwnedGraph(n, zip(range(n), [*range(1, n), 0]))\n",
+        ("tests/test_cli.py::test_graph_size_cap_is_a_resource_exit",),
+    ),
 )

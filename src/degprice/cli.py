@@ -9,10 +9,16 @@ short human summary.  Only cost, verify and dynamics take --format.  Every cost 
 failure, 2 usage error, 3 resource cap exceeded.  Every fault, a flag
 that does not parse included, prints one ``error:`` line on stderr and
 ``main`` returns its code; only ``-h`` exits, with 0.
+
+Each ``_cmd_*`` computes and writes nothing: it returns its exit code and
+its outputs, ``(path, text)`` pairs where the path ``None`` is stdout.
+``main`` hands them to ``_write`` once the command has returned, so a
+command writes every output or, when it raises, none.
 """
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 from fractions import Fraction
@@ -90,20 +96,26 @@ def radius(text):
 
 
 def price(text):
-    """A price coefficient kept exact: "0.1" and "1/2" become Fractions."""
-    _, _, exponent = textio.numeral(text).lower().partition("e")
+    """A price coefficient kept exact: "0.1" and "1/2" become Fractions.
+
+    A price refused for a stated reason raises ArgumentTypeError, whose
+    text argparse prints; any other ValueError reads ``invalid price value``.
+    """
+    try:
+        _, _, exponent = textio.numeral(text).lower().partition("e")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(exc) from None
     # Fraction computes 10**exponent in full, so a far exponent is refused
     # first: past this bound no nonzero mantissa fits, as int reads at most
     # 4 300 digits
     if exponent and abs(int(exponent)) > PRICE_DIGITS + 4300:
-        raise ValueError(f"more than {PRICE_DIGITS} digits in {text!r}")
+        raise argparse.ArgumentTypeError(f"more than {PRICE_DIGITS} digits in {text!r}")
     try:
         value = Fraction(text)
     except ZeroDivisionError:
-        # argparse turns a ValueError, not this, into a usage error
-        raise ValueError(f"zero denominator in {text!r}") from None
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
     if max(abs(value.numerator), value.denominator) >= 10**PRICE_DIGITS:
-        raise ValueError(f"more than {PRICE_DIGITS} digits in {text!r}")
+        raise argparse.ArgumentTypeError(f"more than {PRICE_DIGITS} digits in {text!r}")
     return value.numerator if value.denominator == 1 else value
 
 
@@ -117,11 +129,33 @@ def _config_from(args):
     return GameConfig(args.game, args.k, args.beta, args.gamma)
 
 
-def _emit(args, text):
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        args.out.write_text(text)
+def _write(outputs):
+    """Write each ``(path, text)`` of ``outputs``, the path ``None`` being
+    stdout: all of them, or none when a destination is refused.  Pairs,
+    not a dict: two equal paths would share one key and hide their clash.
+
+    Two paths that name one file are refused.  Each file is then probed:
+    opened for append, which truncates nothing, and closed at once.  When a
+    probe fails, the files that did not exist before it are removed (for a
+    symlink, its target and not the link) and its OSError, which names the
+    path as given, is raised.  Only then is each text written.  A write
+    that fails after every probe passed, as on a full disk, can leave the
+    outputs before it written.
+    """
+    files = [path for path, _ in outputs if path is not None]
+    real = {os.path.realpath(path) for path in files}
+    if len(real) < len(files):
+        raise ValueError(f"two outputs name one file among {', '.join(map(str, files))}")
+    created = [path for path in real if not os.path.lexists(path)]
+    try:
+        for path in files:
+            open(path, "a").close()
+    except OSError:
+        for path in created:
+            pathlib.Path(path).unlink(missing_ok=True)
+        raise
+    for path, text in outputs:
+        (sys.stdout.write if path is None else path.write_text)(text)
 
 
 def _read_graph(path):
@@ -129,17 +163,15 @@ def _read_graph(path):
 
 
 def _cmd_construct(args):
-    name = args.family
-    if name in constructions.FIGURE_NAMES:
+    if args.family in constructions.FIGURE_NAMES:
         if args.n is not None:
-            raise ValueError(f"construct {name} is a packaged network; drop --n")
-        g = constructions.build_figure_network(name)
+            raise ValueError(f"construct {args.family} is a packaged network; drop --n")
+        g = constructions.build_figure_network(args.family)
     elif args.n is None:
-        raise ValueError(f"construct {name} requires --n")
+        raise ValueError(f"construct {args.family} requires --n")
     else:
-        g = FAMILIES[name](args.n)
-    _emit(args, textio.serialize_graph(g))
-    return EXIT_OK
+        g = FAMILIES[args.family](args.n)
+    return EXIT_OK, [(args.out, textio.serialize_graph(g))]
 
 
 def _cmd_cost(args):
@@ -155,10 +187,10 @@ def _cmd_cost(args):
         lines = [f"social cost: {data['social_cost']}"]
         if args.agent is not None:
             lines.append(f"agent {args.agent}: {json.dumps(data['cost'], sort_keys=True)}")
-        _emit(args, "\n".join(lines) + "\n")
+        text = "\n".join(lines) + "\n"
     else:
-        _emit(args, textio.to_json_text(data))
-    return EXIT_OK
+        text = textio.to_json_text(data)
+    return EXIT_OK, [(args.out, text)]
 
 
 def _cmd_best_response(args):
@@ -174,22 +206,20 @@ def _cmd_best_response(args):
         "best_strategy": sorted(strategy),
         "improves": cost < current,
     }
-    _emit(args, textio.to_json_text(data))
-    return EXIT_OK
+    return EXIT_OK, [(args.out, textio.to_json_text(data))]
 
 
 def _cmd_verify(args):
     g = _read_graph(args.graph)
     cfg = _config_from(args)
     report = verify_equilibrium(g, cfg, level=args.level)
-    data = {"config": cfg.describe()}
-    data.update(report.as_dict())
+    data = {"config": cfg.describe(), **report.as_dict()}
     if args.format == "text":
         witness = json.dumps(data["witness"], sort_keys=True)
-        _emit(args, "equilibrium\n" if report.is_equilibrium else f"witness: {witness}\n")
+        text = "equilibrium\n" if report.is_equilibrium else f"witness: {witness}\n"
     else:
-        _emit(args, textio.to_json_text(data))
-    return EXIT_OK if report.is_equilibrium else EXIT_ASSERTION
+        text = textio.to_json_text(data)
+    return EXIT_OK if report.is_equilibrium else EXIT_ASSERTION, [(args.out, text)]
 
 
 def _load_schedule(spec_text, g, cfg):
@@ -221,59 +251,55 @@ def _cmd_dynamics(args):
         scheme = _load_schedule(args.schedule, g, cfg)
     trace = run_dynamics(g, cfg, scheme, max_steps=args.max_steps)
     if args.format == "csv":
-        _emit(args, textio.to_csv_text(trace.CSV_HEADER, [trace.csv_row()]))
+        text = textio.to_csv_text(trace.CSV_HEADER, [trace.csv_row()])
     elif args.format == "text":
         *_, diameter, cost = trace.csv_row()
-        _emit(
-            args,
+        text = (
             f"outcome: {trace.outcome}\nsteps: {len(trace.steps)}\n"
             f"activations: {trace.activations}\nrounds: {trace.rounds}\n"
-            f"final diameter: {diameter}\nfinal social cost: {cost}\n",
+            f"final diameter: {diameter}\nfinal social cost: {cost}\n"
         )
     else:
-        _emit(args, textio.to_json_text(trace.as_dict()))
-    return EXIT_OK
+        text = textio.to_json_text(trace.as_dict())
+    return EXIT_OK, [(args.out, text)]
 
 
 def _cmd_enumerate(args):
     cfg = _config_from(args)
     summary = equilibrium_census(args.n, cfg)
+    outputs = [(args.out, textio.to_json_text(summary.as_dict()))]
     if args.witness_dir is not None:
+        # a directory holds no output, so a later fault may leave it empty
         args.witness_dir.mkdir(parents=True, exist_ok=True)
         for label, graph in (
             ("opt", summary.opt_witness),
             ("best-eq", summary.best_witness),
             ("worst-eq", summary.worst_witness),
         ):
-            (args.witness_dir / f"{label}.graph").write_text(textio.serialize_graph(graph))
-    _emit(args, textio.to_json_text(summary.as_dict()))
-    return EXIT_OK
+            outputs.append((args.witness_dir / f"{label}.graph", textio.serialize_graph(graph)))
+    return EXIT_OK, outputs
 
 
 def _cmd_gadget(args):
     inst = constructions.parse_set_cover_file(pathlib.Path(args.instance).read_text())
     layout = constructions.set_cover_to_best_response_gadget(inst)
-    # the roles file first, so that a fault writing it leaves stdout empty
+    outputs = [(args.out, textio.serialize_graph(layout.graph))]
     if args.roles is not None:
         role_map = {str(v): role for v, role in layout.role_map.items()}
         roles = {"layout": layout.as_dict(), "role_map": role_map}
-        args.roles.write_text(textio.to_json_text(roles))
-    _emit(args, textio.serialize_graph(layout.graph))
-    return EXIT_OK
+        outputs.append((args.roles, textio.to_json_text(roles)))
+    return EXIT_OK, outputs
 
 
 def _cmd_dominating(args):
     inst = constructions.dominating_set_to_set_cover(_read_graph(args.graph))
-    _emit(args, constructions.serialize_set_cover(inst))
-    return EXIT_OK
+    return EXIT_OK, [(args.out, constructions.serialize_set_cover(inst))]
 
 
 def _cmd_preset(args):
-    fn = PRESETS[args.name]
-    checks, passed = fn()
+    checks, passed = PRESETS[args.name]()
     report = {"preset": args.name, "passed": passed, "checks": checks}
-    _emit(args, textio.to_json_text(report))
-    return EXIT_OK if passed else EXIT_ASSERTION
+    return EXIT_OK if passed else EXIT_ASSERTION, [(args.out, textio.to_json_text(report))]
 
 
 def build_parser():
@@ -353,7 +379,9 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        code, outputs = args.fn(args)
+        _write(outputs)
+        return code
     except (DegpriceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))

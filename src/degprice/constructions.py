@@ -14,7 +14,7 @@ and one line of q element ids per set.
 
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 
 from degprice.errors import GraphFormatError, InfeasibleInstanceError, ResourceCapExceeded
 from degprice.graph import MAX_EDGES, MAX_NODES, OwnedGraph, bfs_distances, degree
@@ -60,7 +60,8 @@ def build_cycle(n):
     """Cycle on ``n`` nodes; node i buys the edge to node (i + 1) mod n."""
     if n < 3:
         raise ValueError(f"cycle needs at least 3 nodes, got {n}")
-    return OwnedGraph(n, zip(range(n), [*range(1, n), 0]))
+    # lazy edges, so that OwnedGraph checks MAX_NODES before any is built
+    return OwnedGraph(n, zip(range(n), chain(range(1, n), (0,))))
 
 
 def build_clique(n):

@@ -220,15 +220,31 @@ def test_zero_denominator_price_prints_usage(capsys, star_file):
 def test_a_number_flag_must_be_ascii_without_underscore(capsys, path_file, argv):
     """int and Fraction alone read '_' and other scripts' digits; every
     such flag exits 2, prints nothing on stdout, and names on stderr the
-    public type the flag reads."""
+    flag and the public type it reads, or for a price why it was refused."""
     code, out, err = run_cli(capsys, *(a.format(graph=path_file(4)) for a in argv))
     assert code == 2 and out == ""
-    expected = {
-        "--beta": "invalid price value",
-        "--gamma": "invalid price value",
-        "--k": "invalid radius value",
-    }
-    assert expected.get(argv[-2], "invalid integer value") in err
+    price_reason = "(not an ASCII number without '_':|more than 1000 digits in) '"
+    expected = {"--beta": price_reason, "--gamma": price_reason, "--k": "invalid radius value"}
+    assert re.search(f"argument {argv[-2]}: " + expected.get(argv[-2], "invalid integer value"), err)
+
+
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ("1/0", "zero denominator in '1/0'"),
+        ("1e5000", "more than 1000 digits in '1e5000'"),
+        (f"1/{10**1000}", f"more than 1000 digits in '1/{10**1000}'"),
+        ("1_0", "not an ASCII number without '_': '1_0'"),
+        ("x", "invalid price value: 'x'"),
+    ],
+    ids=("zero-denominator", "far-exponent", "long-denominator", "underscore", "not-a-number"),
+)
+def test_a_refused_price_says_why(capsys, star_file, value, reason):
+    """A price refused for a stated reason prints that reason, not only
+    argparse's 'invalid price value'."""
+    code, out, err = run_cli(capsys, "cost", star_file, "--beta", value)
+    assert code == 2 and out == ""
+    assert err == f"error: degprice cost: argument --beta: {reason}\n"
 
 
 def test_a_price_of_1000_digits_is_read(capsys, path_file):
@@ -332,7 +348,12 @@ def test_graph_size_cap_is_a_resource_exit(capsys, tmp_path):
     # 10^8 nodes would need about 45 GB of empty neighbour sets
     huge = tmp_path / "huge.graph"
     huge.write_text("n 100000000\n")
-    for argv in (("cost", str(huge)), ("construct", "path", "--n", "100000000")):
+    # a list of the cycle's 2^31 edge targets alone would take 16 GiB
+    for argv in (
+        ("cost", str(huge)),
+        ("construct", "path", "--n", "100000000"),
+        ("construct", "cycle", "--n", "2147483648"),
+    ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
         assert len(err.splitlines()) == 1 and "graphs limited" in err
@@ -668,7 +689,8 @@ SCHEDULE_RUN = ["dynamics", "{graph}", "--schedule", "{sched}"]
             "unrecognized arguments: --graph",
             id="gadget-and-graph",
         ),
-        # the roles file is written before the graph, so a fault in it prints no graph
+        # every output is checked before any is written, so a fault in the roles
+        # file prints no graph
         pytest.param(
             ["reduce", "set-cover-to-gadget", "--instance", "{cover}", "--roles", "{dir}"],
             None,
@@ -737,6 +759,106 @@ def test_raw_input_file_is_one_error_line(capsys, tmp_path, path_file, argv, tex
     assert code_seen == code
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
     assert "Traceback" not in err and out == ""
+
+
+def files_under(root):
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "argv, made, named",
+    [
+        pytest.param(
+            ["enumerate", "--n", "3", "--witness-dir", "{d}/w", "--out", "{d}/D"],
+            {"D": None},
+            "Is a directory",
+            id="witnesses-and-out-a-directory",
+        ),
+        pytest.param(
+            ["reduce", "set-cover-to-gadget", "--instance", "{d}/i.cover",
+             "--roles", "{d}/r.json", "--out", "{d}/D"],
+            {"D": None},
+            "Is a directory",
+            id="roles-and-out-a-directory",
+        ),
+        pytest.param(
+            ["enumerate", "--n", "3", "--witness-dir", "{d}/w"],
+            {"w/worst-eq.graph": None},
+            "Is a directory",
+            id="worst-eq-a-directory",
+        ),
+        pytest.param(
+            ["enumerate", "--n", "3", "--out", "{d}/out.json", "--witness-dir", "{d}/w"],
+            {"out.json": "old out\n", "w/opt.graph": "old opt\n", "w/worst-eq.graph": None},
+            "Is a directory",
+            id="existing-outputs-kept",
+        ),
+        pytest.param(
+            ["reduce", "set-cover-to-gadget", "--instance", "{d}/i.cover",
+             "--roles", "{d}/same.txt", "--out", "{d}/same.txt"],
+            {},
+            "two outputs name one file",
+            id="roles-and-out-one-file",
+        ),
+        pytest.param(
+            ["reduce", "set-cover-to-gadget", "--instance", "{d}/i.cover",
+             "--roles", "{d}/same.txt", "--out", "{d}/x/../same.txt"],
+            {"x": None, "same.txt": "old\n"},
+            "two outputs name one file",
+            id="one-file-by-two-names",
+        ),
+        pytest.param(
+            ["enumerate", "--n", "3", "--witness-dir", "{d}/w", "--out", "{d}/w/opt.graph"],
+            {},
+            "two outputs name one file",
+            id="out-among-the-witnesses",
+        ),
+    ],
+)
+def test_a_fault_in_one_output_writes_none(capsys, tmp_path, argv, made, named):
+    """A command writes all of its outputs or none: when one destination is
+    refused (a directory, or a file that another output names too), main
+    exits 2 with one error line, and every file is as it was before."""
+    (tmp_path / "i.cover").write_text("u 8 q 4\n0 1 2 3\n4 5 6 7\n2 3 4 5\n")
+    for name, text in made.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.mkdir() if text is None else path.write_text(text)
+    before = files_under(tmp_path)
+    code, out, err = run_cli(capsys, *(a.format(d=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and named in err
+    assert files_under(tmp_path) == before
+
+
+def test_an_output_in_a_symlink_loop_is_one_error_line(capsys, tmp_path):
+    (tmp_path / "a").symlink_to("b")
+    (tmp_path / "b").symlink_to("a")
+    code, out, err = run_cli(capsys, "construct", "star", "--n", "3", "--out", str(tmp_path / "a"))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Too many levels of symbolic links" in err
+    assert (tmp_path / "a").is_symlink() and (tmp_path / "b").is_symlink()
+
+
+def test_a_fault_keeps_a_symlinked_output_as_it_was(capsys, tmp_path):
+    """An output through a link whose target does not exist yet: a fault in
+    a later output removes the target that the probe created, not the link."""
+    (tmp_path / "link").symlink_to("target.json")
+    (tmp_path / "w" / "worst-eq.graph").mkdir(parents=True)
+    code, out, err = run_cli(
+        capsys, "enumerate", "--n", "3", "--out", str(tmp_path / "link"),
+        "--witness-dir", str(tmp_path / "w"),
+    )
+    assert code == 2 and out == "" and "Is a directory" in err
+    assert (tmp_path / "link").is_symlink() and not (tmp_path / "target.json").exists()
+
+
+def test_a_non_equilibrium_writes_its_witness_to_out(capsys, tmp_path, path_file):
+    """Exit 1 is a result, not a fault: verify still writes its witness."""
+    out_path = tmp_path / "witness.json"
+    code, out, err = run_cli(capsys, "verify", path_file(4), "--out", str(out_path))
+    assert code == 1 and out == "" and err == ""
+    assert json.loads(out_path.read_text())["witness"]["kind"]["type"] == "add"
 
 
 def test_text_witness_prints_costs_like_json(capsys, tmp_path, path_file):
