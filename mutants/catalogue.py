@@ -103,8 +103,8 @@ MUTANTS = (
     Mutant(
         "lines-counted-from-0",
         "textio.py",
-        "enumerate(text.splitlines(), start=1)",
-        "enumerate(text.splitlines(), start=0)",
+        "enumerate(io.StringIO(text, newline=None), start=1)",
+        "enumerate(io.StringIO(text, newline=None), start=0)",
         (TEXT_FORMATS,),
     ),
     Mutant(
@@ -287,6 +287,28 @@ MUTANTS = (
         "        spend[0] += sum(forced.values())\n",
         "",
         (ORACLE_MOVES_N5, SCALAR_REFERENCE),
+    ),
+    # the census's stage names and its witnesses, each the first extreme
+    Mutant(
+        "stage-names-swapped",
+        "oracle.py",
+        '_STAGES = ("equilibria", "failed_exact", "failed_single_move")',
+        '_STAGES = ("equilibria", "failed_single_move", "failed_exact")',
+        ("tests/test_oracle.py::test_verify_agrees_with_oracle_on_every_small_state",),
+    ),
+    Mutant(
+        "best-equilibrium-last-of-equals",
+        "oracle.py",
+        "if failed == 0 and cost < best[0]:",
+        "if failed == 0 and cost <= best[0]:",
+        ("tests/test_oracle.py::test_census_matches_a_plain_state_loop",),
+    ),
+    Mutant(
+        "optimum-tie-owned-by-higher",
+        "oracle.py",
+        "orient |= (pb <= pa) << i",
+        "orient |= (pb < pa) << i",
+        ("tests/test_oracle.py::test_optimum_matches_plain_state_scan",),
     ),
     # the improving-response closure's costs
     Mutant(

@@ -340,7 +340,7 @@ def build_parser():
     p.add_argument(
         "--schedule",
         default=None,
-        help="scripted run: 'adversarial', a named sequence, or a JSON move file",
+        help=f"scripted run: 'adversarial', '{DEGAOG_NE}', '{DEG2AOG_2NE}', or a JSON move file",
     )
     p.add_argument("--seed", type=textio.integer, default=None)
     p.add_argument("--max-steps", type=textio.integer, default=MAX_STEPS)

@@ -133,9 +133,9 @@ class SetCoverInstance:
 
 def parse_set_cover_file(text):
     records = read_records(text, "u <n> q <q>")
-    _, (n, q) = next(records)
+    _, _, (n, q) = next(records)
     sets = []
-    for number, elements in records:
+    for number, _, elements in records:
         try:
             sets.append(_checked_set(elements, n, q))
         except ValueError as exc:

@@ -157,9 +157,10 @@ def _labellings(emask):
         sub = (sub - 1) & emask
 
 
-# An agent's stage, in rising severity: it passes both checks, only a
-# deviation of several edges improves on its strategy, or a single move does.
-_STAGES = (None, "exact", "single-move")
+# An agent's stage, in rising severity, named as the census counts it: it
+# passes both checks, only a deviation of several edges improves on its
+# strategy, or a single move does.
+_STAGES = ("equilibria", "failed_exact", "failed_single_move")
 
 
 class _StateEvaluator:
@@ -259,8 +260,8 @@ class _StateEvaluator:
         return successors, cost
 
     def failed_stage(self, emask, omask):
-        """First check the state fails, "single-move" then "exact", or None:
-        the worst of its agents' stages."""
+        """The state's name in ``_STAGES``, the worst of its agents' stages:
+        "failed_single_move", "failed_exact" or "equilibria"."""
         worst = max(
             self.agent_verdict(emask, self.owned(emask, omask, u), u)[0] for u in range(self.n)
         )
@@ -331,10 +332,10 @@ def equilibrium_census(n, cfg, workers=1):
         raise ValueError(f"PoA and PoS need a positive optimum; at n={n} it costs {opt_cost}")
     ev = _StateEvaluator(n, cfg)
     low, high = ev.low, ev.high
-    counts = dict.fromkeys(
-        ("states", "disconnected", "failed_single_move", "failed_exact", "equilibria"), 0
-    )
-    best = worst = None
+    counts = dict.fromkeys(("states", "disconnected", *_STAGES), 0)
+    # the first cheapest and first dearest equilibrium: only a strictly
+    # smaller (larger) cost replaces a record
+    best, worst = (math.inf, None), (-math.inf, None)
     diam_max = 0
     for emask, orbit in zip(*_classes(n)):
         labellings = 1 << bin(emask).count("1")
@@ -362,16 +363,11 @@ def equilibrium_census(n, cfg, workers=1):
                 if stage > failed:
                     failed = stage
                 cost = cost + spend
-            if failed == 2:
-                counts["failed_single_move"] += orbit
-            elif failed == 1:
-                counts["failed_exact"] += orbit
-            else:
-                counts["equilibria"] += orbit
-                if best is None or cost < best[0]:
-                    best = (cost, (emask, sub))
-                if worst is None or cost > worst[0]:
-                    worst = (cost, (emask, sub))
+            counts[_STAGES[failed]] += orbit
+            if failed == 0 and cost < best[0]:
+                best = (cost, (emask, sub))
+            if failed == 0 and cost > worst[0]:
+                worst = (cost, (emask, sub))
         if counts["equilibria"] > eq_before:
             diam_max = max(diam_max, int(ev.dist[emask].max()))
     if counts["equilibria"] == 0:
@@ -408,9 +404,7 @@ def optimal_social_cost(n, cfg):
     """
     ev = _StateEvaluator(n, cfg)
     pairs, price, degs = _pairs(n), ev.price, ev.degs
-    best = None
-    best_mask = None
-    best_orient = None
+    best = (math.inf, None, None)  # as in the census, a tie keeps the first
     for emask in _classes(n)[0]:
         if not ev.connected[emask]:
             continue
@@ -420,15 +414,14 @@ def optimal_social_cost(n, cfg):
             if emask >> i & 1:
                 pa = price[degs[emask, a]]
                 pb = price[degs[emask, b]]
-                # cheaper endpoint becomes the target; bit set = lower owns
-                if pb <= pa:
-                    total = total + pb
-                    orient |= 1 << i
-                else:
-                    total = total + pa
-        if best is None or total < best:
-            best, best_mask, best_orient = total, emask, orient
-    return best, _state_to_graph(n, best_mask, best_orient)
+                # the cheaper endpoint becomes the target, and on a tie the
+                # lower endpoint owns the edge; bit set = lower owns
+                total = total + min(pa, pb)
+                orient |= (pb <= pa) << i
+        if total < best[0]:
+            best = (total, emask, orient)
+    cost, emask, orient = best
+    return cost, _state_to_graph(n, emask, orient)
 
 
 def reachable_closure(g0, cfg):

@@ -1,17 +1,17 @@
 """Text formats: the record files, graph files and JSON/CSV output.
 
 A record file is a header line of keywords, each followed by one int,
-then one line of space-separated ints per record.  Blank lines and
-lines starting with ``#`` are skipped; ``read_records`` and
-``write_records`` are its one reader and writer.  A graph file is the
-record file ``n <N>`` with one ``<owner> <target>`` line per edge
-(0-indexed); the edge direction encodes ownership.  The set-cover file
-``u <n> q <q>`` lives in ``constructions``, beside the instance it
-describes.
+then one line of space-separated ints per record.  A line ends at LF,
+CRLF or CR only.  Blank lines and lines starting with ``#`` are
+skipped; ``read_records`` and ``write_records`` are its one reader and
+writer.  A graph file is the record file ``n <N>`` with one ``<owner>
+<target>`` line per edge (0-indexed); the edge direction encodes
+ownership.  The set-cover file ``u <n> q <q>`` lives in
+``constructions``, beside the instance it describes.
 
 A number in input, in a file or a CLI flag, is ASCII with no ``_``
-(``numeral``): ``int`` and ``Fraction`` alone also read ``1_0`` and
-other scripts' digits.
+(``numeral``): ``int`` and ``Fraction`` alone also read ``1_0``, other
+scripts' digits and other scripts' spaces around them.
 """
 
 import csv
@@ -36,8 +36,8 @@ __all__ = [
 
 def numeral(text):
     """``text`` if it is ASCII with no ``_``, the one rule for a number in
-    input; else ValueError.  ``read_records`` passes it whole lines, one
-    call per line rather than one per field."""
+    input; else ValueError.  ``read_records`` passes it whole lines, before
+    stripping them, one call per line rather than one per field."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number without '_': {text!r}")
     return text
@@ -49,16 +49,20 @@ def integer(text):
 
 
 def read_records(text, header):
-    """(line number, ints) of each line that is neither blank nor a ``#`` comment.
+    """(line number, line, ints) of each line that is neither blank nor a
+    ``#`` comment, the line stripped.
 
-    The first such line must be ``header``'s keywords, each followed by one
-    int (``"n <N>"``, ``"u <n> q <q>"``), and gives those ints; every later
-    line gives its fields, which must all be ints.  Each line must be a
-    ``numeral``.  A fault raises GraphFormatError with its line number.  Streams over the lines; the
-    header is read before the row loop, so the loop has no header branch.
+    Lines end at LF, CRLF or CR, as in a file read as text, and at no other
+    character.  The first such line must be ``header``'s keywords, each
+    followed by one int (``"n <N>"``, ``"u <n> q <q>"``), and gives those
+    ints; every later line gives its fields, which must all be ints.  Each
+    such line, whole, must be a ``numeral``; a comment line is free text.
+    A fault raises GraphFormatError with its line number.  Streams over the
+    lines; the header is read before the row loop, so the loop has no
+    header branch.
     """
     keys = header.split()[::2]
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(io.StringIO(text, newline=None), start=1)
     for number, raw in lines:
         line = raw.strip()
         if line and line[0] != "#":
@@ -69,11 +73,11 @@ def read_records(text, header):
     if parts[::2] != keys or len(parts) != 2 * len(keys):
         raise GraphFormatError(f"expected {header!r} header, got {line!r}", line=number)
     try:
-        yield number, [*map(int, numeral(line).split()[1::2])]
+        yield number, line, [*map(int, numeral(raw).split()[1::2])]
         for number, raw in lines:
             line = raw.strip()
             if line and line[0] != "#":
-                yield number, [*map(int, numeral(line).split())]
+                yield number, line, [*map(int, numeral(raw).split())]
     except ValueError:
         raise GraphFormatError(f"non-integer field in {line!r}", line=number) from None
 
@@ -85,14 +89,12 @@ def write_records(header, rows):
 
 def parse_graph_file(text):
     records = read_records(text, "n <N>")
-    number, (n,) = next(records)
+    number, _, (n,) = next(records)
     if n < 1:
         raise GraphFormatError(f"node count must be positive, got {n}", line=number)
     g = OwnedGraph(n)
-    for number, ids in records:
+    for number, line, ids in records:
         if len(ids) != 2:
-            # the message quotes the line as written, not its ints
-            line = text.splitlines()[number - 1].strip()
             raise GraphFormatError(f"expected '<owner> <target>', got {line!r}", line=number)
         owner, target = ids
         try:

@@ -2,10 +2,12 @@
 
 Flag numbers come from a fixed set, each value either tiny or past every
 cap.  Graph and set-cover files carry bad headers, out-of-range ids, CR,
-NUL and 0xFF bytes.  ``--out``, ``--roles`` and ``--witness-dir`` may name
-a directory, a path in a missing directory, or one file twice.  Whatever
-the argv, ``main`` returns an exit code, and a fault is one ``error:``
-line that leaves stdout empty and every file as it was.
+form feed, NUL and 0xFF bytes, and U+2028 and U+00A0.  ``--out``,
+``--roles`` and ``--witness-dir`` may name a directory, a path in a
+missing directory, or one file twice.  Whatever the argv, ``main``
+returns an exit code, and a fault is one ``error:`` line that leaves
+stdout empty and every file as it was.  ``fuzz/`` runs the same check
+over more examples.
 """
 
 import contextlib
@@ -31,12 +33,14 @@ WITNESS_DIRS = ("{d}/w", "{d}/dir", "{d}/missing/w", "{d}/existing.txt")
 @st.composite
 def record_files(draw, headers, rows, bad_rows):
     """A header and distinct rows, perhaps with a bad row, and perhaps with
-    one CR, NUL or 0xFF byte inserted anywhere."""
+    one CR, form feed, NUL or 0xFF byte, or one U+2028 or U+00A0, inserted
+    anywhere."""
     lines = [draw(st.sampled_from(headers)), *draw(st.lists(st.sampled_from(rows), unique=True))]
     lines += draw(st.lists(st.sampled_from(bad_rows), max_size=1))
     text = "\n".join(lines).encode() + b"\n"
     at = draw(st.integers(0, len(text)))
-    return text[:at] + draw(st.sampled_from((b"", b"", b"", b"\r", b"\0", b"\xff"))) + text[at:]
+    noise = (b"", b"", b"", b"\r", b"\x0c", b"\0", b"\xff", "\u2028".encode(), "\u00a0".encode())
+    return text[:at] + draw(st.sampled_from(noise)) + text[at:]
 
 
 GRAPH_FILES = record_files(
@@ -100,9 +104,9 @@ def files_under(root):
     return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
-@settings(max_examples=250, derandomize=True, deadline=None)
-@given(argv=argvs(), graph=GRAPH_FILES, cover=COVER_FILES)
-def test_main_returns_a_code_and_a_fault_writes_nothing(argv, graph, cover):
+def check_main(argv, graph, cover):
+    """Run ``main`` on ``argv`` beside the two record files and check its
+    code, its error line and that a fault wrote nothing."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "graph.txt").write_bytes(graph)
@@ -125,3 +129,9 @@ def test_main_returns_a_code_and_a_fault_writes_nothing(argv, graph, cover):
             assert len(err.splitlines()) == 1 and err.endswith("\n")
             assert out.getvalue() == ""
             assert files_under(root) == before
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(argv=argvs(), graph=GRAPH_FILES, cover=COVER_FILES)
+def test_main_returns_a_code_and_a_fault_writes_nothing(argv, graph, cover):
+    check_main(argv, graph, cover)

@@ -21,6 +21,7 @@ from degprice.textio import (
 def test_parse_simple_path():
     g = parse_graph_file("n 3\n0 1\n1 2\n")
     assert g == OwnedGraph(3, [(0, 1), (1, 2)])
+    assert parse_graph_file("n 3\r0 1\r\n1 2\r") == g
     assert g.targets(1) == {2} and g.targets(2) == set()
 
 
@@ -45,6 +46,10 @@ def test_comments_and_blank_lines_are_ignored():
         ("n 1_0\n0 \u0663\n", "non-integer field in 'n 1_0'", 1),
         ("n 4\n0 \u0663\n", "non-integer field in '0 \u0663'", 2),
         ("n 4\n# 1_0\n0 1_0", "non-integer field in '0 1_0'", 3),
+        # a line ends at LF, CRLF or CR, not at str.splitlines()'s other breaks
+        ("n 3\n0 1\u20281 2\n", "non-integer field", 2),
+        ("n 3\n0 1\x0c\n1 x\n", "non-integer field in '1 x'", 3),
+        ("n 3\n# a\x85b\n0 x\n", "non-integer field in '0 x'", 3),
     ],
 )
 def test_graph_errors_carry_line_numbers(text, fragment, line):
@@ -61,14 +66,18 @@ def test_signed_ascii_numbers_stay_accepted():
     assert [numeral(text) for text in ("1/2", "0.1", "1e-3")] == ["1/2", "0.1", "1e-3"]
 
 
-@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff13", "1/\u0662"])
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "\uff13", "1/\u0662", "1\u00a0", "\u30001"])
 def test_a_number_is_ascii_without_underscore(text):
-    """``int`` alone reads the first three and ``Fraction`` all four; the
-    rule refuses all four."""
+    """``int`` alone reads all but the fourth and ``Fraction`` all six; the
+    rule refuses all six, in a flag and anywhere in a record line."""
     with pytest.raises(ValueError, match="not an ASCII number"):
         numeral(text)
     with pytest.raises(ValueError):
         integer(text)
+    for line in (f"0 {text}", f"{text} 0"):
+        with pytest.raises(GraphFormatError, match="non-integer field") as exc:
+            parse_graph_file(f"n 3\n{line}\n")
+        assert exc.value.line == 2
 
 
 def test_node_count_past_the_graph_cap_is_refused_before_allocating():
@@ -112,7 +121,8 @@ def test_set_cover_round_trip_over_random_instances(inst):
 @st.composite
 def noisy_text(draw, lines):
     """``lines`` with blank, whitespace and ``#`` lines drawn around them,
-    each indented and padded, each line ended by LF or CRLF; and the
+    each indented and padded, each line ended by LF or CRLF, or every line
+    by CR (a CR before an empty line's LF would make one CRLF); and the
     1-based line number on which each of ``lines`` lands."""
     filler = st.lists(st.sampled_from(["", "  ", "\t", "#", "# note", "  # indented"]), max_size=2)
     pad = st.sampled_from(["", " ", "  ", "\t"])
@@ -122,7 +132,8 @@ def noisy_text(draw, lines):
         numbers.append(len(out) + 1)
         out.append(draw(pad) + line + draw(pad))
     out += draw(filler)
-    return "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in out), numbers
+    ends = st.sampled_from(draw(st.sampled_from([("\n", "\r\n"), ("\r",)])))
+    return "".join(line + draw(ends) for line in out), numbers
 
 
 FORMATS = {
